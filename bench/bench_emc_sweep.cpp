@@ -4,7 +4,8 @@
 // is timed against the same trace solved by runEmcScenario, the peak
 // induced voltages are cross-checked (the physics gate), and a 12-corner
 // angle x amplitude sweep is pushed through the parallel engine to report
-// batched throughput.
+// batched throughput; the sweep's counter and histogram block rides along
+// in the JSON artifact.
 //
 // Exit status is nonzero (Release builds) if the per-scenario speedup of
 // the circuit path falls below the floor (default 10x; override with
@@ -121,6 +122,8 @@ int main(int argc, char** argv) {
       "  \"sweep_corners\": " + std::to_string(sweep.runs.size()) + ",\n" +
       "  \"sweep_seconds\": " + num(sweep.wall_seconds) + ",\n" +
       "  \"seconds_per_corner\": " + num(per_corner) + ",\n" +
+      "  \"sweep_observability\": " + benchutil::sweepObservabilityJson(sweep) +
+      ",\n" +
       "  \"pass\": " + (pass ? "true" : "false") + "\n}\n";
   if (!benchutil::writeFile("BENCH_emc.json", json)) ++failures;
   std::puts("\nwrote BENCH_emc.json");

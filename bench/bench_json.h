@@ -13,7 +13,6 @@
 
 #include "engine/sweep_telemetry.h"
 #include "obs/histogram.h"
-#include "obs/telemetry.h"
 
 namespace benchutil {
 
@@ -55,23 +54,6 @@ inline bool writeFile(const std::string& path, const std::string& content) {
   std::fwrite(content.data(), 1, content.size(), f);
   std::fclose(f);
   return true;
-}
-
-/// Serializes a solver telemetry summary (obs/telemetry.h) as one JSON
-/// object, so the BENCH_*.json artifacts carry the phase breakdown and
-/// factorization counts alongside the headline wall-clock numbers.
-inline std::string telemetryJson(const fdtdmm::obs::RunTelemetry& t) {
-  const fdtdmm::obs::TransientPhases& p = t.phases;
-  return std::string("{\"stamp_static_seconds\": ") + num(p.stamp_static_seconds) +
-         ", \"factor_seconds\": " + num(p.factor_seconds) +
-         ", \"rhs_stamp_seconds\": " + num(p.rhs_stamp_seconds) +
-         ", \"solve_seconds\": " + num(p.solve_seconds) +
-         ", \"newton_seconds\": " + num(p.newton_seconds) +
-         ", \"lu_factorizations\": " + std::to_string(t.lu_factorizations) +
-         ", \"newton_iterations\": " + std::to_string(t.newton_iterations) +
-         ", \"steps\": " + std::to_string(t.steps) +
-         ", \"pattern_realignments\": " + std::to_string(t.pattern_realignments) +
-         "}";
 }
 
 /// Percentile summary of a sweep's latency histograms (SweepResult::

@@ -1,43 +1,26 @@
-// Benchmark of the Monte Carlo sweep subsystem's two headline claims:
-//
-//  (a) Sample efficiency: Latin-hypercube sampling reaches a target
-//      quantile-estimate accuracy with at least 2x fewer samples than
-//      i.i.d. sampling. Measured on the real expansion machinery
-//      (expandDetailed() draws) against a closed-form response with a
-//      known exact quantile, replicated over many seeds — fully
-//      deterministic, gated in every build.
-//
-//  (b) Solver-state reuse: a random-illumination EMC ensemble (every
-//      sample differs only in RHS field sources) runs at least 2x faster
-//      with cross-corner solver-state sharing than without, because the
-//      whole ensemble is ONE numeric-base class and factors once.
-//      Wall-clock is gated in Release builds only (override the floor
-//      with --min-speedup=<x> / FDTDMM_BENCH_MIN_MC_SPEEDUP); the
-//      factorization-count and byte-identical-metrics invariants are
-//      checked unconditionally.
+// Benchmark of the Monte Carlo sweep subsystem's sample-efficiency claim:
+// Latin-hypercube sampling reaches a target quantile-estimate accuracy
+// with at least 2x fewer samples than i.i.d. sampling. Measured on the
+// real expansion machinery (expandDetailed() draws) against a closed-form
+// response with a known exact quantile, replicated over many seeds — fully
+// deterministic, gated in every build. (That a random-illumination EMC
+// ensemble factors its base matrix once is pinned by tests/test_mc_sweep.)
 //
 // Writes BENCH_mc.json for the CI bench job's artifact trail.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "bench_json.h"
-#include "engine/sweep_runner.h"
+#include "engine/sweep_spec.h"
 #include "math/stats.h"
-#include "obs/trace.h"
 
 namespace {
 
 using namespace fdtdmm;
-using Clock = std::chrono::steady_clock;
-
-// --- Gate (a): LHS vs i.i.d. quantile accuracy ---------------------------
 
 // The response surface: Y = zc + load_r / 10 over zc ~ U[50, 150),
 // load_r ~ U[100, 900) is trapezoidal on [60, 240], symmetric about its
@@ -83,75 +66,13 @@ double rmsQuantileError(std::size_t samples, McSampling mode,
   return std::sqrt(sum_sq / static_cast<double>(seeds));
 }
 
-// --- Gate (b): illumination-ensemble solver-state reuse ------------------
-
-// Same dense-trace shape as bench_factorization_reuse (n ~ 1200 unknowns,
-// short coarse window) so the base factorization dominates a sample's
-// cost — but the grid is a seeded stochastic illumination ensemble
-// instead of deterministic corners.
-SweepSpec illuminationEnsembleSpec() {
-  SweepSpec spec;
-  spec.scenario = "emc";
-  spec.set("drive", std::string("none"));  // quiescent: linear, no models
-  spec.set("solver", std::string("reuse_lu"));
-  spec.set("segments", 600.0);
-  spec.set("dt", 1e-10);
-  spec.set("t_stop", 5e-10);
-  spec.set("pulse_t0", 2e-10);
-  StochasticAxis field;
-  field.name = "field";
-  field.params = {uniformParam("theta", 20.0, 160.0),
-                  uniformParam("phi", 0.0, 360.0),
-                  uniformParam("pol_theta", 0.05, 1.0),
-                  truncatedNormalParam("amplitude", 1e3, 300.0, 200.0, 2e3)};
-  field.samples = 12;
-  field.seed = 2026;
-  field.sampling = McSampling::kLatinHypercube;
-  spec.stochasticAxis(field);
-  return spec;
-}
-
-struct SweepTiming {
-  SweepResult result;
-  double seconds = 0.0;
-  long long total_lu = 0;
-  std::string csv;
-};
-
-SweepTiming runEnsemble(bool share) {
-  SweepRunnerOptions opt;
-  opt.workers = 1;  // isolate the factorization economy from parallelism
-  opt.share_solver_state = share;
-  opt.reuse_results = false;  // time solver work, not result replay
-  SweepRunner runner(opt);
-
-  SweepTiming t;
-  const auto start = Clock::now();
-  t.result = runner.run(illuminationEnsembleSpec());
-  t.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  for (const SweepRunRecord& r : t.result.runs)
-    t.total_lu += r.telemetry.lu_factorizations;
-
-  const std::string path = share ? "bench_mc_on.csv" : "bench_mc_off.csv";
-  writeSweepCsv(t.result, path);
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  t.csv = ss.str();
-  std::remove(path.c_str());
-  return t;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::puts("=== bench_mc_sweep: LHS sample efficiency + ensemble LU reuse ===");
-  const obs::ScopedTrace trace = obs::initTraceFromArgs(argc, argv);
-  const double min_speedup =
-      benchutil::minSpeedup(argc, argv, "FDTDMM_BENCH_MIN_MC_SPEEDUP", 2.0);
+int main() {
+  std::puts("=== bench_mc_sweep: LHS sample efficiency ===");
   int failures = 0;
 
-  // --- (a) quantile accuracy: LHS at N/2 vs i.i.d. at N ------------------
+  // Quantile accuracy: LHS at N/2 vs i.i.d. at N.
   constexpr std::size_t kIidSamples = 128;
   constexpr std::size_t kSeeds = 50;
   const double iid_err =
@@ -167,50 +88,6 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  // --- (b) solver-state reuse across the illumination ensemble -----------
-  const SweepTiming off = runEnsemble(false);
-  const SweepTiming on = runEnsemble(true);
-  const std::size_t samples = on.result.runs.size();
-  const double speedup = off.seconds / on.seconds;
-
-  std::printf("%10s %9s %12s %9s\n", "sharing", "total LU", "wall [s]", "ok");
-  std::printf("%10s %9lld %12.4f %8zu/%zu\n", "off", off.total_lu, off.seconds,
-              off.result.okCount(), samples);
-  std::printf("%10s %9lld %12.4f %8zu/%zu\n", "on", on.total_lu, on.seconds,
-              on.result.okCount(), samples);
-  std::printf("  speedup: %.2fx (gate: >= %.2fx, release builds)\n", speedup,
-              min_speedup);
-
-  if (off.result.okCount() != samples || on.result.okCount() != samples) {
-    std::puts("FAIL: not every sample completed");
-    ++failures;
-  }
-  // The ensemble is one numeric-base class (every sampled parameter is
-  // RHS-only): sharing must factor exactly once, sharing-off per sample.
-  if (on.total_lu != 1 || on.result.solver_cache.numeric_misses != 1) {
-    std::printf("FAIL: sharing-on factored %lld times (expected 1)\n",
-                on.total_lu);
-    ++failures;
-  }
-  if (off.total_lu != static_cast<long long>(samples)) {
-    std::printf("FAIL: sharing-off factored %lld times (expected %zu)\n",
-                off.total_lu, samples);
-    ++failures;
-  }
-  if (on.csv != off.csv || on.csv.empty()) {
-    std::puts("FAIL: exported metrics differ between sharing on and off");
-    ++failures;
-  }
-#ifdef NDEBUG
-  if (speedup < min_speedup) {
-    std::printf("FAIL: expected >= %.2fx from ensemble solver-state reuse\n",
-                min_speedup);
-    ++failures;
-  }
-#else
-  std::puts("(non-optimized build: speedup reported, not gated)");
-#endif
-
   const bool pass = failures == 0;
   using benchutil::num;
   const std::string json = std::string("{\n") +
@@ -224,19 +101,6 @@ int main(int argc, char** argv) {
       "  \"lhs_rms_error\": " + num(lhs_err) + ",\n" +
       "  \"lhs_sample_efficiency_ok\": " +
       (lhs_err < iid_err ? "true" : "false") + ",\n" +
-      "  \"min_speedup\": " + num(min_speedup) + ",\n" +
-      "  \"ensemble_samples\": " + std::to_string(samples) + ",\n" +
-      "  \"numeric_base_classes\": " +
-      std::to_string(on.result.solver_cache.numeric_misses) + ",\n" +
-      "  \"lu_with_sharing\": " + std::to_string(on.total_lu) + ",\n" +
-      "  \"lu_without_sharing\": " + std::to_string(off.total_lu) + ",\n" +
-      "  \"seconds_with_sharing\": " + num(on.seconds) + ",\n" +
-      "  \"seconds_without_sharing\": " + num(off.seconds) + ",\n" +
-      "  \"speedup\": " + num(speedup) + ",\n" +
-      "  \"metrics_byte_identical\": " + (on.csv == off.csv ? "true" : "false") +
-      ",\n" +
-      "  \"sweep_observability\": " +
-      benchutil::sweepObservabilityJson(on.result) + ",\n" +
       "  \"pass\": " + (pass ? "true" : "false") + "\n}\n";
   if (!benchutil::writeFile("BENCH_mc.json", json)) ++failures;
   std::puts("\nwrote BENCH_mc.json");

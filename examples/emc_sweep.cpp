@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   spec.set("pulse_t0", 2e-9);
   spec.axis("theta", {20.0, 40.0, 60.0, 90.0});
   spec.axis("amplitude", {500.0, 1000.0, 2000.0});
-  spec.axisStrings("solver", {"reuse_lu", "sparse"});
   std::printf("# grid: %zu simulation tasks\n", spec.count());
 
   SweepRunnerOptions opt;
@@ -54,9 +53,9 @@ int main(int argc, char** argv) {
 
   // Where the solver time went, per corner (shared exporter): these are
   // linear runs, and amplitude/theta only reach the RHS — so with solver-
-  // state sharing (default-on) each solver mode factors its base exactly
-  // once for the whole grid: one corner per mode shows lu=1, every other
-  // corner shows lu=0 and rides the shared factorization.
+  // state sharing (default-on) the grid factors its base exactly once: one
+  // corner shows lu=1, every other corner shows lu=0 and rides the shared
+  // factorization.
   sweepcli::printPhaseTable(result);
 
   // The sweep-wide view of the same economy.

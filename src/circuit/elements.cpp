@@ -539,6 +539,10 @@ BehavioralPort::BehavioralPort(int n1, int n2, PortModelPtr model)
 
 void BehavioralPort::begin(double dt) { model_->prepare(dt); }
 
+void BehavioralPort::stampStatic(StampSystem& sys, double) {
+  stampConductance(sys, n1_, n2_, 0.0);
+}
+
 void BehavioralPort::stampDynamic(StampSystem& sys, const Vector& x, double t_new, double) {
   const double v = nodeV(x, n1_) - nodeV(x, n2_);
   double g = 0.0;

@@ -110,7 +110,8 @@ class Element {
 
   /// Full linearized stamp about iterate x: static + dynamic parts. This is
   /// what the pre-split engine assembled at every Newton iteration; the
-  /// full-restamp reference path (and element unit tests) still use it.
+  /// dense reference oracle of the test suite (and element unit tests)
+  /// still use it.
   /// NOT virtual: subclasses contribute by overriding stampStatic /
   /// stampDynamic. Declaring a `stamp` with this signature in a subclass
   /// only hides this wrapper — the engine will never call it.
@@ -234,8 +235,8 @@ class Capacitor final : public Element {
 /// time-varying EMF e(t) in series: v(n1) - v(n2) + e(t) = L di/dt, i.e.
 /// the EMF raises the n2-side potential. The EMF enters only the RHS of
 /// the branch row (stampDynamic), so a field-excited ladder keeps the
-/// one-factorization-per-linear-run guarantee of the cached-LU and sparse
-/// solver paths — this is the circuit substrate of the Taylor/Agrawal
+/// one-factorization-per-linear-run guarantee of the transient engine —
+/// this is the circuit substrate of the Taylor/Agrawal
 /// distributed-source EMC coupling in src/emc/.
 class Inductor final : public Element {
  public:
@@ -430,6 +431,10 @@ class BehavioralPort final : public Element {
   /// \throws std::invalid_argument if model is null.
   BehavioralPort(int n1, int n2, PortModelPtr model);
   void begin(double dt) override;
+  /// Reserves the port's 4-point conductance stencil as structural zeros,
+  /// so the per-iteration Jacobian lands inside the static pattern (and
+  /// inside a shared RCM ordering) instead of growing it.
+  void stampStatic(StampSystem& sys, double dt) override;
   void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
   void endStep(const Vector& x, double t_new, double dt) override;
   std::string name() const override { return "PORT(" + model_->name() + ")"; }

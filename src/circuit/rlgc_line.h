@@ -9,8 +9,8 @@
 ///
 /// Every element of the ladder (R, L, C) stamps its MNA matrix entries
 /// statically, so a transient run over an RLGC line — however many
-/// segments — performs a single LU factorization (see transient.h); this
-/// is the linear-dominated hot path that bench_transient_solver measures.
+/// segments — performs a single LU factorization (see transient.h), and
+/// its RCM-ordered band stays a few diagonals wide at any length.
 
 #include "circuit/circuit.h"
 
@@ -47,8 +47,8 @@ std::vector<int> buildRlgcLineSegments(Circuit& circuit, int n1, int ref1,
 /// toward n2). This is the Taylor/Agrawal distributed-source form of
 /// incident-field coupling: `segment_emf[s]` is the induced series voltage
 /// of segment s in volts (field integrated over the segment length). EMFs
-/// enter only the RHS, so the cached-LU / sparse one-factorization
-/// guarantee of linear runs is preserved.
+/// enter only the RHS, so the one-factorization guarantee of linear runs is
+/// preserved.
 /// \throws std::invalid_argument if segment_emf is non-empty and its size
 ///         differs from p.segments, or any entry is empty.
 std::vector<int> buildRlgcLineSegments(Circuit& circuit, int n1, int ref1,

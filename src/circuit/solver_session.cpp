@@ -33,8 +33,6 @@ SolverSession::SolverSession(Circuit& circuit, const TransientOptions& opt)
   if (opt_.dt <= 0.0) throw std::invalid_argument("runTransient: dt must be > 0");
   if (opt_.t_stop <= 0.0) throw std::invalid_argument("runTransient: t_stop must be > 0");
   if (opt_.settle_time < 0.0) throw std::invalid_argument("runTransient: settle_time < 0");
-  reuse_ = opt_.solver_mode == TransientSolverMode::kReuseFactorization;
-  sparse_ = opt_.solver_mode == TransientSolverMode::kSparse;
 }
 
 void SolverSession::validateProbes(const std::vector<NodeProbe>& probes,
@@ -62,139 +60,91 @@ void SolverSession::validateProbes(const std::vector<NodeProbe>& probes,
 
 void SolverSession::assembleStatic(double* t_static, obs::RunTelemetry* tel) {
   // One-time assembly of the static (topology + dt) part of the MNA matrix
-  // into the mode's target: a dense base matrix or a CSR base whose
-  // finalize() fixes the symbolic pattern.
+  // into a CSR base whose finalize() fixes the symbolic pattern.
   obs::ScopedTimer stamp_static_timer(t_static);
-  auto& elements = circuit_.elements();
-  if (reuse_) {
-    base_.a = Matrix(n_unknowns_, n_unknowns_);
-    base_.b.assign(n_unknowns_, 0.0);
-    for (auto& e : elements) e->stampStatic(base_, opt_.dt);
-    rejectStaticRhs(base_.b);
-  } else if (sparse_) {
-    base_sp_.reset(n_unknowns_);
-    base_.sparse = &base_sp_;
-    base_.b.assign(n_unknowns_, 0.0);
-    for (auto& e : elements) e->stampStatic(base_, opt_.dt);
-    rejectStaticRhs(base_.b);
-    base_sp_.finalize();
+  StampSystem base;
+  base_sp_.reset(n_unknowns_);
+  base.sparse = &base_sp_;
+  base.b.assign(n_unknowns_, 0.0);
+  for (auto& e : circuit_.elements()) e->stampStatic(base, opt_.dt);
+  rejectStaticRhs(base.b);
+  base_sp_.finalize();
 
-    // Resolve the shared symbolic state for this structure class: the
-    // first run computes the pattern's RCM ordering and publishes it,
-    // every other run checks it out and skips its own RCM analysis. The
-    // ordering is a pure function of the (bit-identical-within-class)
-    // pattern, so the resulting factorizations are bit-identical either
-    // way.
-    if (opt_.sharing.shareSymbolic()) {
-      bool built = false;
-      auto sym = opt_.sharing.provider->symbolic(opt_.sharing.structure_key, [&] {
-        auto s = std::make_shared<SolverSymbolic>();
-        s->n = n_unknowns_;
-        s->rcm_order = reverseCuthillMcKee(base_sp_);
-        built = true;
-        return s;
-      });
-      // A mismatched checkout means the structure key lied (or collided);
-      // ignoring it degrades to private analysis, never to wrong results.
-      if (sym && sym->n == n_unknowns_ && sym->rcm_order.size() == n_unknowns_) {
-        shared_symbolic_ = std::move(sym);
-        if (tel) built ? ++tel->shared_symbolic_builds : ++tel->shared_symbolic_reuses;
-        if (!built) {
-          reused_shared_symbolic_ = true;
-          obs::traceInstant("shared_symbolic_reuse", "solver");
-        }
-      }
-    }
-  }
-}
-
-void SolverSession::allocateWorkspace() {
-  // All per-iteration state is allocated here, once; the Newton loop below
-  // only reuses this storage (matrix copy-assign, vector assign/resize).
-  x_.assign(n_unknowns_, 0.0);
-  x_new_.assign(n_unknowns_, 0.0);
-  sys_.b.assign(n_unknowns_, 0.0);
-  if (reuse_) {
-    sys_.a = base_.a;
-  } else if (sparse_) {
-    work_sp_ = base_sp_;
-    sys_.sparse = &work_sp_;
-  } else {
-    sys_.a = Matrix(n_unknowns_, n_unknowns_);
-  }
-}
-
-bool SolverSession::ensureBaseFactoredDense(double* t_factor, obs::RunTelemetry* tel) {
-  // sys_.a is still the untouched base matrix here (either never dirtied,
-  // or restored from base_.a at the top of this iteration), so the
-  // factorization below — by whichever session of the class performs it —
-  // is a pure function of the class's static stamps.
-  if (opt_.sharing.shareNumericBase()) {
+  // Resolve the pattern's RCM ordering once for the whole run. With
+  // sharing, the first run of a structure class computes and publishes it
+  // and every other run checks it out. The ordering is a pure function of
+  // the (bit-identical-within-class) pattern, so the resulting
+  // factorizations are bit-identical either way.
+  if (opt_.sharing.shareSymbolic()) {
     bool built = false;
-    auto nb = opt_.sharing.provider->numericBase(opt_.sharing.numeric_base_key, [&] {
-      auto b = std::make_shared<SolverNumericBase>();
-      b->is_sparse = false;
-      obs::ScopedTimer factor_timer(t_factor);
-      b->dense.factor(sys_.a);
+    auto sym = opt_.sharing.provider->symbolic(opt_.sharing.structure_key, [&] {
+      auto s = std::make_shared<SolverSymbolic>();
+      s->n = n_unknowns_;
+      s->rcm_order = reverseCuthillMcKee(base_sp_);
       built = true;
-      return b;
+      return s;
     });
-    if (nb && !nb->is_sparse && nb->dim() == n_unknowns_) {
-      shared_base_ = std::move(nb);
-      base_factored_ = true;
-      if (tel) built ? ++tel->shared_base_builds : ++tel->shared_base_reuses;
-      if (!built) {
-        reused_shared_base_ = true;
-        obs::traceInstant("shared_base_reuse", "solver");
-      }
-      return built;
+    if (built) ++rcm_orderings_;
+    // A mismatched checkout means the structure key lied (or collided);
+    // ignoring it degrades to private analysis, never to wrong results.
+    if (sym && sym->n == n_unknowns_ && sym->rcm_order.size() == n_unknowns_) {
+      shared_symbolic_ = std::move(sym);
+      order_ = &shared_symbolic_->rcm_order;
+      if (tel) built ? ++tel->shared_symbolic_builds : ++tel->shared_symbolic_reuses;
+      if (!built) obs::traceInstant("shared_symbolic_reuse", "solver");
     }
-    // Key collision (wrong mode or dimension): fall through to a private
-    // factorization rather than solving with someone else's matrix.
   }
-  obs::ScopedTimer factor_timer(t_factor);
-  base_lu_.factor(sys_.a);
-  base_factored_ = true;
-  return true;
+  if (order_ == nullptr) {
+    private_order_ = reverseCuthillMcKee(base_sp_);
+    ++rcm_orderings_;
+    order_ = &private_order_;
+  }
 }
 
-bool SolverSession::ensureBaseFactoredSparse(double* t_factor, obs::RunTelemetry* tel) {
-  // work_sp_ still holds the untouched base values here. Sharing is only
-  // sound while the pattern is the one the class key describes: if a
-  // dynamic stamp grew the pattern before the first clean iteration, a
-  // sharing-disabled run would factor (and RCM-order) the *grown* pattern,
-  // so to stay bit-identical with it we fall back to private state.
+void SolverSession::realignPattern(obs::RunTelemetry* tel) {
+  // A dynamic stamp hit a structurally-new entry: widen the working
+  // pattern once and keep the cached base aligned so the in-place value
+  // refresh stays a straight copy. A base factorization that already ran
+  // remains numerically valid (the new entries are zero there); every
+  // later factorization uses the grown pattern's own ordering.
+  work_sp_.mergeOverflow();
+  base_sp_.adoptPatternOf(work_sp_);
+  private_order_ = reverseCuthillMcKee(work_sp_);
+  ++rcm_orderings_;
+  order_ = &private_order_;
+  if (tel) ++tel->pattern_realignments;
+  obs::traceInstant("sparse_pattern_realign", "solver");
+}
+
+bool SolverSession::ensureBaseFactored(double* t_factor, obs::RunTelemetry* tel) {
+  // work_sp_ still holds the untouched base values here, so the
+  // factorization below — by whichever session of the class performs it —
+  // is a pure function of the class's static stamps. Sharing is only sound
+  // while the pattern is the one the class key describes: after pattern
+  // growth the base is factored privately, as a sharing-disabled run would.
   const bool pattern_unchanged =
       work_sp_.patternVersion() == assembled_pattern_version_;
   if (opt_.sharing.shareNumericBase() && pattern_unchanged) {
     bool built = false;
     auto nb = opt_.sharing.provider->numericBase(opt_.sharing.numeric_base_key, [&] {
       auto b = std::make_shared<SolverNumericBase>();
-      b->is_sparse = true;
       obs::ScopedTimer factor_timer(t_factor);
-      if (shared_symbolic_)
-        b->sparse.factorWithOrder(work_sp_, shared_symbolic_->rcm_order);
-      else
-        b->sparse.factor(work_sp_);
+      b->factorWithOrder(work_sp_, *order_);
       built = true;
       return b;
     });
-    if (nb && nb->is_sparse && nb->dim() == n_unknowns_) {
+    if (nb && nb->dim() == n_unknowns_) {
       shared_base_ = std::move(nb);
       base_factored_ = true;
       if (tel) built ? ++tel->shared_base_builds : ++tel->shared_base_reuses;
-      if (!built) {
-        reused_shared_base_ = true;
-        obs::traceInstant("shared_base_reuse", "solver");
-      }
+      if (!built) obs::traceInstant("shared_base_reuse", "solver");
       return built;
     }
+    // Key collision (wrong dimension): fall through to a private
+    // factorization rather than solving with someone else's matrix.
   }
   obs::ScopedTimer factor_timer(t_factor);
-  if (shared_symbolic_ && pattern_unchanged)
-    base_slu_.factorWithOrder(work_sp_, shared_symbolic_->rcm_order);
-  else
-    base_slu_.factor(work_sp_);
+  base_lu_.factorWithOrder(work_sp_, *order_);
   base_factored_ = true;
   return true;
 }
@@ -202,29 +152,21 @@ bool SolverSession::ensureBaseFactoredSparse(double* t_factor, obs::RunTelemetry
 void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
                                           obs::NumericalHealth& h, bool any_solve) {
   // Relative residual of the last solve: x_new_ is the raw solution of the
-  // final Newton iteration (before damping clamps), and sys_.b / the
-  // current matrix are exactly the system it solved — sys_.a holds base or
-  // dirtied values matching whichever factorization ran, work_sp_ likewise.
+  // final Newton iteration (before damping clamps), and sys_.b / work_sp_
+  // are exactly the system it solved — work_sp_ holds base or dirtied
+  // values matching whichever factorization ran.
   if (any_solve) {
     double b_inf = 0.0;
     for (double v : sys_.b) b_inf = std::max(b_inf, std::abs(v));
     double r_inf = 0.0;
-    if (sparse_) {
-      const auto& row_ptr = work_sp_.rowPtr();
-      const auto& col_idx = work_sp_.colIdx();
-      const auto& values = work_sp_.values();
-      for (std::size_t r = 0; r < n_unknowns_; ++r) {
-        double acc = -sys_.b[r];
-        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-          acc += values[k] * x_new_[col_idx[k]];
-        r_inf = std::max(r_inf, std::abs(acc));
-      }
-    } else {
-      for (std::size_t r = 0; r < n_unknowns_; ++r) {
-        double acc = -sys_.b[r];
-        for (std::size_t c = 0; c < n_unknowns_; ++c) acc += sys_.a(r, c) * x_new_[c];
-        r_inf = std::max(r_inf, std::abs(acc));
-      }
+    const auto& row_ptr = work_sp_.rowPtr();
+    const auto& col_idx = work_sp_.colIdx();
+    const auto& values = work_sp_.values();
+    for (std::size_t r = 0; r < n_unknowns_; ++r) {
+      double acc = -sys_.b[r];
+      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+        acc += values[k] * x_new_[col_idx[k]];
+      r_inf = std::max(r_inf, std::abs(acc));
     }
     h.collected = true;
     ++h.residual_checks;
@@ -233,41 +175,27 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
   }
 
   // Hager 1-norm condition estimate on whichever factorization is cached —
-  // a handful of O(n)/O(n b) substitutions, never a refactorization. The
-  // base factorization is preferred (it is the matrix the run solved with
-  // on every clean iteration); a run that never factored a base — full
-  // restamp, or every iteration dirtied — estimates on its last private
-  // work factorization instead.
+  // a handful of O(n b) substitutions, never a refactorization. The base
+  // factorization is preferred (it is the matrix the run solved with on
+  // every clean iteration); a run that never factored a base (every
+  // iteration dirtied) estimates on its last work factorization instead.
   if (!hopt.condition_estimate) return;
+  const SparseLu* lu = nullptr;
   double norm_a = 0.0;
-  obs::SolveFn solve, solve_t;
-  if (sparse_) {
-    const SparseLu* slu = nullptr;
-    if (base_factored_ && baseSlu().factored()) {
-      slu = &baseSlu();
-      norm_a = obs::matrixNorm1(base_sp_);
-    } else if (work_slu_.factored()) {
-      slu = &work_slu_;
-      norm_a = obs::matrixNorm1(work_sp_);
-    }
-    if (slu == nullptr) return;
-    solve = [this, slu](const Vector& b, Vector& x) { slu->solve(b, x, slu_scratch_); };
-    solve_t = [this, slu](const Vector& b, Vector& x) {
-      slu->solveTranspose(b, x, slu_scratch_);
-    };
-  } else {
-    const LuFactorization* lu = nullptr;
-    if (base_factored_ && baseLu().factored()) {
-      lu = &baseLu();
-      norm_a = obs::matrixNorm1(base_.a);
-    } else if (work_lu_.factored()) {
-      lu = &work_lu_;
-      norm_a = obs::matrixNorm1(sys_.a);
-    }
-    if (lu == nullptr) return;
-    solve = [lu](const Vector& b, Vector& x) { lu->solve(b, x); };
-    solve_t = [lu](const Vector& b, Vector& x) { lu->solveTranspose(b, x); };
+  if (base_factored_ && baseLu().factored()) {
+    lu = &baseLu();
+    norm_a = obs::matrixNorm1(base_sp_);
+  } else if (work_lu_.factored()) {
+    lu = &work_lu_;
+    norm_a = obs::matrixNorm1(work_sp_);
   }
+  if (lu == nullptr) return;
+  const obs::SolveFn solve = [this, lu](const Vector& b, Vector& x) {
+    lu->solve(b, x, lu_scratch_);
+  };
+  const obs::SolveFn solve_t = [this, lu](const Vector& b, Vector& x) {
+    lu->solveTranspose(b, x, lu_scratch_);
+  };
   const double inv_norm = obs::estimateInverseNorm1(n_unknowns_, solve, solve_t);
   h.collected = true;
   ++h.condition_estimates;
@@ -310,16 +238,22 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
   std::vector<Vector> branch_data(branch_probes.size());
 
   assembleStatic(t_static, tel);
-  allocateWorkspace();
-  if (sparse_) assembled_pattern_version_ = work_sp_.patternVersion();
+  // Per-run workspaces, allocated once: the Newton loop below only reuses
+  // this storage (value copies, vector assign).
+  x_.assign(n_unknowns_, 0.0);
+  x_new_.assign(n_unknowns_, 0.0);
+  sys_.b.assign(n_unknowns_, 0.0);
+  work_sp_ = base_sp_;
+  sys_.sparse = &work_sp_;
+  assembled_pattern_version_ = work_sp_.patternVersion();
 
   // base factorization: the untouched static matrix, created lazily on the
   // first Newton iteration whose dynamic stamps leave the matrix clean
   // (lazily so circuits whose base matrix alone is singular — e.g. a node
   // held up only by a nonlinear device — still work); with sharing active
-  // it is checked out of the provider instead (ensureBaseFactored*).
-  // work_lu_/work_slu_: refactored in place on every iteration that
-  // dirties the matrix — always private.
+  // it is checked out of the provider instead (ensureBaseFactored).
+  // work_lu_: refactored in place on every iteration that dirties the
+  // matrix — always private, always with the run's ordering.
 
   const auto n_settle = static_cast<long long>(std::ceil(opt_.settle_time / opt_.dt));
   const auto n_run = static_cast<long long>(std::ceil(opt_.t_stop / opt_.dt));
@@ -351,92 +285,42 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
     const auto newton_begin =
         t_newton ? obs::ScopedTimer::Clock::now() : obs::ScopedTimer::Clock::time_point{};
     for (; it < opt_.max_newton_iterations; ++it) {
-      if (reuse_) {
-        {
-          obs::ScopedTimer rhs_timer(t_rhs);
-          if (matrix_was_dirtied_) sys_.a = base_.a;
-          sys_.b.assign(n_unknowns_, 0.0);
-          sys_.matrix_dirty = false;
-          for (auto& e : elements) e->stampDynamic(sys_, x_, t_new, opt_.dt);
+      {
+        obs::ScopedTimer rhs_timer(t_rhs);
+        if (matrix_was_dirtied_) {
+          work_sp_.setValuesFrom(base_sp_);
+          matrix_was_dirtied_ = false;
         }
-        if (sys_.matrix_dirty) {
-          matrix_was_dirtied_ = true;
-          {
-            obs::ScopedTimer factor_timer(t_factor);
-            work_lu_.factor(sys_.a);
-          }
-          ++result.lu_factorizations;
-          if (health)
-            health->recordFactorization(work_lu_.minAbsPivot(), work_lu_.pivotGrowth());
-          obs::ScopedTimer solve_timer(t_solve);
-          work_lu_.solve(sys_.b, x_new_);
-        } else {
-          if (!base_factored_) {
-            if (ensureBaseFactoredDense(t_factor, tel)) ++result.lu_factorizations;
-            // Shared checkouts record too: the stats live on the
-            // factorization object, computed by whichever session built it.
-            if (health)
-              health->recordFactorization(baseLu().minAbsPivot(), baseLu().pivotGrowth());
-          }
-          obs::ScopedTimer solve_timer(t_solve);
-          baseLu().solve(sys_.b, x_new_);
-        }
-      } else if (sparse_) {
-        {
-          obs::ScopedTimer rhs_timer(t_rhs);
-          if (matrix_was_dirtied_) work_sp_.setValuesFrom(base_sp_);
-          sys_.b.assign(n_unknowns_, 0.0);
-          sys_.matrix_dirty = false;
-          for (auto& e : elements) e->stampDynamic(sys_, x_, t_new, opt_.dt);
-        }
-        if (work_sp_.patternGrown()) {
-          // A dynamic stamp hit a structurally-new entry: widen the working
-          // pattern once and keep the cached base aligned so the in-place
-          // value refresh above stays a straight copy. The base
-          // factorization remains numerically valid (new entries are zero).
-          work_sp_.mergeOverflow();
-          base_sp_.adoptPatternOf(work_sp_);
-          if (tel) ++tel->pattern_realignments;
-          obs::traceInstant("sparse_pattern_realign", "solver");
-        }
-        if (sys_.matrix_dirty) {
-          matrix_was_dirtied_ = true;
-          {
-            obs::ScopedTimer factor_timer(t_factor);
-            work_slu_.factor(work_sp_);
-          }
-          ++result.lu_factorizations;
-          if (health)
-            health->recordFactorization(work_slu_.minAbsPivot(), work_slu_.pivotGrowth());
-          obs::ScopedTimer solve_timer(t_solve);
-          work_slu_.solve(sys_.b, x_new_);
-        } else {
-          if (!base_factored_) {
-            if (ensureBaseFactoredSparse(t_factor, tel)) ++result.lu_factorizations;
-            if (health)
-              health->recordFactorization(baseSlu().minAbsPivot(), baseSlu().pivotGrowth());
-          }
-          obs::ScopedTimer solve_timer(t_solve);
-          // Caller-workspace solve: the factorization may be shared with
-          // concurrently solving sessions (identical numerics either way).
-          baseSlu().solve(sys_.b, x_new_, slu_scratch_);
-        }
-      } else {
-        {
-          obs::ScopedTimer rhs_timer(t_rhs);
-          std::fill_n(sys_.a.data(), n_unknowns_ * n_unknowns_, 0.0);
-          sys_.b.assign(n_unknowns_, 0.0);
-          for (auto& e : elements) e->stamp(sys_, x_, t_new, opt_.dt);
-        }
+        sys_.b.assign(n_unknowns_, 0.0);
+        sys_.matrix_dirty = false;
+        for (auto& e : elements) e->stampDynamic(sys_, x_, t_new, opt_.dt);
+      }
+      if (work_sp_.patternGrown()) realignPattern(tel);
+      if (sys_.matrix_dirty) {
+        matrix_was_dirtied_ = true;
         {
           obs::ScopedTimer factor_timer(t_factor);
-          work_lu_.factor(sys_.a);
+          work_lu_.factorWithOrder(work_sp_, *order_);
         }
         ++result.lu_factorizations;
+        last_lu_ = &work_lu_;
         if (health)
           health->recordFactorization(work_lu_.minAbsPivot(), work_lu_.pivotGrowth());
         obs::ScopedTimer solve_timer(t_solve);
         work_lu_.solve(sys_.b, x_new_);
+      } else {
+        if (!base_factored_) {
+          if (ensureBaseFactored(t_factor, tel)) ++result.lu_factorizations;
+          // Shared checkouts record too: the stats live on the
+          // factorization object, computed by whichever session built it.
+          if (health)
+            health->recordFactorization(baseLu().minAbsPivot(), baseLu().pivotGrowth());
+        }
+        last_lu_ = &baseLu();
+        obs::ScopedTimer solve_timer(t_solve);
+        // Caller-workspace solve: the factorization may be shared with
+        // concurrently solving sessions (identical numerics either way).
+        baseLu().solve(sys_.b, x_new_, lu_scratch_);
       }
 
       double max_dx = 0.0;
@@ -490,6 +374,15 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
                           Waveform(0.0, opt_.dt, std::move(branch_data[p])));
   }
 
+  // Structural size of the system this run factored last: what its LU
+  // and substitution costs scale with (O(n b^2) and O(n b)).
+  obs::StructureSize size;
+  size.unknowns = static_cast<long long>(n_unknowns_);
+  size.nonzeros = static_cast<long long>(work_sp_.nonZeros());
+  if (last_lu_ != nullptr) {
+    size.kl = static_cast<long long>(last_lu_->lowerBandwidth());
+    size.ku = static_cast<long long>(last_lu_->upperBandwidth());
+  }
   if (tel) {
     tel->lu_factorizations += result.lu_factorizations;
     tel->newton_iterations += result.total_newton_iterations;
@@ -497,13 +390,19 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
         std::max(tel->max_newton_iterations, result.max_newton_iterations);
     tel->steps += static_cast<long long>(result.steps);
     ++tel->transient_runs;
+    tel->rcm_orderings += rcm_orderings_ +
+                          static_cast<long long>(base_lu_.orderingsComputed() +
+                                                 work_lu_.orderingsComputed());
+    tel->structure.mergeMax(size);
   }
   if (health) {
     collectEndOfRunHealth(*h_opt, *health, result.total_newton_iterations > 0);
     obs::gradeHealth(*health, h_opt->thresholds);
   }
-  run_span.setArgs("\"mode\": \"" + std::string(transientSolverModeName(opt_.solver_mode)) +
-                   "\", \"unknowns\": " + std::to_string(n_unknowns_) +
+  run_span.setArgs("\"unknowns\": " + std::to_string(size.unknowns) +
+                   ", \"nonzeros\": " + std::to_string(size.nonzeros) +
+                   ", \"kl\": " + std::to_string(size.kl) +
+                   ", \"ku\": " + std::to_string(size.ku) +
                    ", \"steps\": " + std::to_string(result.steps) +
                    ", \"lu_factorizations\": " + std::to_string(result.lu_factorizations) +
                    ", \"newton_iterations\": " + std::to_string(result.total_newton_iterations));

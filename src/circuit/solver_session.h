@@ -2,28 +2,28 @@
 /// \file solver_session.h
 /// SolverSession: the transient engine's solver state as an explicit
 /// object instead of `runTransient`-local variables. One session = one
-/// transient run of one Circuit, with its state split along the three
-/// lifetimes of circuit/solver_state.h:
+/// transient run of one Circuit on the sparse path (CSR assembly +
+/// RCM-ordered banded LU, see circuit/transient.h), with its state split
+/// along the three lifetimes of circuit/solver_state.h:
 ///
-///   - symbolic state      — the sparse base pattern and its RCM ordering
-///                           (sparse mode only; dense modes have none);
-///   - numeric base state  — the assembled static base matrix and its LU
-///                           factorization (dense or sparse);
+///   - symbolic state      — the CSR base pattern and its RCM ordering,
+///                           computed once per run and used by every
+///                           factorization of that pattern;
+///   - numeric base state  — the assembled static base matrix and its
+///                           SparseLu factorization;
 ///   - per-run workspaces  — Newton solution vectors, the RHS/Jacobian
 ///                           working system, and the dirtied-matrix
 ///                           refactorization — never shared.
 ///
-/// Without sharing, run() executes byte-for-byte the algorithm the old
-/// monolithic runTransient did (the equivalence suite pins this across all
-/// three solver modes); runTransient itself is now a thin wrapper that
-/// constructs a session and runs it. With TransientOptions::sharing set,
-/// the session checks the first two pieces out of a SolverStateProvider:
-/// the first run of a class builds the state from its own (bit-identical)
-/// inputs and publishes it, every later run skips the RCM analysis and/or
-/// the base LU factorization entirely. That turns an N-corner RHS-only
-/// sweep's N base factorizations into exactly one per numeric-base class —
-/// the source paper's build-once-use-everywhere economy applied to the
-/// solver itself.
+/// runTransient is a thin wrapper that constructs a session and runs it.
+/// With TransientOptions::sharing set, the session checks the first two
+/// pieces out of a SolverStateProvider: the first run of a class builds
+/// the state from its own (bit-identical) inputs and publishes it, every
+/// later run skips the RCM analysis and/or the base LU factorization
+/// entirely — its dirtied-matrix refactorizations reuse the checked-out
+/// ordering too. That turns an N-corner RHS-only sweep's N base
+/// factorizations into exactly one per numeric-base class — the source
+/// paper's build-once-use-everywhere economy applied to the solver itself.
 
 #include <cstdint>
 #include <memory>
@@ -31,6 +31,7 @@
 
 #include "circuit/solver_state.h"
 #include "circuit/transient.h"
+#include "math/sparse_lu.h"
 #include "math/sparse_matrix.h"
 
 namespace fdtdmm {
@@ -42,7 +43,7 @@ namespace fdtdmm {
 class SolverSession {
  public:
   /// \throws std::invalid_argument on bad options (non-positive dt/t_stop,
-  ///         negative settle_time) — the same messages runTransient threw.
+  ///         negative settle_time) — the same messages runTransient throws.
   SolverSession(Circuit& circuit, const TransientOptions& opt);
 
   /// Runs the transient analysis (see runTransient for the error
@@ -50,29 +51,21 @@ class SolverSession {
   TransientResult run(const std::vector<NodeProbe>& probes,
                       const std::vector<BranchProbe>& branch_probes = {});
 
-  /// Unknown count after assignUnknowns (valid once run() started; 0
-  /// before).
-  std::size_t unknowns() const { return n_unknowns_; }
-
-  /// Whether this run consumed shared state built by another session
-  /// (valid after run()).
-  bool reusedSharedBase() const { return reused_shared_base_; }
-  bool reusedSharedSymbolic() const { return reused_shared_symbolic_; }
-
  private:
   void validateProbes(const std::vector<NodeProbe>& probes,
                       const std::vector<BranchProbe>& branch_probes) const;
-  /// One-time static assembly into the mode's base target; sparse mode then
-  /// resolves the shared symbolic state (checkout or build-and-publish).
+  /// One-time static assembly into the CSR base, then resolution of the
+  /// pattern's RCM ordering (shared checkout, build-and-publish, or
+  /// private).
   void assembleStatic(double* t_static, obs::RunTelemetry* tel);
-  /// Allocates the per-run Newton/RHS workspace around the base.
-  void allocateWorkspace();
+  /// Widens the working pattern after a dynamic stamp hit a structurally
+  /// new entry, keeps the base aligned, and re-orders the grown pattern.
+  void realignPattern(obs::RunTelemetry* tel);
   /// Lazily factors (or checks out) the base matrix on the first clean
   /// Newton iteration; returns true when a factorization actually ran
-  /// (the caller counts it). Dense variant reads sys_.a, sparse variant
-  /// reads work_sp_ — both hold untouched base values at the call sites.
-  bool ensureBaseFactoredDense(double* t_factor, obs::RunTelemetry* tel);
-  bool ensureBaseFactoredSparse(double* t_factor, obs::RunTelemetry* tel);
+  /// (the caller counts it). Reads work_sp_, which holds untouched base
+  /// values at the call site.
+  bool ensureBaseFactored(double* t_factor, obs::RunTelemetry* tel);
   /// End-of-run health probes (obs/health.h): one relative residual of the
   /// final solve against the current system, and (optionally) one Hager
   /// condition estimate on whichever factorization is cached — never a
@@ -81,33 +74,29 @@ class SolverSession {
   void collectEndOfRunHealth(const obs::HealthOptions& hopt, obs::NumericalHealth& h,
                              bool any_solve);
   /// The base factorization to solve with (shared or private).
-  const LuFactorization& baseLu() const {
-    return shared_base_ ? shared_base_->dense : base_lu_;
-  }
-  const SparseLu& baseSlu() const {
-    return shared_base_ ? shared_base_->sparse : base_slu_;
-  }
+  const SparseLu& baseLu() const { return shared_base_ ? *shared_base_ : base_lu_; }
 
   Circuit& circuit_;
   TransientOptions opt_;
-  bool reuse_ = false;   ///< kReuseFactorization
-  bool sparse_ = false;  ///< kSparse
   std::size_t n_unknowns_ = 0;
 
-  // --- symbolic piece (sparse mode): base pattern + ordering ---
+  // --- symbolic piece: base pattern + ordering ---
   SparseMatrix base_sp_;  ///< finalized static base (pattern + values)
   std::shared_ptr<const SolverSymbolic> shared_symbolic_;
+  std::vector<std::size_t> private_order_;
+  /// The ordering every factorization uses: the shared one while the
+  /// pattern is the assembled one, else private_order_.
+  const std::vector<std::size_t>* order_ = nullptr;
+  /// RCM orderings this run computed itself (0 for a shared checkout that
+  /// never grew its pattern).
+  long long rcm_orderings_ = 0;
   /// Pattern version right after assembly. Shared symbolic/numeric state
-  /// describes *this* pattern; if dynamic stamps grow it before the first
-  /// clean iteration, sharing falls back to private state so results stay
-  /// bit-identical with a sharing-disabled run (which would RCM-order and
-  /// factor the grown pattern).
+  /// describes *this* pattern; if dynamic stamps grow it, the run re-orders
+  /// privately, exactly as a sharing-disabled run would.
   std::uint64_t assembled_pattern_version_ = 0;
 
-  // --- numeric base piece: static base matrix + its factorization ---
-  StampSystem base_;            ///< dense base matrix (reuse mode)
-  LuFactorization base_lu_;     ///< private base LU when not shared
-  SparseLu base_slu_;           ///< private sparse base LU when not shared
+  // --- numeric base piece: static base factorization ---
+  SparseLu base_lu_;  ///< private base LU when not shared
   std::shared_ptr<const SolverNumericBase> shared_base_;
   bool base_factored_ = false;
 
@@ -115,14 +104,11 @@ class SolverSession {
   Vector x_;
   Vector x_new_;
   StampSystem sys_;
-  SparseMatrix work_sp_;        ///< dirtied/value-refreshed sparse working copy
-  LuFactorization work_lu_;     ///< refactored when a dynamic stamp dirties
-  SparseLu work_slu_;
-  Vector slu_scratch_;          ///< caller workspace for shared sparse solves
+  SparseMatrix work_sp_;  ///< dirtied/value-refreshed working copy
+  SparseLu work_lu_;      ///< refactored when a dynamic stamp dirties
+  Vector lu_scratch_;     ///< caller workspace for shared solves
+  const SparseLu* last_lu_ = nullptr;  ///< most recent factorization used
   bool matrix_was_dirtied_ = false;
-
-  bool reused_shared_base_ = false;
-  bool reused_shared_symbolic_ = false;
 };
 
 }  // namespace fdtdmm

@@ -2,15 +2,16 @@
 /// \file solver_state.h
 /// Shareable solver state for cross-run factorization reuse.
 ///
-/// The transient engine's solver state has three separable lifetimes (see
-/// circuit/solver_session.h):
+/// The transient engine's solver state (circuit/solver_session.h; one
+/// sparse path: CSR assembly + RCM-ordered banded LU) has three separable
+/// lifetimes:
 ///
-///   1. *symbolic* state — the sparse pattern's fill-reducing RCM ordering.
+///   1. *symbolic* state — the CSR pattern's fill-reducing RCM ordering.
 ///      A pure function of the matrix pattern, so every run whose circuit
 ///      has the same structure computes the identical ordering.
-///   2. *numeric base* state — the LU factorization of the static base
-///      matrix. A pure function of the assembled base values, so runs that
-///      differ only in their right-hand side (sources, field drive,
+///   2. *numeric base* state — the SparseLu factorization of the static
+///      base matrix. A pure function of the assembled base values, so runs
+///      that differ only in their right-hand side (sources, field drive,
 ///      companion histories) factor the identical matrix.
 ///   3. per-run Newton/RHS workspaces — never shareable.
 ///
@@ -38,31 +39,22 @@
 #include <string>
 #include <vector>
 
-#include "math/linear_solve.h"
 #include "math/sparse_lu.h"
 #include "obs/health.h"
 
 namespace fdtdmm {
 
 /// Immutable shared symbolic state of one structure class: the RCM
-/// ordering of the static base pattern (order[new] = old). Dense-mode
-/// classes have no symbolic state and never publish one.
+/// ordering of the static base pattern (order[new] = old).
 struct SolverSymbolic {
   std::size_t n = 0;                   ///< matrix dimension the order permutes
   std::vector<std::size_t> rcm_order;  ///< reverseCuthillMcKee(base pattern)
 };
 
 /// Immutable shared numeric base state of one numeric-base class: the
-/// factorization of the static base matrix, dense or sparse according to
-/// the class's solver mode. Solving against it is const and thread-safe
-/// (the sparse form requires the caller-workspace SparseLu::solve).
-struct SolverNumericBase {
-  bool is_sparse = false;
-  LuFactorization dense;
-  SparseLu sparse;
-
-  std::size_t dim() const { return is_sparse ? sparse.dim() : dense.dim(); }
-};
+/// factorization of the static base matrix. Solving against it is const
+/// and thread-safe through the caller-workspace SparseLu::solve.
+using SolverNumericBase = SparseLu;
 
 /// Exactly-once provider of shared solver state, keyed by the scenario
 /// layer's structure / numeric-base keys. Implementations must guarantee

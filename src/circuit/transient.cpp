@@ -1,52 +1,14 @@
 #include "circuit/transient.h"
 
-#include <stdexcept>
-
 #include "circuit/solver_session.h"
 
 namespace fdtdmm {
 
-const char* transientSolverModeName(TransientSolverMode mode) {
-  switch (mode) {
-    case TransientSolverMode::kReuseFactorization:
-      return "reuse_lu";
-    case TransientSolverMode::kFullRestamp:
-      return "full_restamp";
-    case TransientSolverMode::kSparse:
-      return "sparse";
-  }
-  return "unknown";
-}
-
-TransientSolverMode transientSolverModeFromName(const std::string& name) {
-  for (const auto& known : transientSolverModeNames()) {
-    if (name == known) {
-      if (known == "reuse_lu") return TransientSolverMode::kReuseFactorization;
-      if (known == "full_restamp") return TransientSolverMode::kFullRestamp;
-      return TransientSolverMode::kSparse;
-    }
-  }
-  // Build the valid list from transientSolverModeNames() so a new mode can
-  // never be forgotten in this message.
-  std::string valid;
-  for (const auto& known : transientSolverModeNames()) {
-    if (!valid.empty()) valid += ", ";
-    valid += known;
-  }
-  throw std::invalid_argument("unknown transient solver mode '" + name +
-                              "' (valid: " + valid + ")");
-}
-
-std::vector<std::string> transientSolverModeNames() {
-  return {"reuse_lu", "full_restamp", "sparse"};
-}
-
 // The transient engine proper lives in SolverSession (circuit/
 // solver_session.h), which splits the solver state into symbolic /
 // numeric-base / per-run pieces so the engine layer can share the first
-// two across sweep corners. This wrapper preserves the original one-shot
-// API — and, with default TransientOptions::sharing, the original
-// behavior bit for bit.
+// two across sweep corners. This wrapper is the one-shot API; with default
+// TransientOptions::sharing every piece is private to the run.
 TransientResult runTransient(Circuit& circuit, const TransientOptions& opt,
                              const std::vector<NodeProbe>& probes,
                              const std::vector<BranchProbe>& branch_probes) {

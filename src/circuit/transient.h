@@ -11,40 +11,41 @@
 ///  1. After Element::begin(dt), every element's stampStatic is assembled
 ///     exactly once into a *base matrix* (R/C/L companion conductances,
 ///     source and line incidence rows). Static stamps may only write to
-///     sys.a; a static RHS contribution would be lost when the RHS is
+///     the matrix; a static RHS contribution would be lost when the RHS is
 ///     rebuilt each iteration, so the engine rejects it (std::logic_error).
+///     Behavioral ports reserve their Jacobian positions here as
+///     structural zeros, so their dynamic stamps never grow the pattern.
 ///  2. The base matrix is LU-factored once. Inside the Newton loop only
 ///     stampDynamic runs: it rebuilds the RHS (sources, companion
 ///     histories, line reflections) and, for nonlinear devices, adds
-///     Jacobian entries on top of a fresh copy of the base matrix.
+///     Jacobian entries on top of the base values.
 ///  3. A dirty-pattern check (StampSystem::matrix_dirty, set by the matrix
 ///     stamp helpers) decides whether the cached base factorization is
 ///     still valid. A purely linear circuit therefore performs exactly ONE
 ///     LU factorization for the entire run — every Newton iteration is a
 ///     forward/back substitution — while circuits with nonlinear devices
 ///     re-factor only on iterations whose dynamic stamps touched the
-///     matrix. No Matrix/Vector allocations happen inside the loop.
+///     matrix. No allocations happen inside the loop.
 ///
-/// Sparse path (TransientSolverMode::kSparse)
-/// ------------------------------------------
-/// The same static/dynamic contract drives a compressed-sparse-row
-/// assembly: the *symbolic pattern* is built once from the static stamps
-/// (StampSystem routes element writes into a SparseMatrix target), numeric
-/// values are refreshed in place each iteration, and the factorization is a
-/// SparseLu — reverse Cuthill-McKee fill-reducing ordering plus banded LU
-/// with partial pivoting. Segmented RLGC board models are chain-structured,
-/// so the permuted bandwidth stays O(1) in the segment count and the run
-/// scales O(n) instead of the dense path's O(n^3) factor + O(n^2) solves.
-/// Dynamic stamps that touch entries outside the static pattern (e.g. a
-/// MOSFET whose drain/source orientation swaps) are buffered as pattern
-/// overflow; the engine then widens the cached pattern once and continues —
-/// pattern growth costs one recompile per new position set, not one per
-/// iteration. A purely linear circuit still performs exactly ONE (sparse)
-/// factorization for the entire run.
+/// Sparse assembly and factorization
+/// ---------------------------------
+/// There is one solver path. The static stamps build a compressed-sparse-
+/// row *symbolic pattern* once (StampSystem routes element writes into a
+/// SparseMatrix target), numeric values are refreshed in place each
+/// iteration, and every factorization is a SparseLu — reverse
+/// Cuthill-McKee fill-reducing ordering plus banded LU with partial
+/// pivoting. The ordering is computed once per run (or checked out of a
+/// SolverStateProvider) and reused by every factorization of that
+/// pattern. Segmented RLGC board models are chain-structured, so the
+/// permuted bandwidth b stays O(1) in the segment count: a factorization
+/// costs O(n b^2) and a substitution O(n b). Dynamic stamps that touch
+/// entries outside the static pattern (e.g. a MOSFET whose drain/source
+/// orientation swaps) are buffered as pattern overflow; the engine then
+/// widens the pattern once, re-orders, and continues — pattern growth
+/// costs one recompile per new position set, not one per iteration.
 ///
-/// TransientOptions::solver_mode selects between these paths and the legacy
-/// full-restamp path (rebuild + refactor the complete system every
-/// iteration), kept as the bit-for-bit reference for equivalence tests.
+/// The dense full-restamp loop over Element::stamp is kept only in the
+/// test tree, as the reference oracle the sparse path is checked against.
 
 #include <map>
 #include <string>
@@ -57,32 +58,6 @@
 
 namespace fdtdmm {
 
-/// Linear-solver strategy of the transient engine.
-enum class TransientSolverMode {
-  /// Assemble static stamps once, cache the LU factorization of the base
-  /// matrix, re-factor only when a dynamic stamp dirties the matrix.
-  kReuseFactorization,
-  /// Legacy reference path: restamp the full system and factor it at every
-  /// Newton iteration. Slower; used by equivalence tests and benchmarks.
-  kFullRestamp,
-  /// Sparse CSR assembly + banded-LU-with-RCM factorization (see the file
-  /// comment). Same caching discipline as kReuseFactorization; orders of
-  /// magnitude faster on large segmented RLGC systems.
-  kSparse,
-};
-
-/// Stable names for the solver modes ("reuse_lu", "full_restamp",
-/// "sparse") — the currency of scenario parameters and bench flags, so
-/// sweeps can put an axis on the solver mode.
-const char* transientSolverModeName(TransientSolverMode mode);
-
-/// Parses a solver-mode name. \throws std::invalid_argument on an unknown
-/// name (the message lists the valid ones).
-TransientSolverMode transientSolverModeFromName(const std::string& name);
-
-/// All mode names, in enum order (descriptor choice lists).
-std::vector<std::string> transientSolverModeNames();
-
 /// Options for a transient run.
 struct TransientOptions {
   double dt = 1e-12;        ///< time step [s]; must be > 0
@@ -91,7 +66,6 @@ struct TransientOptions {
   int max_newton_iterations = 100;
   double v_tolerance = 1e-9;  ///< Newton convergence on max |dx|
   double max_delta_v = 1.0;   ///< per-iteration voltage damping clamp [V]
-  TransientSolverMode solver_mode = TransientSolverMode::kReuseFactorization;
   /// Optional telemetry sink: when non-null the run *accumulates* its
   /// phase wall times (static stamp, factor, RHS stamp, solve, Newton
   /// loop) and solver counters into it (+=, so one sink can aggregate
@@ -142,9 +116,8 @@ struct TransientResult {
   std::size_t steps = 0;                   ///< accepted steps (t >= 0)
   int max_newton_iterations = 0;           ///< worst step
   long long total_newton_iterations = 0;
-  /// LU factorizations performed (dense or sparse). Exactly 1 in the
-  /// kReuseFactorization and kSparse modes when no dynamic stamp touches
-  /// the matrix (purely linear circuits); equals total_newton_iterations
+  /// LU factorizations performed. Exactly 1 when no dynamic stamp touches
+  /// the matrix (purely linear circuits); up to total_newton_iterations
   /// (+1 for the base) otherwise.
   long long lu_factorizations = 0;
   bool converged = true;  ///< false if any step hit the iteration cap

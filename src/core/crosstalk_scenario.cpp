@@ -35,7 +35,6 @@ void validateCrosstalkScenario(const CrosstalkScenario& cfg) {
     fail("victim terminations must be > 0");
   if (!(cfg.agg_load_r > 0.0)) fail("agg_load_r must be > 0");
   if (!(cfg.agg_load_c > 0.0)) fail("agg_load_c must be > 0");
-  transientSolverModeFromName(cfg.solver);  // throws on an unknown name
 }
 
 TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
@@ -77,7 +76,6 @@ TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
   topt.dt = cfg.dt;
   topt.t_stop = cfg.t_stop;
   topt.settle_time = 1e-9;
-  topt.solver_mode = transientSolverModeFromName(cfg.solver);
   topt.telemetry = &out.telemetry;
   topt.sharing = sharing;
   auto res = runTransient(circuit, topt,
@@ -163,10 +161,6 @@ const ParamTable<CrosstalkFamily>& CrosstalkFamily::table() {
           {positiveParam("agg_load_c", "aggressor far-end shunt C [F]"),
            [](const T& s) { return ParamValue{s.cfg_.agg_load_c}; },
            [](T& s, const ParamValue& v) { s.cfg_.agg_load_c = asNum(v); }},
-          {stringParam("solver", transientSolverModeNames(),
-                       "transient solver mode (reuse_lu | full_restamp | sparse)"),
-           [](const T& s) { return ParamValue{s.cfg_.solver}; },
-           [](T& s, const ParamValue& v) { s.cfg_.solver = std::get<std::string>(v); }},
       });
   return t;
 }
@@ -217,8 +211,7 @@ TaskWaveforms CrosstalkFamily::run(std::shared_ptr<const RbfDriverModel> driver,
 // coupling>0 flags are structural because zero-coupling configurations
 // stamp no mutual elements at all (buildCoupledRlgcLines skips them).
 std::string CrosstalkFamily::structureKey() const {
-  return "crosstalk|solver=" + cfg_.solver +
-         "|segments=" + std::to_string(cfg_.line.segments) +
+  return "crosstalk|segments=" + std::to_string(cfg_.line.segments) +
          "|cm=" + (cfg_.coupling > 0.0 ? "1" : "0") +
          "|lm=" + (cfg_.coupling_l > 0.0 ? "1" : "0");
 }

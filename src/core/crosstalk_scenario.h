@@ -40,11 +40,6 @@ struct CrosstalkScenario {
   double victim_r_far = 50.0;   ///< victim far-end termination [ohm]
   double agg_load_r = 50.0;     ///< aggressor far-end shunt resistance [ohm]
   double agg_load_c = 1e-12;    ///< aggressor far-end shunt capacitance [F]
-  /// Transient solver mode name ("reuse_lu", "full_restamp", "sparse" —
-  /// see transientSolverModeFromName). Sweepable, so a sweep axis can pit
-  /// the solver paths against each other corner by corner; "sparse" is the
-  /// right choice at high segment counts.
-  std::string solver = "reuse_lu";
 };
 
 /// Validates scenario options (fail fast before building the netlist).
@@ -69,7 +64,7 @@ TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
 
 /// Registry adapter ("crosstalk"). Parameters: pattern, bit_time, t_stop,
 /// dt, line_r, line_l, line_g, line_c, line_length, segments, coupling,
-/// coupling_l, victim_r_near, victim_r_far, agg_load_r, agg_load_c, solver.
+/// coupling_l, victim_r_near, victim_r_far, agg_load_r, agg_load_c.
 class CrosstalkFamily final : public Scenario {
  public:
   CrosstalkFamily() = default;

@@ -104,24 +104,4 @@ TaskWaveforms PcbFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return out;
 }
 
-std::vector<ParamBinding> pcbParams(const PcbScenario& cfg) {
-  return {
-      {"pattern", cfg.pattern},
-      {"bit_time", cfg.bit_time},
-      {"t_stop", cfg.t_stop},
-      {"cell", cfg.cell},
-      {"board_cells", static_cast<double>(cfg.board_cells)},
-      {"margin", static_cast<double>(cfg.margin)},
-      {"strip_len", static_cast<double>(cfg.strip_len)},
-      {"net_pitch", static_cast<double>(cfg.net_pitch)},
-      {"eps_r", cfg.eps_r},
-      {"r_termination", cfg.r_termination},
-      {"with_incident", cfg.with_incident},
-      {"inc_amplitude", cfg.inc_amplitude},
-      {"inc_bandwidth", cfg.inc_bandwidth},
-      {"inc_theta_deg", cfg.inc_theta_deg},
-      {"inc_phi_deg", cfg.inc_phi_deg},
-  };
-}
-
 }  // namespace fdtdmm

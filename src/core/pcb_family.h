@@ -44,7 +44,4 @@ class PcbFamily final : public Scenario {
   PcbScenario cfg_;
 };
 
-/// The family's full parameter map for a typed config (migration shim).
-std::vector<ParamBinding> pcbParams(const PcbScenario& cfg);
-
 }  // namespace fdtdmm

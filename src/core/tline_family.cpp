@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "circuit/transient.h"
+#include "circuit/solver_state.h"
 
 namespace fdtdmm {
 
@@ -95,10 +95,6 @@ const ParamTable<TlineFamily>& TlineFamily::table() {
           {intParam("strip_gap", 1.0, "strip vertical separation [cells]"),
            [](const T& s) { return ParamValue{static_cast<double>(s.cfg_.strip_gap)}; },
            [](T& s, const ParamValue& v) { s.cfg_.strip_gap = static_cast<std::size_t>(asNum(v)); }},
-          {stringParam("solver", transientSolverModeNames(),
-                       "MNA solver mode for the SPICE engines (FDTD engines ignore it)"),
-           [](const T& s) { return ParamValue{s.cfg_.solver}; },
-           [](T& s, const ParamValue& v) { s.cfg_.solver = asStr(v); }},
       });
   return t;
 }
@@ -177,8 +173,7 @@ TaskWaveforms TlineFamily::run(std::shared_ptr<const RbfDriverModel> driver,
 // cannot silently collide classes.
 std::string TlineFamily::structureKey() const {
   if (engine_ != TlineEngine::kSpiceRbf) return {};
-  return std::string("tline|engine=spice-rbf|solver=") + cfg_.solver +
-         "|load=" + farEndLoadName(cfg_.load);
+  return std::string("tline|engine=spice-rbf|load=") + farEndLoadName(cfg_.load);
 }
 
 std::string TlineFamily::numericBaseKey() const {
@@ -189,27 +184,6 @@ std::string TlineFamily::numericBaseKey() const {
     key += "|lr=" + solverKeyNum(cfg_.load_r) + "|lc=" + solverKeyNum(cfg_.load_c);
   }
   return key;
-}
-
-std::vector<ParamBinding> tlineParams(const TlineScenario& cfg, TlineEngine engine) {
-  return {
-      {"engine", std::string(tlineEngineName(engine))},
-      {"pattern", cfg.pattern},
-      {"bit_time", cfg.bit_time},
-      {"t_stop", cfg.t_stop},
-      {"zc", cfg.zc},
-      {"td", cfg.td},
-      {"load", std::string(farEndLoadName(cfg.load))},
-      {"load_r", cfg.load_r},
-      {"load_c", cfg.load_c},
-      {"mesh_nx", static_cast<double>(cfg.mesh_nx)},
-      {"mesh_ny", static_cast<double>(cfg.mesh_ny)},
-      {"mesh_nz", static_cast<double>(cfg.mesh_nz)},
-      {"mesh_delta", cfg.mesh_delta},
-      {"strip_len", static_cast<double>(cfg.strip_len)},
-      {"strip_width", static_cast<double>(cfg.strip_width)},
-      {"strip_gap", static_cast<double>(cfg.strip_gap)},
-  };
 }
 
 }  // namespace fdtdmm

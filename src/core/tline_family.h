@@ -69,9 +69,4 @@ class TlineFamily final : public Scenario {
   TlineEngine engine_ = TlineEngine::kFdtd1d;
 };
 
-/// The family's full parameter map for a typed config (migration shim for
-/// code that still builds TlineScenario structs directly).
-std::vector<ParamBinding> tlineParams(const TlineScenario& cfg,
-                                      TlineEngine engine = TlineEngine::kFdtd1d);
-
 }  // namespace fdtdmm

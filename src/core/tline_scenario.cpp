@@ -47,7 +47,6 @@ void validateTlineScenario(const TlineScenario& cfg) {
   if (cfg.strip_len >= cfg.mesh_nx) fail("strip_len must fit inside mesh_nx");
   if (cfg.strip_width >= cfg.mesh_ny) fail("strip_width must fit inside mesh_ny");
   if (cfg.strip_gap >= cfg.mesh_nz) fail("strip_gap must fit inside mesh_nz");
-  transientSolverModeFromName(cfg.solver);  // throws on an unknown name
 }
 
 EngineRun runSpiceTransistorTline(const TlineScenario& cfg,
@@ -76,7 +75,6 @@ EngineRun runSpiceTransistorTline(const TlineScenario& cfg,
   topt.dt = dt;
   topt.t_stop = cfg.t_stop;
   topt.settle_time = 3e-9;
-  topt.solver_mode = transientSolverModeFromName(cfg.solver);
   topt.telemetry = &run.telemetry;
   auto res = runTransient(circuit, topt,
                           {{"near", drv.pad, Circuit::kGround},
@@ -125,7 +123,6 @@ EngineRun runSpiceRbfTline(const TlineScenario& cfg,
   topt.dt = dt;
   topt.t_stop = cfg.t_stop;
   topt.settle_time = 1e-9;
-  topt.solver_mode = transientSolverModeFromName(cfg.solver);
   topt.telemetry = &run.telemetry;
   topt.sharing = sharing;
   auto res = runTransient(circuit, topt,

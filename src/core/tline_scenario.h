@@ -41,10 +41,6 @@ struct TlineScenario {
   std::size_t strip_len = 160;   ///< strip length [cells]
   std::size_t strip_width = 4;   ///< strip width [cells]
   std::size_t strip_gap = 3;     ///< vertical separation [cells]
-  /// MNA solver mode name for the SPICE engines (i)/(ii) — "reuse_lu",
-  /// "full_restamp" or "sparse" (transientSolverModeFromName). The FDTD
-  /// engines ignore it.
-  std::string solver = "reuse_lu";
 };
 
 /// Validates scenario options. Every engine entry point calls this before

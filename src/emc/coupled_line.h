@@ -6,8 +6,7 @@
 /// source per end carrying the incident riser voltage, so the terminal
 /// nodes presented to the driver/termination carry the *total* voltage.
 /// All field excitation enters through stampDynamic RHS terms only — a
-/// linear field-coupled run still performs exactly one LU factorization in
-/// the cached-LU and sparse transient modes.
+/// linear field-coupled run still performs exactly one LU factorization.
 
 #include <memory>
 

@@ -51,7 +51,6 @@ void validateEmcScenario(const EmcScenario& cfg) {
   if (cfg.termination == "resistive" && !(cfg.r_far > 0.0))
     fail("r_far must be > 0");
   if (cfg.c_far < 0.0) fail("c_far must be >= 0");
-  transientSolverModeFromName(cfg.solver);  // throws on an unknown name
 }
 
 TraceGeometry emcTraceGeometry(const EmcScenario& cfg) {
@@ -116,7 +115,6 @@ TaskWaveforms runEmcScenario(const EmcScenario& cfg,
   topt.dt = cfg.dt;
   topt.t_stop = cfg.t_stop;
   topt.settle_time = 1e-9;
-  topt.solver_mode = transientSolverModeFromName(cfg.solver);
   topt.telemetry = &out.telemetry;
   topt.sharing = sharing;
   auto res = runTransient(circuit, topt,
@@ -228,10 +226,6 @@ const ParamTable<EmcFamily>& EmcFamily::table() {
           {nonNegativeParam("c_far", "optional far shunt C [F]"),
            [](const T& s) { return ParamValue{s.cfg_.c_far}; },
            [](T& s, const ParamValue& v) { s.cfg_.c_far = asNum(v); }},
-          {stringParam("solver", transientSolverModeNames(),
-                       "transient solver mode (reuse_lu | full_restamp | sparse)"),
-           [](const T& s) { return ParamValue{s.cfg_.solver}; },
-           [](T& s, const ParamValue& v) { s.cfg_.solver = std::get<std::string>(v); }},
       });
   return t;
 }
@@ -283,11 +277,11 @@ TaskWaveforms EmcFamily::run(std::shared_ptr<const RbfDriverModel> driver,
 // bit pattern, bit_time, and t_stop all reach the transient only through
 // RHS sources or run length, never through a static matrix stamp (the
 // field-coupled ladder uses the same Inductor/Capacitor static stamps as
-// the plain one; RBF ports stamp no static entries). The amp>0 flag is
+// the plain one; RBF ports stamp only structural zeros, and the drive/
+// termination choice is in the structure key). The amp>0 flag is
 // still kept — structurally conservative, and it costs one extra class.
 std::string EmcFamily::structureKey() const {
-  return "emc|solver=" + cfg_.solver +
-         "|segments=" + std::to_string(cfg_.line.segments) +
+  return "emc|segments=" + std::to_string(cfg_.line.segments) +
          "|drive=" + cfg_.drive + "|term=" + cfg_.termination +
          "|cfar=" + (cfg_.c_far > 0.0 ? "1" : "0") +
          "|field=" + (cfg_.amplitude > 0.0 ? "1" : "0");

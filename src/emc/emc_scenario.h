@@ -9,8 +9,8 @@
 /// susceptibility), and the far end is the victim: either the RBF receiver
 /// macromodel or a resistive load. Everything the 3D FDTD PcbScenario
 /// incident path does for one board, this family does per sweep corner at
-/// circuit cost — amplitude/angle/polarization/bandwidth/termination/
-/// solver are all sweepable axes, batched by the standard engine.
+/// circuit cost — amplitude/angle/polarization/bandwidth/termination
+/// are all sweepable axes, batched by the standard engine.
 ///
 /// Waveform mapping:
 ///   v_near  — near-end terminal (driver pad / near termination),
@@ -63,14 +63,12 @@ struct EmcScenario {
   std::string termination = "resistive";  ///< "resistive" | "receiver"
   double r_far = 50.0;                 ///< far load when resistive [ohm]
   double c_far = 0.0;                  ///< optional far shunt C [F], >= 0
-  /// Transient solver mode name ("reuse_lu" | "full_restamp" | "sparse").
-  std::string solver = "reuse_lu";
 };
 
 /// Validates scenario options (fail fast before building the netlist).
 /// \throws std::invalid_argument on invalid times/line/geometry, amplitude
 ///         < 0, a zero polarization mix with amplitude > 0, theta outside
-///         [0, 180], unknown drive/termination/solver names, or
+///         [0, 180], unknown drive/termination names, or
 ///         non-positive terminations.
 void validateEmcScenario(const EmcScenario& cfg);
 
@@ -100,7 +98,7 @@ TraceGeometry emcTraceGeometry(const EmcScenario& cfg);
 /// line_r, line_l, line_g, line_c, line_length, segments, height,
 /// trace_x0, trace_y0, trace_z0, route_deg, amplitude, theta, phi,
 /// pol_theta, pol_phi, bandwidth, pulse_t0, ground_reflection, drive,
-/// r_near, termination, r_far, c_far, solver.
+/// r_near, termination, r_far, c_far.
 class EmcFamily final : public Scenario {
  public:
   EmcFamily() = default;
@@ -118,8 +116,8 @@ class EmcFamily final : public Scenario {
   bool needsDriver() const override { return cfg_.drive == "driver"; }
   bool needsReceiver() const override { return cfg_.termination == "receiver"; }
   /// Sharing keys: the incident field enters the transient purely through
-  /// RHS sources (Agrawal EMF terms) and the RBF ports never stamp the
-  /// static base, so amplitude/angle/polarization/bandwidth/geometry/
+  /// RHS sources (Agrawal EMF terms) and the RBF ports add only structural
+  /// zeros to the static base, so amplitude/angle/polarization/bandwidth/geometry/
   /// pattern corners of one link share a single base factorization — the
   /// family's numericBaseKey() deliberately excludes all of them.
   std::string structureKey() const override;

@@ -86,7 +86,7 @@ struct SweepRunRecord {
   bool ok = false;
   std::string error;
   RunMetrics metrics;
-  TaskWaveforms waves;        ///< populated only with SweepOptions::keep_waveforms
+  TaskWaveforms waves;        ///< populated only with SweepRunnerOptions::keep_waveforms
   double wall_seconds = 0.0;  ///< exported only by writeSweepTelemetryJson
   /// Per-corner solver telemetry (phase timings, LU/Newton counters);
   /// aggregated from the scenario run, exported only by

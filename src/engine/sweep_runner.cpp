@@ -23,33 +23,6 @@ SweepRunner::SweepRunner(SweepRunnerOptions opt) : opt_(std::move(opt)) {
   if (!opt_.result_cache) opt_.result_cache = std::make_shared<ResultCache>();
 }
 
-namespace {
-
-SweepRunnerOptions foldLegacyOptions(const SweepOptions& opt,
-                                     std::shared_ptr<ModelCache> cache,
-                                     std::shared_ptr<SolverStateCache> solver,
-                                     std::shared_ptr<ResultCache> results) {
-  SweepRunnerOptions folded;
-  folded.workers = opt.workers;
-  folded.keep_waveforms = opt.keep_waveforms;
-  folded.share_solver_state = opt.share_solver_state;
-  folded.reuse_results = opt.reuse_results;
-  folded.eye = opt.eye;
-  folded.model_cache = std::move(cache);
-  folded.solver_cache = std::move(solver);
-  folded.result_cache = std::move(results);
-  return folded;
-}
-
-}  // namespace
-
-SweepRunner::SweepRunner(SweepOptions opt, std::shared_ptr<ModelCache> cache,
-                         std::shared_ptr<SolverStateCache> solver_cache,
-                         std::shared_ptr<ResultCache> result_cache)
-    : SweepRunner(foldLegacyOptions(opt, std::move(cache),
-                                    std::move(solver_cache),
-                                    std::move(result_cache))) {}
-
 SweepResult SweepRunner::run(const SweepSpec& spec) { return run(spec.expand()); }
 
 SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {

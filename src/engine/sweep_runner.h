@@ -28,10 +28,7 @@
 namespace fdtdmm {
 
 /// The runner's complete configuration: execution knobs and the (optional)
-/// shared cache instances in one struct with named, defaulted fields. This
-/// replaces the pre-consolidation pattern of a flags-only options struct
-/// plus positional shared_ptr constructor arguments, which had grown
-/// unreadable at call sites (`SweepRunner r(opt, nullptr, nullptr, rc)`).
+/// shared cache instances in one struct with named, defaulted fields.
 struct SweepRunnerOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   std::size_t workers = 0;
@@ -77,30 +74,9 @@ struct SweepRunnerOptions {
   std::shared_ptr<ResultCache> result_cache;
 };
 
-/// Deprecated pre-consolidation execution flags (no cache fields); kept one
-/// release so existing call sites keep compiling through the forwarding
-/// constructor below. New code uses SweepRunnerOptions.
-struct SweepOptions {
-  std::size_t workers = 0;
-  bool keep_waveforms = false;
-  bool share_solver_state = true;
-  bool reuse_results = true;
-  EyeOptions eye;
-};
-
 class SweepRunner {
  public:
   explicit SweepRunner(SweepRunnerOptions opt = {});
-
-  /// Deprecated forwarding constructor (one release): folds the old
-  /// positional cache arguments into SweepRunnerOptions. The ModelCache
-  /// argument is required (pass nullptr for a private one) so that a braced
-  /// `SweepRunner({})` unambiguously selects the new constructor.
-  [[deprecated(
-      "construct from SweepRunnerOptions (caches are named fields now)")]]
-  SweepRunner(SweepOptions opt, std::shared_ptr<ModelCache> cache,
-              std::shared_ptr<SolverStateCache> solver_cache = nullptr,
-              std::shared_ptr<ResultCache> result_cache = nullptr);
 
   /// Expands the spec and runs every task. \throws std::invalid_argument
   /// from expansion; per-task failures are captured in the result instead.

@@ -58,9 +58,6 @@
 ///   - Out-of-range draws fail expansion with the family's descriptor
 ///     message — bound normal perturbations of a bounded parameter with
 ///     truncatedNormalParam instead of relying on luck.
-///
-/// The pre-redesign typed axes (patterns, zc_values, rc_loads, ...) live
-/// on in engine/typed_axes.h as a deprecated compatibility layer.
 
 #include <cstddef>
 #include <cstdint>

@@ -80,6 +80,12 @@ std::string telemetryBody(const obs::RunTelemetry& t) {
   out += ", \"shared_base_reuses\": " + std::to_string(t.shared_base_reuses);
   out += ", \"shared_symbolic_builds\": " + std::to_string(t.shared_symbolic_builds);
   out += ", \"shared_symbolic_reuses\": " + std::to_string(t.shared_symbolic_reuses);
+  out += ", \"rcm_orderings\": " + std::to_string(t.rcm_orderings);
+  const obs::StructureSize& z = t.structure;
+  out += ", \"structure\": {\"unknowns\": " + std::to_string(z.unknowns);
+  out += ", \"nonzeros\": " + std::to_string(z.nonzeros);
+  out += ", \"kl\": " + std::to_string(z.kl);
+  out += ", \"ku\": " + std::to_string(z.ku) + "}";
   out += ", \"health\": " + healthJson(t.health);
   return out;
 }

@@ -65,6 +65,7 @@ std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a) {
 
 void SparseLu::analyze(const SparseMatrix& a) {
   analyzeWithOrder(a, reverseCuthillMcKee(a));
+  ++orderings_computed_;
 }
 
 void SparseLu::analyzeWithOrder(const SparseMatrix& a, std::vector<std::size_t> order) {

@@ -58,6 +58,10 @@ class SparseLu {
   /// the first factor). Publishable to other instances via factorWithOrder.
   const std::vector<std::size_t>& ordering() const { return order_; }
 
+  /// RCM orderings this instance computed itself (factor() on a new
+  /// pattern); factorWithOrder never adds to it.
+  std::size_t orderingsComputed() const { return orderings_computed_; }
+
   bool factored() const { return factored_; }
   std::size_t dim() const { return n_; }
 
@@ -115,6 +119,7 @@ class SparseLu {
   std::size_t ldab_ = 0;   ///< band-storage column height = 2*kl + ku + 1
   std::size_t shift_ = 0;  ///< row offset in a storage column = kl + ku
   std::uint64_t analyzed_version_ = 0;
+  std::size_t orderings_computed_ = 0;
   std::vector<std::size_t> order_;  ///< order_[new] = old
   std::vector<std::size_t> pos_;    ///< pos_[old] = new
   std::vector<double> ab_;          ///< band storage, column-major

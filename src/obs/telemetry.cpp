@@ -5,6 +5,13 @@
 namespace fdtdmm {
 namespace obs {
 
+void StructureSize::mergeMax(const StructureSize& o) {
+  unknowns = std::max(unknowns, o.unknowns);
+  nonzeros = std::max(nonzeros, o.nonzeros);
+  kl = std::max(kl, o.kl);
+  ku = std::max(ku, o.ku);
+}
+
 void RunTelemetry::merge(const RunTelemetry& o) {
   phases += o.phases;
   lu_factorizations += o.lu_factorizations;
@@ -17,6 +24,8 @@ void RunTelemetry::merge(const RunTelemetry& o) {
   shared_base_reuses += o.shared_base_reuses;
   shared_symbolic_builds += o.shared_symbolic_builds;
   shared_symbolic_reuses += o.shared_symbolic_reuses;
+  rcm_orderings += o.rcm_orderings;
+  structure.mergeMax(o.structure);
   wall_seconds += o.wall_seconds;
   health.merge(o.health);
 }

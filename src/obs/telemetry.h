@@ -9,9 +9,10 @@
 /// Wall-clock seconds accumulated inside runTransient, split by phase:
 ///
 ///   - stamp_static   one-time static assembly of the MNA base matrix
-///                    (element stampStatic walk + sparse pattern finalize)
-///   - factor         LU factorizations, dense or sparse (base + any
-///                    refactor forced by a matrix-dirtying dynamic stamp)
+///                    (element stampStatic walk + CSR pattern finalize +
+///                    the pattern's RCM ordering, unless checked out)
+///   - factor         LU factorizations (base + any refactor forced by a
+///                    matrix-dirtying dynamic stamp)
 ///   - rhs_stamp      per-Newton-iteration dynamic stamping: base-matrix
 ///                    restore, RHS rebuild, nonlinear Jacobian entries
 ///   - solve          forward/back substitutions
@@ -26,9 +27,8 @@
 ///
 ///   - phases                   TransientPhases above
 ///   - lu_factorizations        total LU count (== 1 per linear transient
-///                              in the reuse/sparse modes — the paper's
-///                              one-LU-per-run guarantee, now visible per
-///                              corner)
+///                              — the paper's one-LU-per-run guarantee,
+///                              visible per corner)
 ///   - newton_iterations        total Newton iterations
 ///   - max_newton_iterations    worst single step
 ///   - steps                    accepted time steps (t >= 0)
@@ -45,6 +45,10 @@
 ///                              circuit/solver_state.h)
 ///   - shared_symbolic_builds   RCM orderings built and published
 ///   - shared_symbolic_reuses   RCM orderings checked out instead of built
+///   - rcm_orderings            RCM orderings the run computed itself (one
+///                              per run and per pattern growth; 0 for a run
+///                              that checked its ordering out)
+///   - structure                StructureSize below, merged by max
 ///   - wall_seconds             scenario wall clock (set by the engine
 ///                              layer; the deliberately-unexported
 ///                              wall_seconds of sweep_result.h lands here)
@@ -54,10 +58,23 @@
 ///                              record, exported as the "health" object
 ///                              when collected (HealthOptions::collect)
 ///
+/// ## StructureSize (JSON object "structure")
+/// The size of the sparse system a run factored, so a corner's factor and
+/// substitution times can be read against their O(n b^2) / O(n b) scaling:
+///
+///   - unknowns   MNA unknowns n
+///   - nonzeros   CSR entries of the final pattern
+///   - kl, ku     lower/upper bandwidth of the RCM-permuted matrix of the
+///                run's last factorization
+///
+/// Merging keeps the field-wise maximum (a multi-transient corner reports
+/// its largest system).
+///
 /// Collection is opt-in per run (TransientOptions::telemetry); a null
 /// pointer keeps the solver loops clock-free (one branch per span — see
 /// obs/counters.h). The struct is plain data: merging is field-wise
-/// addition so multi-transient scenarios aggregate naturally.
+/// addition (maximum for the max_* and structure fields) so
+/// multi-transient scenarios aggregate naturally.
 
 #include "obs/health.h"
 
@@ -82,6 +99,17 @@ struct TransientPhases {
   }
 };
 
+/// Structural size of a factored system; see the file comment.
+struct StructureSize {
+  long long unknowns = 0;
+  long long nonzeros = 0;
+  long long kl = 0;
+  long long ku = 0;
+
+  /// Field-wise maximum.
+  void mergeMax(const StructureSize& o);
+};
+
 /// Per-corner solver telemetry; see the file comment for field meanings.
 struct RunTelemetry {
   TransientPhases phases;
@@ -95,6 +123,8 @@ struct RunTelemetry {
   long long shared_base_reuses = 0;
   long long shared_symbolic_builds = 0;
   long long shared_symbolic_reuses = 0;
+  long long rcm_orderings = 0;
+  StructureSize structure;
   double wall_seconds = 0.0;
   NumericalHealth health;
 

@@ -118,6 +118,9 @@ TEST(CrosstalkFamily, RegistryParamsAndMetadata) {
 
   EXPECT_THROW(s->set("coupling", 1.5), std::invalid_argument);  // range
   EXPECT_THROW(s->set("segments", 2.5), std::invalid_argument);  // integrality
+  // One transient solver path: there is no solver-mode parameter to bind.
+  EXPECT_EQ(s->findParam("solver"), nullptr);
+  EXPECT_THROW(s->set("solver", std::string("sparse")), std::invalid_argument);
 }
 
 // The tentpole proof: a crosstalk family swept over coupling strength and
@@ -219,43 +222,6 @@ TEST(CrosstalkFamily, SweepsOverInductiveCouplingFraction) {
   auto s = ScenarioRegistry::global().create("crosstalk");
   EXPECT_THROW(s->set("coupling_l", 1.0), std::invalid_argument);
   EXPECT_NO_THROW(s->set("coupling_l", 0.999));
-}
-
-// Solver-mode plumbing: a sweep axis on the "solver" parameter runs the
-// same corner through the cached-LU, full-restamp, and sparse transient
-// engines — picking the solver per task with no engine-layer special
-// casing. The physics must not depend on the solver: full_restamp matches
-// reuse_lu bitwise (shared dense elimination), sparse to a tolerance (its
-// banded LU eliminates in a permuted order).
-TEST(CrosstalkFamily, SweepsOverSolverModes) {
-  SweepSpec spec;
-  spec.scenario = "crosstalk";
-  spec.driver = "tinydrv";
-  spec.set("pattern", std::string("010"));
-  spec.set("bit_time", 0.5e-9);
-  spec.set("t_stop", 2e-9);
-  spec.set("dt", 10e-12);
-  spec.set("segments", 8.0);
-  spec.set("line_length", 0.05);
-  spec.axisStrings("solver", {"reuse_lu", "full_restamp", "sparse"});
-  EXPECT_EQ(spec.count(), 3u);
-
-  auto cache = std::make_shared<ModelCache>();
-  cache->putDriver("tinydrv", tinyDriver());
-  SweepRunnerOptions opt;
-  opt.workers = 1;
-  opt.model_cache = cache;
-  SweepRunner runner(opt);
-  const auto result = runner.run(spec);
-  ASSERT_EQ(result.okCount(), 3u);
-
-  const auto& reuse = result.runs[0].metrics;
-  const auto& restamp = result.runs[1].metrics;
-  const auto& sparse = result.runs[2].metrics;
-  EXPECT_EQ(restamp.v_far_max, reuse.v_far_max);
-  EXPECT_EQ(restamp.v_far_min, reuse.v_far_min);
-  EXPECT_NEAR(sparse.v_far_max, reuse.v_far_max, 1e-8);
-  EXPECT_NEAR(sparse.v_far_min, reuse.v_far_min, 1e-8);
 }
 
 }  // namespace

@@ -251,16 +251,11 @@ TEST(EmcCoupling, DeterministicAndSingleFactorization) {
     EXPECT_EQ(a.v_near[k], b.v_near[k]);
   }
 
-  // The field excitation is RHS-only: sparse and cached-LU agree and the
-  // sparse run of this linear circuit factors once (checked indirectly by
-  // equal results; the factorization counter is asserted in the transient
-  // equivalence suite — here we check solver-mode agreement).
-  cfg.solver = "sparse";
-  const auto sparse = runEmcScenario(cfg, nullptr, nullptr);
-  double err = 0.0;
-  for (std::size_t k = 0; k < a.v_far.size(); ++k)
-    err = std::max(err, std::abs(sparse.v_far[k] - a.v_far[k]));
-  EXPECT_LT(err, 1e-7);
+  // The field excitation is RHS-only: the whole run of this linear circuit
+  // is one factorization, every Newton iteration a substitution.
+  EXPECT_EQ(a.telemetry.transient_runs, 1);
+  EXPECT_EQ(a.telemetry.lu_factorizations, 1);
+  EXPECT_GT(a.telemetry.newton_iterations, 1);
 }
 
 }  // namespace

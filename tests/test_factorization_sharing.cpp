@@ -1,6 +1,7 @@
-// Tests for cross-corner solver-state sharing: the PR's central invariant
-// (a linear RHS-only sweep performs one base LU factorization per
-// numeric-base class, not per corner), the byte-identical-exports contract
+// Tests for cross-corner solver-state sharing: the central invariant (a
+// linear RHS-only sweep performs one base LU factorization per
+// numeric-base class, not per corner), a checked-out RCM ordering serving
+// every factorization of a run, the byte-identical-exports contract
 // between sharing on and off, result-cache replay of repeated corners, the
 // honesty of the family sharing keys, and the valid-name lists in the
 // *FromName error messages.
@@ -8,21 +9,25 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
 #include "core/scenario.h"
 #include "core/tline_family.h"
 #include "engine/sweep_runner.h"
+#include "signal/bit_pattern.h"
+#include "signal/linear_ports.h"
 
 namespace fdtdmm {
 namespace {
 
-// 12 corners, all linear (quiescent victim trace, no macromodels), whose
-// amplitude x theta axes reach only the RHS: exactly two numeric-base
-// classes (one per solver mode).
+// 6 corners, all linear (quiescent victim trace, no macromodels), whose
+// amplitude x theta axes reach only the RHS: exactly one numeric-base
+// class.
 SweepSpec rhsOnlyEmcSpec() {
   SweepSpec spec;
   spec.scenario = "emc";
@@ -32,7 +37,6 @@ SweepSpec rhsOnlyEmcSpec() {
   spec.set("pulse_t0", 1e-9);
   spec.axis("amplitude", {500.0, 1000.0, 2000.0});
   spec.axis("theta", {20.0, 60.0});
-  spec.axisStrings("solver", {"reuse_lu", "sparse"});
   return spec;
 }
 
@@ -76,25 +80,82 @@ TEST(FactorizationSharing, LinearSweepFactorsOncePerNumericClass) {
     SweepRunner runner(opt);
     const SweepResult result = runner.run(spec);
     ASSERT_EQ(result.okCount(), result.runs.size());
-    ASSERT_EQ(result.runs.size(), 12u);
+    ASSERT_EQ(result.runs.size(), 6u);
 
-    // Two classes: {reuse_lu, sparse} x (amplitude/theta are RHS-only).
-    EXPECT_EQ(runner.solverCache()->numericClassCount(), 2u) << workers;
-    EXPECT_EQ(totalLu(result), 2) << workers;
-    EXPECT_EQ(result.solver_cache.numeric_misses, 2) << workers;
-    EXPECT_EQ(result.solver_cache.numeric_hits, 10) << workers;
-    // Sparse corners additionally share one RCM ordering (6 corners, 1
-    // analysis); the dense mode has no symbolic state.
+    // One class: amplitude/theta are RHS-only.
+    EXPECT_EQ(runner.solverCache()->numericClassCount(), 1u) << workers;
+    EXPECT_EQ(totalLu(result), 1) << workers;
+    EXPECT_EQ(result.solver_cache.numeric_misses, 1) << workers;
+    EXPECT_EQ(result.solver_cache.numeric_hits, 5) << workers;
+    // The corners also share one RCM ordering (6 corners, 1 analysis).
     EXPECT_EQ(runner.solverCache()->structureClassCount(), 1u) << workers;
     EXPECT_EQ(result.solver_cache.symbolic_misses, 1) << workers;
     EXPECT_EQ(result.solver_cache.symbolic_hits, 5) << workers;
 
     for (const SweepRunRecord& r : result.runs) {
-      // Each corner either built its class base (1 LU) or checked it out.
+      // Each corner either built its class base (1 LU) or checked it out,
+      // and likewise computed the class ordering or checked it out.
       EXPECT_EQ(r.telemetry.lu_factorizations + r.telemetry.shared_base_reuses, 1)
+          << r.label;
+      EXPECT_EQ(r.telemetry.rcm_orderings + r.telemetry.shared_symbolic_reuses, 1)
           << r.label;
     }
   }
+}
+
+// A lossless ladder driven by a behavioral port: the port restamps its
+// conductance every Newton iteration, so every iteration refactors.
+Circuit portDrivenLadder(int& far) {
+  const BitPattern pattern("0110", 0.5e-9);
+  Circuit c;
+  const int near = c.addNode();
+  far = c.addNode();
+  c.addBehavioralPort(near, Circuit::kGround,
+                      std::make_shared<TheveninPort>(
+                          [pattern](double t) { return 1.8 * pattern.levelAt(t); }, 45.0));
+  RlgcParams p;
+  p.segments = 10;
+  buildRlgcLine(c, near, Circuit::kGround, far, Circuit::kGround, p);
+  c.addResistor(far, Circuit::kGround, 60.0);
+  return c;
+}
+
+// A run that checks a shared RCM ordering out computes none of its own:
+// its base AND its per-iteration refactorizations all use the shared
+// ordering (the port's Jacobian positions are part of the static pattern,
+// so nothing forces a re-ordering).
+TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
+  SolverStateCache cache;
+  std::map<std::string, Waveform> first;
+  for (int run = 0; run < 2; ++run) {
+    int far = 0;
+    Circuit c = portDrivenLadder(far);
+    obs::RunTelemetry tel;
+    TransientOptions opt;
+    opt.dt = 5e-12;
+    opt.t_stop = 2e-9;
+    opt.telemetry = &tel;
+    opt.sharing.provider = &cache;
+    opt.sharing.structure_key = "port-driven-ladder";
+    const TransientResult res = runTransient(c, opt, {{"far", far, 0}});
+    EXPECT_GT(res.lu_factorizations, 1) << run;
+    EXPECT_EQ(tel.pattern_realignments, 0) << run;
+    if (run == 0) {
+      EXPECT_EQ(tel.shared_symbolic_builds, 1);
+      EXPECT_EQ(tel.rcm_orderings, 1);
+      first = res.probes;
+    } else {
+      EXPECT_EQ(tel.shared_symbolic_reuses, 1);
+      EXPECT_EQ(tel.rcm_orderings, 0);
+      // Same pattern, same ordering: bit-identical waveforms.
+      const Waveform& a = first.at("far");
+      const Waveform& b = res.at("far");
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]) << k;
+    }
+  }
+  EXPECT_EQ(cache.stats().symbolic_misses, 1);
+  EXPECT_EQ(cache.stats().symbolic_hits, 1);
 }
 
 // Sharing must never perturb a metric byte — on or off, any worker count,
@@ -129,7 +190,6 @@ TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
   crosstalk.set("t_stop", 3e-9);
   crosstalk.set("segments", 8.0);
   crosstalk.axis("coupling", {0.05, 0.2});
-  crosstalk.axisStrings("solver", {"reuse_lu", "sparse"});
 
   for (const SweepSpec& spec : {rhsOnlyEmcSpec(), crosstalk}) {
     const Exports off = runExports(spec, 1, false);
@@ -154,11 +214,11 @@ TEST(FactorizationSharing, RepeatedSweepReplaysFromResultCache) {
   const SweepResult first = runner.run(spec);
   ASSERT_EQ(first.okCount(), first.runs.size());
   EXPECT_EQ(first.result_cache.hits, 0);
-  EXPECT_EQ(first.result_cache.inserts, 12);
+  EXPECT_EQ(first.result_cache.inserts, 6);
 
   const SweepResult second = runner.run(spec);
   ASSERT_EQ(second.okCount(), second.runs.size());
-  EXPECT_EQ(second.result_cache.hits, 12);
+  EXPECT_EQ(second.result_cache.hits, 6);
   EXPECT_EQ(second.result_cache.inserts, 0);
   // No corner ran: no factorizations, no solver-cache traffic.
   EXPECT_EQ(totalLu(second), 0);
@@ -276,12 +336,6 @@ std::string thrownMessage(Fn&& fn) {
 // Unknown-name errors must list the valid names (satellite: a typo'd CLI
 // flag should teach, not stonewall).
 TEST(FactorizationSharing, UnknownNameErrorsListValidNames) {
-  const std::string solver =
-      thrownMessage([] { transientSolverModeFromName("bogus"); });
-  EXPECT_NE(solver.find("bogus"), std::string::npos) << solver;
-  for (const std::string& name : transientSolverModeNames())
-    EXPECT_NE(solver.find(name), std::string::npos) << solver;
-
   const std::string engine = thrownMessage([] { tlineEngineFromName("bogus"); });
   EXPECT_NE(engine.find("bogus"), std::string::npos) << engine;
   for (const char* name : {"spice-rbf", "fdtd1d", "fdtd3d"})

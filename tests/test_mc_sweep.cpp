@@ -408,8 +408,9 @@ TEST(McSweep, EmcIlluminationEnsembleSharesOneBaseFactorization) {
   ASSERT_EQ(result.okCount(), 6u);
   EXPECT_EQ(result.solver_cache.numeric_misses, 1);
   EXPECT_EQ(result.solver_cache.numeric_hits, 5);
-  // The default "reuse_lu" solver is dense: no sparse symbolic stage.
-  EXPECT_EQ(result.solver_cache.symbolic_misses, 0);
+  // ...and one RCM ordering of its CSR pattern.
+  EXPECT_EQ(result.solver_cache.symbolic_misses, 1);
+  EXPECT_EQ(result.solver_cache.symbolic_hits, 5);
 }
 
 // --- Ensemble statistics -------------------------------------------------

@@ -1,8 +1,10 @@
 // Behavior-preservation pin for the scenario-API redesign. The golden
 // strings below were captured from the pre-registry implementation (closed
 // TaskKind enum + typed axis vectors) on the exact sweeps the engine tests
-// use; the registry-based expansion and runner must reproduce the task
-// labels/ordering and the writeSweepCsv/writeSweepJson bytes unchanged.
+// use; the generic parameter-map API (set/axis/axisStrings/ParamAxis +
+// SweepRunnerOptions), with the axes declared in the old fixed nesting
+// order, must reproduce the task labels/ordering and the
+// writeSweepCsv/writeSweepJson bytes unchanged.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,14 +13,7 @@
 #include <sstream>
 
 #include "engine/sweep_runner.h"
-#include "engine/typed_axes.h"
 #include "tiny_models.h"
-
-// This test exists to exercise the deprecated compatibility surface, so
-// silence the deprecation warnings it deliberately triggers.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 namespace fdtdmm {
 namespace {
@@ -90,21 +85,28 @@ const char* const kGoldenJson = R"gold(
 }
 )gold";
 
-/// The tiny-model t-line sweep the goldens were captured on, built through
-/// the migration shims (old fixed nesting order: pattern, bit_time, zc,
-/// td, load, rc_load).
+/// The tiny-model t-line sweep the goldens were captured on (old fixed
+/// nesting order: pattern, bit_time, zc, load, rc_load).
 SweepSpec goldenTlineSpec() {
-  TlineScenario base;
-  base.t_stop = 2e-9;
-  base.strip_len = 24;
-  SweepSpec spec = makeTlineSweep(base, TlineEngine::kFdtd1d);
+  SweepSpec spec;
+  spec.scenario = "tline";
+  spec.set("engine", std::string("fdtd1d"));
+  spec.set("t_stop", 2e-9);
+  spec.set("strip_len", 24.0);
   spec.driver = "tinydrv";
   spec.receiver = "tinyrcv";
-  addPatternAxis(spec, {"010", "0110"});
-  addBitTimeAxis(spec, {0.5e-9});
-  addZcAxis(spec, {100.0, 131.0});
-  addLoadAxis(spec, {FarEndLoad::kLinearRc, FarEndLoad::kReceiver});
-  addRcLoadAxis(spec, {{500.0, 1e-12}, {50.0, 2e-12}});
+  spec.axisStrings("pattern", {"010", "0110"});
+  spec.axis("bit_time", {0.5e-9});
+  spec.axis("zc", {100.0, 131.0});
+  spec.axisStrings("load", {"rc", "receiver"});
+  // RC corners bind load_r and load_c together, only where load == "rc".
+  ParamAxis rc_load;
+  rc_load.name = "rc_load";
+  rc_load.only_when_param = "load";
+  rc_load.only_when_value = std::string("rc");
+  rc_load.points.push_back({{{"load_r", 500.0}, {"load_c", 1e-12}}});
+  rc_load.points.push_back({{{"load_r", 50.0}, {"load_c", 2e-12}}});
+  spec.axis(std::move(rc_load));
   return spec;
 }
 
@@ -122,10 +124,11 @@ TEST(SweepMigration, TlineLabelsAndOrderingAreUnchanged) {
 }
 
 TEST(SweepMigration, PcbLabelsAndOrderingAreUnchanged) {
-  SweepSpec spec = makePcbSweep();
-  addPatternAxis(spec, {"01", "010"});
-  addBitTimeAxis(spec, {1e-9, 2e-9});
-  addIncidentFieldAxis(spec, {false, true});
+  SweepSpec spec;
+  spec.scenario = "pcb";
+  spec.axisStrings("pattern", {"01", "010"});
+  spec.axis("bit_time", {1e-9, 2e-9});
+  spec.axisBool("with_incident", {false, true});
   const auto tasks = spec.expand();
   ASSERT_EQ(tasks.size(), std::size(kGoldenPcbLabels));
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -135,10 +138,10 @@ TEST(SweepMigration, PcbLabelsAndOrderingAreUnchanged) {
 }
 
 TEST(SweepMigration, CsvAndJsonExportsAreByteIdenticalToPreRedesign) {
-  auto cache = testmodels::tinyCache();
-  SweepOptions opt;
+  SweepRunnerOptions opt;
   opt.workers = 2;  // the goldens were captured with workers=2
-  SweepRunner runner(opt, cache);
+  opt.model_cache = testmodels::tinyCache();
+  SweepRunner runner(opt);
   const auto result = runner.run(goldenTlineSpec());
   ASSERT_EQ(result.okCount(), result.runs.size());
 

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -38,7 +40,6 @@ SweepSpec smallEmcSpec() {
   spec.set("segments", 8.0);
   spec.set("pulse_t0", 1e-9);
   spec.axis("amplitude", {500.0, 1000.0});
-  spec.axisStrings("solver", {"reuse_lu", "sparse"});
   return spec;
 }
 
@@ -148,7 +149,19 @@ TEST(SweepTelemetry, CrosstalkCornersReportSolverCounters) {
     EXPECT_EQ(r.telemetry.transient_runs, 1) << r.label;
     EXPECT_GT(r.telemetry.steps, 0) << r.label;
     EXPECT_GT(r.telemetry.newton_iterations, 0) << r.label;
+    // The driver port's Jacobian lies inside the static pattern, so the
+    // corner never re-orders: it computes the class's RCM ordering once or
+    // checks it out, and every refactorization reuses it.
     EXPECT_EQ(r.telemetry.pattern_realignments, 0) << r.label;
+    EXPECT_EQ(r.telemetry.rcm_orderings + r.telemetry.shared_symbolic_reuses, 1)
+        << r.label;
+    EXPECT_EQ(r.telemetry.rcm_orderings, r.telemetry.shared_symbolic_builds) << r.label;
+    // Structural size of the factored system: two 8-segment ladders.
+    const obs::StructureSize& z = r.telemetry.structure;
+    EXPECT_GT(z.unknowns, 32) << r.label;
+    EXPECT_GT(z.nonzeros, z.unknowns) << r.label;
+    EXPECT_GT(z.kl + z.ku, 0) << r.label;
+    EXPECT_LT(z.kl + z.ku, z.unknowns) << r.label;
     EXPECT_GT(r.telemetry.wall_seconds, 0.0) << r.label;
     const obs::TransientPhases& p = r.telemetry.phases;
     EXPECT_GT(p.stamp_static_seconds, 0.0) << r.label;
@@ -191,18 +204,18 @@ TEST(SweepTelemetry, EmcSweepTelemetryAndJsonExport) {
     EXPECT_GT(r.telemetry.steps, 0) << r.label;
     totals.merge(r.telemetry);
   }
-  // The paper's economy, one level up: the 2-amplitude x 2-solver sweep
-  // has two numeric-base classes (one per solver mode — amplitude is
-  // RHS-only), so exactly two factorizations total across all corners.
-  EXPECT_EQ(totals.lu_factorizations, 2);
-  EXPECT_EQ(result.solver_cache.numeric_misses, 2);
-  EXPECT_EQ(result.solver_cache.numeric_hits, 2);
-  // Only the sparse-solver corners have symbolic state to share.
+  // The paper's economy, one level up: amplitude is RHS-only, so the
+  // 2-amplitude sweep is one numeric-base class and factors exactly once
+  // across all corners, on one shared RCM ordering.
+  EXPECT_EQ(totals.lu_factorizations, 1);
+  EXPECT_EQ(totals.rcm_orderings, 1);
+  EXPECT_EQ(result.solver_cache.numeric_misses, 1);
+  EXPECT_EQ(result.solver_cache.numeric_hits, 1);
   EXPECT_EQ(result.solver_cache.symbolic_misses, 1);
   EXPECT_EQ(result.solver_cache.symbolic_hits, 1);
-  // All four corners are content-distinct: no result-cache replays.
+  // Both corners are content-distinct: no result-cache replays.
   EXPECT_EQ(result.result_cache.hits, 0);
-  EXPECT_EQ(result.result_cache.inserts, 4);
+  EXPECT_EQ(result.result_cache.inserts, 2);
   // Quiescent EMC corners need no macromodels at all.
   EXPECT_EQ(result.model_cache.misses, 0);
   EXPECT_EQ(result.model_cache.hits, 0);
@@ -217,6 +230,11 @@ TEST(SweepTelemetry, EmcSweepTelemetryAndJsonExport) {
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"steps\": " + std::to_string(totals.steps)),
             std::string::npos);
+  // Per-corner structural size: an 8-segment quiescent line.
+  EXPECT_NE(json.find("\"structure\": {\"unknowns\": " +
+                      std::to_string(totals.structure.unknowns)),
+            std::string::npos);
+  EXPECT_GT(totals.structure.unknowns, 8);
 
   const std::string path = "test_emc_telemetry.json";
   writeSweepTelemetryJson(result, path);
@@ -338,6 +356,38 @@ TEST(SweepTelemetry, HealthOffLeavesSummaryEmptyAndJsonValid) {
   EXPECT_NE(json.find("\"collected\": false"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\": {}"), std::string::npos);
   EXPECT_NE(json.find("\"worst_residual_corner\": -1"), std::string::npos);
+}
+
+// docs/telemetry_schema.md must name every key of the RunTelemetry body
+// the export emits (the health object has its own table and is skipped).
+TEST(SweepTelemetry, SchemaDocumentNamesEveryRunTelemetryKey) {
+  SweepRunnerOptions opt;
+  opt.workers = 1;
+  SweepRunner runner(opt);
+  const std::string json = sweepTelemetryJson(runner.run(smallEmcSpec()));
+  const std::size_t begin = json.find("\"totals\": {");
+  const std::size_t end = json.find("\"corners\": [");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  std::string body = json.substr(begin, end - begin);
+  const std::size_t health = body.find("\"health\": {");
+  ASSERT_NE(health, std::string::npos);
+  const std::size_t open = body.find('{', health);
+  body.erase(open, body.find('}', open) - open + 1);  // the health object
+
+  std::string doc_path = __FILE__;
+  doc_path = doc_path.substr(0, doc_path.rfind("tests/")) + "docs/telemetry_schema.md";
+  const std::string doc = slurp(doc_path);
+  ASSERT_FALSE(doc.empty()) << doc_path;
+
+  std::set<std::string> keys;
+  const std::regex key_re("\"([a-z_]+)\": ");
+  for (auto it = std::sregex_iterator(body.begin(), body.end(), key_re);
+       it != std::sregex_iterator(); ++it)
+    keys.insert((*it)[1]);
+  EXPECT_GT(keys.size(), 20u);
+  for (const std::string& key : keys)
+    EXPECT_NE(doc.find("`" + key + "`"), std::string::npos) << key;
 }
 
 TEST(SweepTelemetry, FailedCornerGetsZeroedTelemetry) {
