@@ -23,15 +23,14 @@ int main(int argc, char** argv) {
 
   std::puts("# ac sweep: log-spaced frequency axis, matched 50-ohm line");
 
-  // 13 points per solver mode, 1 MHz .. 1 GHz (the 32-segment ladder is a
-  // faithful line model well past 1 GHz for the default 10 cm geometry).
+  // 13 points, 1 MHz .. 1 GHz (the 32-segment ladder is a faithful line
+  // model well past 1 GHz for the default 10 cm geometry).
   std::vector<double> freqs;
   for (int k = 0; k <= 12; ++k) freqs.push_back(1e6 * std::pow(10.0, k / 4.0));
 
   SweepSpec spec;
   spec.scenario = "ac";
   spec.axis("frequency", freqs);
-  spec.axisStrings("solver", {"sparse", "dense"});
   std::printf("# grid: %zu simulation tasks\n", spec.count());
 
   SweepRunnerOptions opt;
@@ -55,9 +54,9 @@ int main(int argc, char** argv) {
                 run.label.c_str());
   }
 
-  // The sharing economy at AC: the sparse corners form one structure class
-  // and perform ONE complex symbolic analysis between them; every other
-  // frequency point reuses it. (Dense corners have no symbolic stage.)
+  // The sharing economy at AC: all corners form one structure class and
+  // perform ONE complex symbolic analysis between them; every other
+  // frequency point reuses it.
   std::printf("# solver cache: %lld symbolic analyses shared across %lld reuses\n",
               result.solver_cache.symbolic_misses, result.solver_cache.symbolic_hits);
 

@@ -57,9 +57,10 @@ struct StampSystem {
 /// the real part and `im` for the imaginary part — so the existing
 /// dense/sparse routing of StampSystem::add is reused verbatim and both
 /// targets end up with byte-identical CSR patterns (add() always writes
-/// both, even when one part is zero), the precondition of
-/// ComplexSparseLu's shared-pattern factorization. The right-hand side is
-/// natively complex.
+/// both, even when one part is zero), the precondition of the
+/// BandedLu<Complex> factorization of the pair (math/banded_lu.h). The
+/// AC engine assembles into CSR targets; the dense targets serve the test
+/// suite's reference solve. The right-hand side is natively complex.
 struct AcStampSystem {
   StampSystem re;  ///< real part of A (b unused; the complex RHS is below)
   StampSystem im;  ///< imaginary part of A (same pattern as `re`)

@@ -72,33 +72,9 @@ void SolverSession::assembleStatic(double* t_static, obs::RunTelemetry* tel) {
 
   // Resolve the pattern's RCM ordering once for the whole run. With
   // sharing, the first run of a structure class computes and publishes it
-  // and every other run checks it out. The ordering is a pure function of
-  // the (bit-identical-within-class) pattern, so the resulting
-  // factorizations are bit-identical either way.
-  if (opt_.sharing.shareSymbolic()) {
-    bool built = false;
-    auto sym = opt_.sharing.provider->symbolic(opt_.sharing.structure_key, [&] {
-      auto s = std::make_shared<SolverSymbolic>();
-      s->n = n_unknowns_;
-      s->rcm_order = reverseCuthillMcKee(base_sp_);
-      built = true;
-      return s;
-    });
-    if (built) ++rcm_orderings_;
-    // A mismatched checkout means the structure key lied (or collided);
-    // ignoring it degrades to private analysis, never to wrong results.
-    if (sym && sym->n == n_unknowns_ && sym->rcm_order.size() == n_unknowns_) {
-      shared_symbolic_ = std::move(sym);
-      order_ = &shared_symbolic_->rcm_order;
-      if (tel) built ? ++tel->shared_symbolic_builds : ++tel->shared_symbolic_reuses;
-      if (!built) obs::traceInstant("shared_symbolic_reuse", "solver");
-    }
-  }
-  if (order_ == nullptr) {
-    private_order_ = reverseCuthillMcKee(base_sp_);
-    ++rcm_orderings_;
-    order_ = &private_order_;
-  }
+  // and every other run checks it out.
+  symbolic_ = resolveSymbolic(opt_.sharing, base_sp_, tel);
+  order_ = &symbolic_->rcm_order;
 }
 
 void SolverSession::realignPattern(obs::RunTelemetry* tel) {
@@ -109,10 +85,12 @@ void SolverSession::realignPattern(obs::RunTelemetry* tel) {
   // later factorization uses the grown pattern's own ordering.
   work_sp_.mergeOverflow();
   base_sp_.adoptPatternOf(work_sp_);
-  private_order_ = reverseCuthillMcKee(work_sp_);
-  ++rcm_orderings_;
-  order_ = &private_order_;
-  if (tel) ++tel->pattern_realignments;
+  grown_order_ = reverseCuthillMcKee(work_sp_);
+  order_ = &grown_order_;
+  if (tel) {
+    ++tel->rcm_orderings;
+    ++tel->pattern_realignments;
+  }
   obs::traceInstant("sparse_pattern_realign", "solver");
 }
 
@@ -180,7 +158,7 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
   // every clean iteration); a run that never factored a base (every
   // iteration dirtied) estimates on its last work factorization instead.
   if (!hopt.condition_estimate) return;
-  const SparseLu* lu = nullptr;
+  const BandedLu<double>* lu = nullptr;
   double norm_a = 0.0;
   if (base_factored_ && baseLu().factored()) {
     lu = &baseLu();
@@ -390,8 +368,7 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
         std::max(tel->max_newton_iterations, result.max_newton_iterations);
     tel->steps += static_cast<long long>(result.steps);
     ++tel->transient_runs;
-    tel->rcm_orderings += rcm_orderings_ +
-                          static_cast<long long>(base_lu_.orderingsComputed() +
+    tel->rcm_orderings += static_cast<long long>(base_lu_.orderingsComputed() +
                                                  work_lu_.orderingsComputed());
     tel->structure.mergeMax(size);
   }

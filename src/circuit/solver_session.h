@@ -10,7 +10,7 @@
 ///                           computed once per run and used by every
 ///                           factorization of that pattern;
 ///   - numeric base state  — the assembled static base matrix and its
-///                           SparseLu factorization;
+///                           BandedLu factorization;
 ///   - per-run workspaces  — Newton solution vectors, the RHS/Jacobian
 ///                           working system, and the dirtied-matrix
 ///                           refactorization — never shared.
@@ -31,7 +31,7 @@
 
 #include "circuit/solver_state.h"
 #include "circuit/transient.h"
-#include "math/sparse_lu.h"
+#include "math/banded_lu.h"
 #include "math/sparse_matrix.h"
 
 namespace fdtdmm {
@@ -55,8 +55,8 @@ class SolverSession {
   void validateProbes(const std::vector<NodeProbe>& probes,
                       const std::vector<BranchProbe>& branch_probes) const;
   /// One-time static assembly into the CSR base, then resolution of the
-  /// pattern's RCM ordering (shared checkout, build-and-publish, or
-  /// private).
+  /// pattern's RCM ordering (resolveSymbolic: shared checkout,
+  /// build-and-publish, or private).
   void assembleStatic(double* t_static, obs::RunTelemetry* tel);
   /// Widens the working pattern after a dynamic stamp hit a structurally
   /// new entry, keeps the base aligned, and re-orders the grown pattern.
@@ -74,7 +74,7 @@ class SolverSession {
   void collectEndOfRunHealth(const obs::HealthOptions& hopt, obs::NumericalHealth& h,
                              bool any_solve);
   /// The base factorization to solve with (shared or private).
-  const SparseLu& baseLu() const { return shared_base_ ? *shared_base_ : base_lu_; }
+  const BandedLu<double>& baseLu() const { return shared_base_ ? *shared_base_ : base_lu_; }
 
   Circuit& circuit_;
   TransientOptions opt_;
@@ -82,21 +82,19 @@ class SolverSession {
 
   // --- symbolic piece: base pattern + ordering ---
   SparseMatrix base_sp_;  ///< finalized static base (pattern + values)
-  std::shared_ptr<const SolverSymbolic> shared_symbolic_;
-  std::vector<std::size_t> private_order_;
-  /// The ordering every factorization uses: the shared one while the
-  /// pattern is the assembled one, else private_order_.
+  /// Ordering of the assembled pattern (checked out, built or private).
+  std::shared_ptr<const SolverSymbolic> symbolic_;
+  std::vector<std::size_t> grown_order_;  ///< private re-order after growth
+  /// The ordering every factorization uses: symbolic_'s while the pattern
+  /// is the assembled one, else grown_order_.
   const std::vector<std::size_t>* order_ = nullptr;
-  /// RCM orderings this run computed itself (0 for a shared checkout that
-  /// never grew its pattern).
-  long long rcm_orderings_ = 0;
   /// Pattern version right after assembly. Shared symbolic/numeric state
   /// describes *this* pattern; if dynamic stamps grow it, the run re-orders
   /// privately, exactly as a sharing-disabled run would.
   std::uint64_t assembled_pattern_version_ = 0;
 
   // --- numeric base piece: static base factorization ---
-  SparseLu base_lu_;  ///< private base LU when not shared
+  BandedLu<double> base_lu_;  ///< private base LU when not shared
   std::shared_ptr<const SolverNumericBase> shared_base_;
   bool base_factored_ = false;
 
@@ -104,10 +102,11 @@ class SolverSession {
   Vector x_;
   Vector x_new_;
   StampSystem sys_;
-  SparseMatrix work_sp_;  ///< dirtied/value-refreshed working copy
-  SparseLu work_lu_;      ///< refactored when a dynamic stamp dirties
-  Vector lu_scratch_;     ///< caller workspace for shared solves
-  const SparseLu* last_lu_ = nullptr;  ///< most recent factorization used
+  SparseMatrix work_sp_;       ///< dirtied/value-refreshed working copy
+  BandedLu<double> work_lu_;   ///< refactored when a dynamic stamp dirties
+  Vector lu_scratch_;          ///< caller workspace for shared solves
+  /// Most recent factorization used.
+  const BandedLu<double>* last_lu_ = nullptr;
   bool matrix_was_dirtied_ = false;
 };
 

@@ -9,7 +9,7 @@
 ///   1. *symbolic* state — the CSR pattern's fill-reducing RCM ordering.
 ///      A pure function of the matrix pattern, so every run whose circuit
 ///      has the same structure computes the identical ordering.
-///   2. *numeric base* state — the SparseLu factorization of the static
+///   2. *numeric base* state — the BandedLu factorization of the static
 ///      base matrix. A pure function of the assembled base values, so runs
 ///      that differ only in their right-hand side (sources, field drive,
 ///      companion histories) factor the identical matrix.
@@ -39,8 +39,10 @@
 #include <string>
 #include <vector>
 
-#include "math/sparse_lu.h"
+#include "math/banded_lu.h"
+#include "math/sparse_matrix.h"
 #include "obs/health.h"
+#include "obs/telemetry.h"
 
 namespace fdtdmm {
 
@@ -53,8 +55,8 @@ struct SolverSymbolic {
 
 /// Immutable shared numeric base state of one numeric-base class: the
 /// factorization of the static base matrix. Solving against it is const
-/// and thread-safe through the caller-workspace SparseLu::solve.
-using SolverNumericBase = SparseLu;
+/// and thread-safe through the caller-workspace BandedLu::solve.
+using SolverNumericBase = BandedLu<double>;
 
 /// Exactly-once provider of shared solver state, keyed by the scenario
 /// layer's structure / numeric-base keys. Implementations must guarantee
@@ -97,6 +99,22 @@ struct SolverSharing {
     return provider != nullptr && !numeric_base_key.empty();
   }
 };
+
+/// The symbolic checkout of both MNA engines (SolverSession and the AC
+/// engine's AcSession): resolves the RCM ordering a run factors its
+/// assembled `pattern` with. With symbolic sharing on, the ordering is
+/// checked out of sharing.provider under sharing.structure_key — built
+/// from `pattern` and published when this run is the first of its class.
+/// Otherwise, or when the checkout's dimension does not match `pattern`
+/// (the structure key lied or collided), the run orders privately, which
+/// degrades the sharing but never the result. Never returns null.
+///
+/// Bookkeeping goes to `tel` when non-null: rcm_orderings counts an
+/// ordering computed here (the class's build or a private one), and
+/// shared_symbolic_builds / shared_symbolic_reuses count the checkout.
+std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
+                                                      const SparseMatrix& pattern,
+                                                      obs::RunTelemetry* tel);
 
 /// Round-trip-exact double formatting for sharing keys. Keys gate the reuse
 /// of factorizations between runs, so two different values must never

@@ -32,7 +32,7 @@
 /// There is one solver path. The static stamps build a compressed-sparse-
 /// row *symbolic pattern* once (StampSystem routes element writes into a
 /// SparseMatrix target), numeric values are refreshed in place each
-/// iteration, and every factorization is a SparseLu — reverse
+/// iteration, and every factorization is a BandedLu<double> — reverse
 /// Cuthill-McKee fill-reducing ordering plus banded LU with partial
 /// pivoting. The ordering is computed once per run (or checked out of a
 /// SolverStateProvider) and reused by every factorization of that

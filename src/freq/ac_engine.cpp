@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "math/linear_solve.h"
-#include "math/sparse_lu.h"
 #include "obs/counters.h"
 
 namespace fdtdmm {
@@ -18,66 +17,32 @@ AcSession::AcSession(Circuit& circuit, AcOptions opt)
     : circuit_(circuit), opt_(std::move(opt)) {
   n_ = circuit_.assignUnknowns();
   if (n_ == 0) throw std::invalid_argument("AcSession: circuit has no unknowns");
-  sparse_ = opt_.solver == AcOptions::Solver::kSparse;
   if (!opt_.x_dc.empty() && opt_.x_dc.size() != n_)
     throw std::invalid_argument("AcSession: x_dc size does not match unknown count");
 }
 
 void AcSession::assemblePattern(double omega) {
-  if (sparse_) {
-    // Build both CSR patterns with one stamping pass. The entry *positions*
-    // an element writes are frequency-independent (only values depend on
-    // omega — see the stampAc contract), so the pattern assembled here is
-    // valid for every later frequency; restampValues() scatters into it
-    // allocation-free.
-    sp_re_.reset(n_);
-    sp_im_.reset(n_);
-    sys_.re.sparse = &sp_re_;
-    sys_.im.sparse = &sp_im_;
-    sys_.b.assign(n_, Complex(0.0, 0.0));
-    for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
-    sp_re_.finalize();
-    sp_im_.finalize();
-
-    // Resolve the shared symbolic state (checkout or build-and-publish).
-    // The ordering is a pure function of the pattern, so any session of
-    // the same structure class computes the identical one — which is what
-    // makes the exactly-once provider contract safe here.
-    if (opt_.sharing.shareSymbolic()) {
-      bool built = false;
-      auto sym = opt_.sharing.provider->symbolic(
-          opt_.sharing.structure_key, [&]() {
-            built = true;
-            auto s = std::make_shared<SolverSymbolic>();
-            s->n = n_;
-            s->rcm_order = reverseCuthillMcKee(sp_re_);
-            return s;
-          });
-      // A key collision across different structures would hand us an
-      // ordering of the wrong dimension; fall back to private analysis
-      // rather than corrupt the factorization.
-      if (sym && sym->n == n_) {
-        shared_symbolic_ = std::move(sym);
-        reused_shared_symbolic_ = !built;
-      }
-    }
-  } else {
-    sys_.re.a = Matrix(n_, n_);
-    sys_.im.a = Matrix(n_, n_);
-    sys_.re.sparse = nullptr;
-    sys_.im.sparse = nullptr;
-  }
-  assembled_ = true;
+  // Build both CSR patterns with one stamping pass. The entry *positions*
+  // an element writes are frequency-independent (only values depend on
+  // omega — see the stampAc contract), so the pattern assembled here is
+  // valid for every later frequency; restampValues() scatters into it
+  // allocation-free.
+  sp_re_.reset(n_);
+  sp_im_.reset(n_);
+  sys_.re.sparse = &sp_re_;
+  sys_.im.sparse = &sp_im_;
+  sys_.b.assign(n_, Complex(0.0, 0.0));
+  for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
+  sp_re_.finalize();
+  sp_im_.finalize();
+  // One ordering for every frequency point: checked out of the sharing
+  // provider, built and published, or private.
+  symbolic_ = resolveSymbolic(opt_.sharing, sp_re_, opt_.telemetry);
 }
 
 void AcSession::restampValues(double omega) {
-  if (sparse_) {
-    sp_re_.clearValues();
-    sp_im_.clearValues();
-  } else {
-    std::fill(sys_.re.a.data(), sys_.re.a.data() + n_ * n_, 0.0);
-    std::fill(sys_.im.a.data(), sys_.im.a.data() + n_ * n_, 0.0);
-  }
+  sp_re_.clearValues();
+  sp_im_.clearValues();
   sys_.b.assign(n_, Complex(0.0, 0.0));
   for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
 }
@@ -85,7 +50,7 @@ void AcSession::restampValues(double omega) {
 const ComplexVector& AcSession::solveAt(double f_hz) {
   if (f_hz < 0.0) throw std::invalid_argument("AcSession::solveAt: f must be >= 0");
   const double omega = 2.0 * kPi * f_hz;
-  if (!assembled_) assemblePattern(omega);
+  if (symbolic_ == nullptr) assemblePattern(omega);
   restampValues(omega);
   obs::RunTelemetry* const tel = opt_.telemetry;
   const obs::HealthOptions* h_opt =
@@ -96,32 +61,25 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
   obs::NumericalHealth* const health = tel && h_opt ? &tel->health : nullptr;
   double* const t_factor = tel ? &tel->phases.factor_seconds : nullptr;
   double* const t_solve = tel ? &tel->phases.solve_seconds : nullptr;
-  if (sparse_) {
-    {
-      obs::ScopedTimer factor_timer(t_factor);
-      if (shared_symbolic_ != nullptr) {
-        slu_.factorWithOrder(sp_re_, sp_im_, shared_symbolic_->rcm_order);
-      } else {
-        // ComplexSparseLu's pattern-version cache still guarantees one RCM
-        // analysis per session: clearValues() keeps the version stamp.
-        slu_.factor(sp_re_, sp_im_);
-      }
-    }
-    ++factorizations_;
-    if (health) health->recordFactorization(slu_.minAbsPivot(), slu_.pivotGrowth());
-    obs::ScopedTimer solve_timer(t_solve);
-    slu_.solve(sys_.b, x_);
-  } else {
-    {
-      obs::ScopedTimer factor_timer(t_factor);
-      lu_.factor(sys_.re.a, sys_.im.a);
-    }
-    ++factorizations_;
-    if (health) health->recordFactorization(lu_.minAbsPivot(), lu_.pivotGrowth());
+  {
+    obs::ScopedTimer factor_timer(t_factor);
+    lu_.factorWithOrder({sp_re_, sp_im_}, symbolic_->rcm_order);
+  }
+  ++factorizations_;
+  if (health) health->recordFactorization(lu_.minAbsPivot(), lu_.pivotGrowth());
+  {
     obs::ScopedTimer solve_timer(t_solve);
     lu_.solve(sys_.b, x_);
   }
-  if (tel) ++tel->lu_factorizations;
+  if (tel) {
+    ++tel->lu_factorizations;
+    obs::StructureSize size;
+    size.unknowns = static_cast<long long>(n_);
+    size.nonzeros = static_cast<long long>(sp_re_.nonZeros());
+    size.kl = static_cast<long long>(lu_.lowerBandwidth());
+    size.ku = static_cast<long long>(lu_.upperBandwidth());
+    tel->structure.mergeMax(size);
+  }
   if (health) recordResidual(*health);
   return x_;
 }
@@ -129,28 +87,19 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
 void AcSession::recordResidual(obs::NumericalHealth& h) const {
   // Complex relative residual ||Ax - b||inf / ||b||inf of the solve that
   // just ran, with A = re + j*im recomposed from the assembly targets (the
-  // factorizations hold permuted band/LU forms, not A itself).
+  // factorization holds a permuted band form, not A itself).
   double b_inf = 0.0;
   for (const Complex& v : sys_.b) b_inf = std::max(b_inf, std::abs(v));
   double r_inf = 0.0;
-  if (sparse_) {
-    const auto& row_ptr = sp_re_.rowPtr();
-    const auto& col_idx = sp_re_.colIdx();
-    const auto& re_vals = sp_re_.values();
-    const auto& im_vals = sp_im_.values();
-    for (std::size_t r = 0; r < n_; ++r) {
-      Complex acc = -sys_.b[r];
-      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-        acc += Complex(re_vals[k], im_vals[k]) * x_[col_idx[k]];
-      r_inf = std::max(r_inf, std::abs(acc));
-    }
-  } else {
-    for (std::size_t r = 0; r < n_; ++r) {
-      Complex acc = -sys_.b[r];
-      for (std::size_t c = 0; c < n_; ++c)
-        acc += Complex(sys_.re.a(r, c), sys_.im.a(r, c)) * x_[c];
-      r_inf = std::max(r_inf, std::abs(acc));
-    }
+  const auto& row_ptr = sp_re_.rowPtr();
+  const auto& col_idx = sp_re_.colIdx();
+  const auto& re_vals = sp_re_.values();
+  const auto& im_vals = sp_im_.values();
+  for (std::size_t r = 0; r < n_; ++r) {
+    Complex acc = -sys_.b[r];
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+      acc += Complex(re_vals[k], im_vals[k]) * x_[col_idx[k]];
+    r_inf = std::max(r_inf, std::abs(acc));
   }
   h.collected = true;
   ++h.residual_checks;

@@ -9,11 +9,15 @@
 ///     its RCM ordering. The pattern is a pure function of the circuit
 ///     structure (every stampAc writes a frequency-independent entry set),
 ///     so all frequency points of a session — and, via SolverSharing, all
-///     corners of one structure class — reuse ONE symbolic analysis.
+///     corners of one structure class — reuse ONE symbolic analysis. The
+///     ordering is resolved by the same checkout as the transient path
+///     (resolveSymbolic, circuit/solver_state.h), which also records it in
+///     the telemetry sink.
 ///   - per-frequency numeric state — the complex values G + j*omega*B
 ///     (plus non-polynomial terms like the ideal line's e^{-j omega Td},
 ///     which is why the session re-stamps *values* at every frequency
-///     instead of scaling a fixed B), factored privately per point.
+///     instead of scaling a fixed B), factored privately per point by a
+///     BandedLu<Complex> (math/banded_lu.h).
 ///   - the solution workspace x(omega).
 ///
 /// There is no numeric-base tier: unlike the transient path, where N
@@ -32,7 +36,7 @@
 
 #include "circuit/circuit.h"
 #include "circuit/solver_state.h"
-#include "math/complex_lu.h"
+#include "math/banded_lu.h"
 #include "math/sparse_matrix.h"
 #include "obs/telemetry.h"
 
@@ -40,42 +44,38 @@ namespace fdtdmm {
 
 /// Options of one AC session.
 struct AcOptions {
-  enum class Solver { kDense, kSparse };
-
-  /// kSparse (default) assembles into CSR pairs and factors with the
-  /// banded RCM-ordered ComplexSparseLu; kDense uses dense complex LU
-  /// (reference path for tests and tiny circuits).
-  Solver solver = Solver::kSparse;
-
   /// DC operating point to linearize nonlinear devices about. Empty =
   /// all unknowns zero (exact for linear circuits). When non-empty its
   /// size must equal the circuit's unknown count.
   Vector x_dc;
 
-  /// Cross-session symbolic sharing (sparse mode only; the structure key
-  /// classes circuits by AC matrix pattern). Default: no sharing — the
-  /// session still performs exactly one symbolic analysis of its own.
+  /// Cross-session symbolic sharing (the structure key classes circuits by
+  /// AC matrix pattern). Default: no sharing — the session still performs
+  /// exactly one symbolic analysis of its own.
   SolverSharing sharing;
 
   /// Optional telemetry sink, the TransientOptions convention: when
   /// non-null every solveAt() accumulates its factor/solve wall time and
   /// factorization count (+=, one sink may aggregate a whole frequency
-  /// grid). Null keeps solveAt clock-free.
+  /// grid), the session's symbolic checkout lands in rcm_orderings and
+  /// shared_symbolic_builds/_reuses, and structure records the factored
+  /// system's size. Null keeps solveAt clock-free.
   obs::RunTelemetry* telemetry = nullptr;
   /// Numerical-health collection (obs/health.h): with health.collect set
   /// (directly or via sharing.health, which per-option collect overrides)
   /// AND telemetry attached, every solveAt records the factorization's
   /// pivot stats and one complex relative residual ||Ax-b||inf/||b||inf
-  /// into telemetry->health. No condition estimate on this path (the
-  /// complex factorizations expose no transpose solve); grading happens in
+  /// into telemetry->health. No condition estimate on this path: the Hager
+  /// estimator (obs::estimateInverseNorm1) iterates on real vectors, so a
+  /// complex system would need a complex variant of it. Grading happens in
   /// the scenario layer after the last solve.
   obs::HealthOptions health;
 };
 
 /// One frequency-domain analysis of one Circuit. Construction assigns the
 /// unknown layout and validates options; the first solveAt() assembles the
-/// matrix pattern (sparse) or allocates the dense pair, and every call
-/// re-stamps values, factors, and solves.
+/// CSR pattern pair and resolves its ordering, and every call re-stamps
+/// values, factors, and solves.
 ///
 /// solveAt() is repeatable at the same or different frequencies, and
 /// element AC excitations (VoltageSource/CurrentSource::setAcValue) may be
@@ -103,10 +103,6 @@ class AcSession {
   /// Number of complex factorizations performed (one per solveAt call).
   std::size_t factorizations() const { return factorizations_; }
 
-  /// Whether the symbolic analysis was checked out of the sharing
-  /// provider instead of built here (valid after the first solveAt).
-  bool reusedSharedSymbolic() const { return reused_shared_symbolic_; }
-
  private:
   void assemblePattern(double omega);
   void restampValues(double omega);
@@ -117,18 +113,15 @@ class AcSession {
   Circuit& circuit_;
   AcOptions opt_;
   std::size_t n_ = 0;
-  bool sparse_ = false;
-  bool assembled_ = false;
 
   AcStampSystem sys_;
-  SparseMatrix sp_re_;  ///< CSR target of sys_.re (sparse mode)
+  SparseMatrix sp_re_;  ///< CSR target of sys_.re
   SparseMatrix sp_im_;  ///< CSR target of sys_.im (same pattern)
 
-  std::shared_ptr<const SolverSymbolic> shared_symbolic_;
-  bool reused_shared_symbolic_ = false;
+  /// Ordering of the assembled pattern; null until the first solveAt.
+  std::shared_ptr<const SolverSymbolic> symbolic_;
 
-  ComplexSparseLu slu_;
-  ComplexLu lu_;
+  BandedLu<Complex> lu_;
   ComplexVector x_;
   std::size_t factorizations_ = 0;
 };

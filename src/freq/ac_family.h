@@ -50,14 +50,13 @@ struct AcScenario {
   double skin_fmin = 1e6;   ///< rational-fit band [Hz]
   double skin_fmax = 1e10;
   std::size_t skin_branches = 4;  ///< R-parallel-L steps of the fit
-  std::string solver = "sparse";  ///< "sparse" | "dense" complex solve
 };
 
 /// Validates the configuration (fail fast before building the netlist).
 /// \throws std::invalid_argument on invalid line parameters, z0 <= 0,
 ///         frequency < 0, k_skin < 0, an empty/inverted skin band or zero
 ///         skin branches when k_skin > 0 (which also requires line.r > 0
-///         — the fit needs a DC resistance), or an unknown solver name.
+///         — the fit needs a DC resistance).
 void validateAcScenario(const AcScenario& cfg);
 
 /// Runs one frequency point with the waveform mapping documented above.
@@ -71,7 +70,7 @@ TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing)
 
 /// Registry adapter ("ac"). Parameters: frequency, z0, line_r, line_l,
 /// line_g, line_c, line_length, segments, k_skin, skin_fmin, skin_fmax,
-/// skin_branches, solver. Needs no driver or receiver macromodel.
+/// skin_branches. Needs no driver or receiver macromodel.
 class AcFamily final : public Scenario {
  public:
   AcFamily() = default;
@@ -90,9 +89,9 @@ class AcFamily final : public Scenario {
   double tStop() const override { return 1.0; }
   bool needsDriver() const override { return false; }
   bool needsReceiver() const override { return false; }
-  /// Symbolic sharing: the AC matrix pattern depends on the solver mode
-  /// and the ladder structure (segment count, presence of series-R /
-  /// shunt-G nodes, skin-branch chain) but NOT on the frequency — that is
+  /// Symbolic sharing: the AC matrix pattern depends on the ladder
+  /// structure (segment count, presence of series-R / shunt-G nodes,
+  /// skin-branch chain) but NOT on the frequency — that is
   /// the axis the sharing economy targets. There is no AC numeric-base
   /// tier (every frequency has distinct matrix values), so
   /// numericBaseKey() stays empty.
@@ -111,8 +110,5 @@ class AcFamily final : public Scenario {
 
   AcScenario cfg_;
 };
-
-/// Base parameter bindings of a typed config (for SweepSpec::base).
-std::vector<ParamBinding> acParams(const AcScenario& cfg);
 
 }  // namespace fdtdmm

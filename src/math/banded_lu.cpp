@@ -1,4 +1,4 @@
-#include "math/sparse_lu.h"
+#include "math/banded_lu.h"
 
 #include <algorithm>
 #include <cmath>
@@ -63,20 +63,54 @@ std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a) {
   return order;
 }
 
-void SparseLu::analyze(const SparseMatrix& a) {
-  analyzeWithOrder(a, reverseCuthillMcKee(a));
-  ++orderings_computed_;
+namespace {
+
+// The per-scalar inputs of BandedLu: one CSR matrix (real) or a re/im pair
+// on one pattern (complex). These overloads are the only code that tells
+// the two apart; all of them resolve at compile time.
+
+const SparseMatrix& patternOf(const SparseMatrix& a) { return a; }
+const SparseMatrix& patternOf(const ComplexCsr& a) { return a.re; }
+
+// Key of the symbolic cache: a complex pair's halves are versioned apart.
+std::array<std::uint64_t, 2> patternVersions(const SparseMatrix& a) {
+  return {a.patternVersion(), 0};
+}
+std::array<std::uint64_t, 2> patternVersions(const ComplexCsr& a) {
+  return {a.re.patternVersion(), a.im.patternVersion()};
 }
 
-void SparseLu::analyzeWithOrder(const SparseMatrix& a, std::vector<std::size_t> order) {
-  n_ = a.dim();
+void checkInput(const SparseMatrix& a) {
+  if (!a.finalized()) throw std::invalid_argument("BandedLu::factor: matrix not finalized");
+  if (a.dim() == 0) throw std::invalid_argument("BandedLu::factor: empty matrix");
+}
+void checkInput(const ComplexCsr& a) {
+  checkInput(a.re);
+  checkInput(a.im);
+  if (a.re.dim() != a.im.dim() || a.re.rowPtr() != a.im.rowPtr() ||
+      a.re.colIdx() != a.im.colIdx())
+    throw std::invalid_argument("BandedLu::factor: real/imaginary patterns differ");
+}
+
+// CSR entry k as a band scalar.
+double csrEntry(const SparseMatrix& a, std::size_t k) { return a.values()[k]; }
+Complex csrEntry(const ComplexCsr& a, std::size_t k) {
+  return Complex(a.re.values()[k], a.im.values()[k]);
+}
+
+}  // namespace
+
+template <typename Scalar>
+void BandedLu<Scalar>::analyzeWithOrder(const Csr& a, std::vector<std::size_t> order) {
+  const SparseMatrix& p = patternOf(a);
+  n_ = p.dim();
   order_ = std::move(order);
   pos_.assign(n_, 0);
   for (std::size_t k = 0; k < n_; ++k) pos_[order_[k]] = k;
 
   kl_ = ku_ = 0;
-  const auto& row_ptr = a.rowPtr();
-  const auto& col_idx = a.colIdx();
+  const auto& row_ptr = p.rowPtr();
+  const auto& col_idx = p.colIdx();
   for (std::size_t r = 0; r < n_; ++r) {
     const std::size_t i = pos_[r];
     for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
@@ -87,41 +121,46 @@ void SparseLu::analyzeWithOrder(const SparseMatrix& a, std::vector<std::size_t> 
   }
   ldab_ = 2 * kl_ + ku_ + 1;  // kl spare superdiagonals absorb pivot growth
   shift_ = kl_ + ku_;
-  ab_.assign(ldab_ * n_, 0.0);
+  ab_.assign(ldab_ * n_, Scalar(0.0));
   piv_.assign(n_, 0);
-  analyzed_version_ = a.patternVersion();
+  analyzed_versions_ = patternVersions(a);
 }
 
-void SparseLu::factor(const SparseMatrix& a) {
-  if (!a.finalized()) throw std::invalid_argument("SparseLu::factor: matrix not finalized");
-  if (a.dim() == 0) throw std::invalid_argument("SparseLu::factor: empty matrix");
+template <typename Scalar>
+void BandedLu<Scalar>::factor(const Csr& a) {
+  checkInput(a);
   factored_ = false;
-  if (a.dim() != n_ || a.patternVersion() != analyzed_version_) analyze(a);
+  const SparseMatrix& p = patternOf(a);
+  if (p.dim() != n_ || patternVersions(a) != analyzed_versions_) {
+    analyzeWithOrder(a, reverseCuthillMcKee(p));
+    ++orderings_computed_;
+  }
   factorNumeric(a);
 }
 
-void SparseLu::factorWithOrder(const SparseMatrix& a,
-                               const std::vector<std::size_t>& order) {
-  if (!a.finalized()) throw std::invalid_argument("SparseLu::factor: matrix not finalized");
-  if (a.dim() == 0) throw std::invalid_argument("SparseLu::factor: empty matrix");
-  if (order.size() != a.dim())
-    throw std::invalid_argument("SparseLu::factorWithOrder: ordering size mismatch");
+template <typename Scalar>
+void BandedLu<Scalar>::factorWithOrder(const Csr& a, const std::vector<std::size_t>& order) {
+  checkInput(a);
+  const SparseMatrix& p = patternOf(a);
+  if (order.size() != p.dim())
+    throw std::invalid_argument("BandedLu::factorWithOrder: ordering size mismatch");
   factored_ = false;
-  if (a.dim() != n_ || a.patternVersion() != analyzed_version_ || order_ != order)
+  if (p.dim() != n_ || patternVersions(a) != analyzed_versions_ || order_ != order)
     analyzeWithOrder(a, order);
   factorNumeric(a);
 }
 
-void SparseLu::factorNumeric(const SparseMatrix& a) {
+template <typename Scalar>
+void BandedLu<Scalar>::factorNumeric(const Csr& a) {
   // Scatter the permuted matrix into band storage.
-  std::fill(ab_.begin(), ab_.end(), 0.0);
-  const auto& row_ptr = a.rowPtr();
-  const auto& col_idx = a.colIdx();
-  const auto& values = a.values();
+  std::fill(ab_.begin(), ab_.end(), Scalar(0.0));
+  const SparseMatrix& p = patternOf(a);
+  const auto& row_ptr = p.rowPtr();
+  const auto& col_idx = p.colIdx();
   for (std::size_t r = 0; r < n_; ++r) {
     const std::size_t i = pos_[r];
     for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-      at(i, pos_[col_idx[k]]) += values[k];
+      at(i, pos_[col_idx[k]]) += csrEntry(a, k);
   }
 
   // Health probes (minAbsPivot/pivotGrowth): the band holds exactly the
@@ -130,7 +169,7 @@ void SparseLu::factorNumeric(const SparseMatrix& a) {
   // the upper band afterwards. O(n * band) — free next to the O(n b^2)
   // elimination.
   max_abs_a_ = 0.0;
-  for (double v : ab_) max_abs_a_ = std::max(max_abs_a_, std::abs(v));
+  for (const Scalar& v : ab_) max_abs_a_ = std::max(max_abs_a_, std::abs(v));
   min_abs_pivot_ = 0.0;
   max_abs_u_ = 0.0;
 
@@ -141,27 +180,27 @@ void SparseLu::factorNumeric(const SparseMatrix& a) {
   for (std::size_t j = 0; j < n_; ++j) {
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
     std::size_t ip = j;
-    double p_abs = std::abs(at(j, j));
+    double p_abs = std::abs(atc(j, j));
     for (std::size_t i = j + 1; i <= i_max; ++i) {
-      const double v = std::abs(at(i, j));
+      const double v = std::abs(atc(i, j));
       if (v > p_abs) {
         p_abs = v;
         ip = i;
       }
     }
-    if (p_abs == 0.0) throw std::runtime_error("SparseLu::factor: singular matrix");
+    if (p_abs == 0.0) throw std::runtime_error("BandedLu::factor: singular matrix");
     min_abs_pivot_ = j == 0 ? p_abs : std::min(min_abs_pivot_, p_abs);
     piv_[j] = ip;
     const std::size_t c_max = std::min(n_ - 1, j + kl_ + ku_);
     if (ip != j) {
       for (std::size_t c = j; c <= c_max; ++c) std::swap(at(j, c), at(ip, c));
     }
-    const double pivot = at(j, j);
+    const Scalar pivot = atc(j, j);
     for (std::size_t i = j + 1; i <= i_max; ++i) {
-      const double l = at(i, j) / pivot;
+      const Scalar l = atc(i, j) / pivot;
       at(i, j) = l;
-      if (l == 0.0) continue;
-      for (std::size_t c = j + 1; c <= c_max; ++c) at(i, c) -= l * at(j, c);
+      if (l == Scalar(0.0)) continue;
+      for (std::size_t c = j + 1; c <= c_max; ++c) at(i, c) -= l * atc(j, c);
     }
   }
   for (std::size_t j = 0; j < n_; ++j) {
@@ -172,26 +211,30 @@ void SparseLu::factorNumeric(const SparseMatrix& a) {
   factored_ = true;
 }
 
-void SparseLu::solve(const Vector& b, Vector& x) const { solve(b, x, work_); }
+template <typename Scalar>
+void BandedLu<Scalar>::solve(const Vec& b, Vec& x) const {
+  solve(b, x, work_);
+}
 
-void SparseLu::solve(const Vector& b, Vector& x, Vector& work) const {
-  if (!factored_) throw std::logic_error("SparseLu::solve: not factored");
-  if (b.size() != n_) throw std::invalid_argument("SparseLu::solve: size mismatch");
+template <typename Scalar>
+void BandedLu<Scalar>::solve(const Vec& b, Vec& x, Vec& work) const {
+  if (!factored_) throw std::logic_error("BandedLu::solve: not factored");
+  if (b.size() != n_) throw std::invalid_argument("BandedLu::solve: size mismatch");
   work.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) work[k] = b[order_[k]];
   // Forward: apply pivots interleaved with the L columns (gbtrs order).
   for (std::size_t j = 0; j < n_; ++j) {
     if (piv_[j] != j) std::swap(work[j], work[piv_[j]]);
-    const double yj = work[j];
-    if (yj == 0.0) continue;
+    const Scalar yj = work[j];
+    if (yj == Scalar(0.0)) continue;
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
     for (std::size_t i = j + 1; i <= i_max; ++i) work[i] -= atc(i, j) * yj;
   }
   // Backward: U has bandwidth ku + kl after pivot growth.
   for (std::size_t j = n_; j-- > 0;) {
-    const double yj = work[j] / atc(j, j);
+    const Scalar yj = work[j] / atc(j, j);
     work[j] = yj;
-    if (yj == 0.0) continue;
+    if (yj == Scalar(0.0)) continue;
     const std::size_t i_min = j > kl_ + ku_ ? j - kl_ - ku_ : 0;
     for (std::size_t i = i_min; i < j; ++i) work[i] -= atc(i, j) * yj;
   }
@@ -199,20 +242,23 @@ void SparseLu::solve(const Vector& b, Vector& x, Vector& work) const {
   for (std::size_t k = 0; k < n_; ++k) x[order_[k]] = work[k];
 }
 
-Vector SparseLu::solve(const Vector& b) const {
-  Vector x;
+template <typename Scalar>
+typename BandedLu<Scalar>::Vec BandedLu<Scalar>::solve(const Vec& b) const {
+  Vec x;
   solve(b, x);
   return x;
 }
 
-void SparseLu::solveTranspose(const Vector& b, Vector& x) const {
+template <typename Scalar>
+void BandedLu<Scalar>::solveTranspose(const Vec& b, Vec& x) const {
   solveTranspose(b, x, work_);
 }
 
-void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
-  if (!factored_) throw std::logic_error("SparseLu::solveTranspose: not factored");
+template <typename Scalar>
+void BandedLu<Scalar>::solveTranspose(const Vec& b, Vec& x, Vec& work) const {
+  if (!factored_) throw std::logic_error("BandedLu::solveTranspose: not factored");
   if (b.size() != n_)
-    throw std::invalid_argument("SparseLu::solveTranspose: size mismatch");
+    throw std::invalid_argument("BandedLu::solveTranspose: size mismatch");
   // The RCM permutation is symmetric (rows and columns reordered alike),
   // so the transpose of the permuted matrix is the permuted transpose:
   // the same order_ wrapping as solve() applies.
@@ -221,7 +267,7 @@ void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
   // U^T z = b: U's band column j reaches up to kl + ku rows above the
   // diagonal, so U^T's forward substitution gathers from that range.
   for (std::size_t j = 0; j < n_; ++j) {
-    double acc = work[j];
+    Scalar acc = work[j];
     const std::size_t i_min = j > kl_ + ku_ ? j - kl_ - ku_ : 0;
     for (std::size_t i = i_min; i < j; ++i) acc -= atc(i, j) * work[i];
     work[j] = acc / atc(j, j);
@@ -231,7 +277,7 @@ void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
   // row interchange of step j.
   for (std::size_t j = n_; j-- > 0;) {
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
-    double acc = work[j];
+    Scalar acc = work[j];
     for (std::size_t i = j + 1; i <= i_max; ++i) acc -= atc(i, j) * work[i];
     work[j] = acc;
     if (piv_[j] != j) std::swap(work[j], work[piv_[j]]);
@@ -239,5 +285,8 @@ void SparseLu::solveTranspose(const Vector& b, Vector& x, Vector& work) const {
   x.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) x[order_[k]] = work[k];
 }
+
+template class BandedLu<double>;
+template class BandedLu<Complex>;
 
 }  // namespace fdtdmm

@@ -129,12 +129,6 @@ void LuFactorization::solveTranspose(const Vector& b, Vector& x) const {
   for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = v[i];
 }
 
-double LuFactorization::absDeterminant() const {
-  double d = 1.0;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= std::abs(lu_(i, i));
-  return d;
-}
-
 Vector solveLinear(const Matrix& a, const Vector& b) {
   return LuFactorization(a).solve(b);
 }

@@ -48,10 +48,6 @@ class LuFactorization {
 
   std::size_t dim() const { return lu_.rows(); }
 
-  /// |det(A)| growth indicator: product of |U_ii|. Useful for
-  /// conditioning diagnostics in tests.
-  double absDeterminant() const;
-
   /// Numerical-health probes of the last successful factorization
   /// (obs/health.h): the smallest pivot magnitude selected by partial
   /// pivoting, and the element-growth factor max|U| / max|A| (close to 1

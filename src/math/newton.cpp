@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/linear_solve.h"
-
 namespace fdtdmm {
 
 NewtonResult newtonScalar(const ScalarFunction& f, double& x, const NewtonOptions& opt) {
@@ -28,32 +26,6 @@ NewtonResult newtonScalar(const ScalarFunction& f, double& x, const NewtonOption
     result.residual = std::abs(fx);
   }
   result.converged = std::abs(fx) <= opt.tolerance;
-  return result;
-}
-
-NewtonResult newtonVector(const VectorFunction& f, const JacobianFunction& jac,
-                          Vector& x, const NewtonOptions& opt) {
-  NewtonResult result;
-  Vector fx = f(x);
-  result.residual = normInf(fx);
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    if (result.residual <= opt.tolerance) {
-      result.converged = true;
-      result.iterations = it;
-      return result;
-    }
-    Vector dx = solveLinear(jac(x), fx);
-    double scale = 1.0;
-    if (opt.max_step > 0.0) {
-      const double m = normInf(dx);
-      if (m > opt.max_step) scale = opt.max_step / m;
-    }
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] -= scale * dx[i];
-    fx = f(x);
-    result.iterations = it + 1;
-    result.residual = normInf(fx);
-  }
-  result.converged = result.residual <= opt.tolerance;
   return result;
 }
 

@@ -1,13 +1,11 @@
 #pragma once
 /// \file newton.h
-/// Newton-Raphson solvers. The scalar variant is the workhorse of the
-/// hybrid FDTD/macromodel port solve (the coupled Eq. (8)+(13) system of the
-/// paper reduces to one scalar unknown, the port voltage v^{n+1}); the vector
-/// variant backs the MNA circuit engine.
+/// Scalar Newton-Raphson solver: the workhorse of the hybrid
+/// FDTD/macromodel port solve (the coupled Eq. (8)+(13) system of the paper
+/// reduces to one scalar unknown, the port voltage v^{n+1}). The MNA
+/// circuit engine runs its own Newton loop (circuit/solver_session.h).
 
 #include <functional>
-
-#include "math/matrix.h"
 
 namespace fdtdmm {
 
@@ -15,14 +13,14 @@ namespace fdtdmm {
 struct NewtonResult {
   bool converged = false;
   int iterations = 0;     ///< iterations actually performed
-  double residual = 0.0;  ///< final |f| (scalar) or ||f||_inf (vector)
+  double residual = 0.0;  ///< final |f|
 };
 
 /// Options controlling Newton iteration.
 struct NewtonOptions {
   int max_iterations = 50;
   double tolerance = 1e-9;     ///< convergence threshold on the residual
-  double min_derivative = 1e-14;  ///< |f'| below this aborts (scalar only)
+  double min_derivative = 1e-14;  ///< |f'| below this aborts
   double max_step = 0.0;       ///< if > 0, clamp |dx| per iteration (damping)
 };
 
@@ -33,14 +31,5 @@ using ScalarFunction = std::function<double(double x, double& df)>;
 /// Convergence is declared on |f(x)| <= tolerance.
 NewtonResult newtonScalar(const ScalarFunction& f, double& x,
                           const NewtonOptions& opt = {});
-
-/// f(x) returning residual; jac(x) returning the Jacobian matrix.
-using VectorFunction = std::function<Vector(const Vector& x)>;
-using JacobianFunction = std::function<Matrix(const Vector& x)>;
-
-/// Solves F(x) = 0 (dense Jacobian, LU-based), x updated in place.
-/// Convergence on ||F(x)||_inf <= tolerance.
-NewtonResult newtonVector(const VectorFunction& f, const JacobianFunction& jac,
-                          Vector& x, const NewtonOptions& opt = {});
 
 }  // namespace fdtdmm

@@ -13,8 +13,8 @@
 ///
 ///   1. Was the factorization stable?  min |pivot| and the element-growth
 ///      factor max|U|/max|A| are tracked (always, they are free next to
-///      the factorization) by LuFactorization, SparseLu, ComplexLu and
-///      ComplexSparseLu and copied here after every factorization —
+///      the factorization) by LuFactorization and BandedLu (real and
+///      complex) and copied here after every factorization —
 ///      including factorizations *checked out* of the shared-state cache,
 ///      whose stats were recorded by the corner that built them.
 ///   2. How conditioned was the system?  A Hager-style 1-norm condition

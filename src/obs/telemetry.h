@@ -23,7 +23,8 @@
 ///
 /// ## RunTelemetry (one JSON object per corner)
 /// Aggregated over every transient the scenario ran (a clean/disturbed
-/// EMC pair merges two):
+/// EMC pair merges two); an AC corner (freq/ac_engine.h) fills the factor
+/// and solve phases, the LU count, the symbolic counters and structure:
 ///
 ///   - phases                   TransientPhases above
 ///   - lu_factorizations        total LU count (== 1 per linear transient
@@ -46,8 +47,9 @@
 ///   - shared_symbolic_builds   RCM orderings built and published
 ///   - shared_symbolic_reuses   RCM orderings checked out instead of built
 ///   - rcm_orderings            RCM orderings the run computed itself (one
-///                              per run and per pattern growth; 0 for a run
-///                              that checked its ordering out)
+///                              per transient or AC session and per pattern
+///                              growth; 0 for a session that checked its
+///                              ordering out)
 ///   - structure                StructureSize below, merged by max
 ///   - wall_seconds             scenario wall clock (set by the engine
 ///                              layer; the deliberately-unexported

@@ -1,13 +1,19 @@
 #pragma once
-// Dense full-restamp reference transient: the textbook SPICE loop that
-// rebuilds the complete MNA system through Element::stamp (static + dynamic
-// stamps into a zeroed dense matrix) and LU-factors it at every Newton
-// iteration. It shares no solver state with SolverSession — no cached base
-// factorization, no CSR pattern, no RCM ordering — which makes it the
-// independent oracle the sparse transient path is checked against.
+// Dense reference solvers the banded engines are checked against:
+//
+//  - runDenseReference: the textbook SPICE transient loop that rebuilds the
+//    complete MNA system through Element::stamp (static + dynamic stamps
+//    into a zeroed dense matrix) and LU-factors it at every Newton
+//    iteration. It shares no solver state with SolverSession — no cached
+//    base factorization, no CSR pattern, no RCM ordering.
+//  - acDenseReference: one AC point stamped through Element::stampAc into
+//    dense real/imaginary targets and solved as a real system of twice the
+//    size (solveComplexDense), with the same dense LuFactorization — no
+//    complex LU, no CSR pattern, no ordering.
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -80,6 +86,59 @@ inline TransientResult runDenseReference(Circuit& circuit, const TransientOption
   for (std::size_t p = 0; p < probes.size(); ++p)
     result.probes.emplace(probes[p].label, Waveform(0.0, opt.dt, std::move(data[p])));
   return result;
+}
+
+// Solves the complex system (re + j*im) x = b through its real equivalent
+//   [[re, -im], [im, re]] [Re x; Im x] = [Re b; Im b]
+// with the dense LuFactorization.
+inline std::vector<std::complex<double>> solveComplexDense(
+    const Matrix& re, const Matrix& im, const std::vector<std::complex<double>>& b) {
+  const std::size_t n = re.rows();
+  if (re.cols() != n || im.rows() != n || im.cols() != n || b.size() != n)
+    throw std::invalid_argument("solveComplexDense: shape mismatch");
+  Matrix m(2 * n, 2 * n);
+  Vector rhs(2 * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      m(r, c) = re(r, c);
+      m(r, n + c) = -im(r, c);
+      m(n + r, c) = im(r, c);
+      m(n + r, n + c) = re(r, c);
+    }
+    rhs[r] = b[r].real();
+    rhs[n + r] = b[r].imag();
+  }
+  const Vector y = solveLinear(m, rhs);
+  std::vector<std::complex<double>> x(n);
+  for (std::size_t k = 0; k < n; ++k) x[k] = {y[k], y[n + k]};
+  return x;
+}
+
+// The AC solution of `circuit` at f_hz, linearized about x_dc (empty = all
+// unknowns zero), as AcSession::solveAt defines it: every element's
+// stampAc into dense targets, then solveComplexDense.
+inline std::vector<std::complex<double>> acDenseReference(Circuit& circuit, double f_hz,
+                                                          const Vector& x_dc = {}) {
+  constexpr double kTwoPi = 6.28318530717958647692;
+  const std::size_t n = circuit.assignUnknowns();
+  AcStampSystem sys;
+  sys.re.a = Matrix(n, n);
+  sys.im.a = Matrix(n, n);
+  sys.b.assign(n, {0.0, 0.0});
+  for (const auto& e : circuit.elements()) e->stampAc(sys, kTwoPi * f_hz, x_dc);
+  return solveComplexDense(sys.re.a, sys.im.a, sys.b);
+}
+
+// max_k |x_k - ref_k| / max_k |ref_k| of two AC solution vectors.
+inline double relativeGap(const std::vector<std::complex<double>>& x,
+                          const std::vector<std::complex<double>>& ref) {
+  if (x.size() != ref.size()) throw std::invalid_argument("relativeGap: size mismatch");
+  double gap = 0.0, scale = 0.0;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    gap = std::max(gap, std::abs(x[k] - ref[k]));
+    scale = std::max(scale, std::abs(ref[k]));
+  }
+  return gap / scale;
 }
 
 // Largest sample-wise |a - b| of two waveforms on the same time grid.

@@ -1,7 +1,7 @@
 // Integration tests of the frequency-domain engine (freq/ac_engine.h,
-// freq/ac_family.h) against closed-form circuit theory, the transient
-// engine (DFT cross-validation), and the sweep engine's symbolic-sharing
-// invariant.
+// freq/ac_family.h) against closed-form circuit theory, the dense AC
+// reference of tests/dense_oracle.h, the transient engine (DFT
+// cross-validation), and the sweep engine's symbolic-sharing invariant.
 #include "freq/ac_engine.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,10 @@
 #include <cmath>
 #include <complex>
 
+#include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
+#include "core/scenario.h"
+#include "dense_oracle.h"
 #include "engine/sweep_runner.h"
 #include "freq/ac_family.h"
 
@@ -23,25 +26,52 @@ TimeFn dark() {
 }
 
 // Single-pole RC low-pass driven by an ideal 1 V source: H = 1/(1 + jwRC),
-// exact for the lumped circuit — the AC engine must hit it to roundoff.
+// exact for the lumped circuit — the AC engine must hit it to roundoff,
+// and so must the dense reference.
 TEST(AcEngine, RcLowPassMatchesClosedForm) {
   const double r = 1e3, c = 1e-12, f = 2e8;
-  for (AcOptions::Solver solver :
-       {AcOptions::Solver::kSparse, AcOptions::Solver::kDense}) {
-    Circuit circuit;
-    const int s = circuit.addNode();
-    const int out = circuit.addNode();
-    VoltageSource* src = circuit.addVoltageSource(s, Circuit::kGround, dark());
-    src->setAcValue(Complex(1.0, 0.0));
-    circuit.addResistor(s, out, r);
-    circuit.addCapacitor(out, Circuit::kGround, c);
+  Circuit circuit;
+  const int s = circuit.addNode();
+  const int out = circuit.addNode();
+  VoltageSource* src = circuit.addVoltageSource(s, Circuit::kGround, dark());
+  src->setAcValue(Complex(1.0, 0.0));
+  circuit.addResistor(s, out, r);
+  circuit.addCapacitor(out, Circuit::kGround, c);
 
-    AcOptions opt;
-    opt.solver = solver;
-    AcSession session(circuit, opt);
-    const Complex h = acNodeV(session.solveAt(f), out);
-    const Complex h_ref = 1.0 / Complex(1.0, 2.0 * kPi * f * r * c);
-    EXPECT_LT(std::abs(h - h_ref), 1e-12);
+  AcSession session(circuit, AcOptions{});
+  const ComplexVector x = session.solveAt(f);
+  const Complex h_ref = 1.0 / Complex(1.0, 2.0 * kPi * f * r * c);
+  EXPECT_LT(std::abs(acNodeV(x, out) - h_ref), 1e-12);
+  const ComplexVector x_ref = oracle::acDenseReference(circuit, f);
+  EXPECT_LT(std::abs(acNodeV(x_ref, out) - h_ref), 1e-12);
+  EXPECT_LT(oracle::relativeGap(x, x_ref), 1e-12);
+}
+
+// The banded complex path against the dense reference on a lossy ladder
+// with the skin-effect branch chain (the "ac" family's largest pattern):
+// source and load ports, series R and L branches, shunt G and C.
+TEST(AcEngine, LossySkinLadderMatchesDenseReference) {
+  Circuit circuit;
+  const int s = circuit.addNode();
+  const int near = circuit.addNode();
+  const int far = circuit.addNode();
+  VoltageSource* src = circuit.addVoltageSource(s, Circuit::kGround, dark());
+  src->setAcValue(Complex(1.0, 0.0));
+  circuit.addResistor(s, near, 50.0);
+  RlgcParams line;
+  line.r = 5.0;
+  line.g = 1e-3;
+  line.segments = 32;
+  buildRlgcLineSegments(circuit, near, Circuit::kGround, far, Circuit::kGround, line,
+                        std::vector<SeriesRlBranch>{{40.0, 2e-8}, {400.0, 4e-9}});
+  circuit.addResistor(far, Circuit::kGround, 75.0);
+  circuit.addCapacitor(far, Circuit::kGround, 1e-12);
+
+  AcSession session(circuit, AcOptions{});
+  for (double f : {1e6, 3.16e8, 5e9}) {
+    const ComplexVector x = session.solveAt(f);
+    EXPECT_LT(oracle::relativeGap(x, oracle::acDenseReference(circuit, f)), 1e-9)
+        << "f=" << f;
   }
 }
 
@@ -95,16 +125,13 @@ TEST(AcEngine, MatchedLineSParameters) {
   EXPECT_LT(std::abs(p.s21 - 2.0 * p.h), 1e-12);
 }
 
-TEST(AcEngine, DenseAndSparseSolversAgree) {
-  AcScenario cfg;
-  cfg.frequency = 3.16e8;
-  cfg.solver = "sparse";
-  const AcPoint sp = acPoint(cfg);
-  cfg.solver = "dense";
-  const AcPoint de = acPoint(cfg);
-  EXPECT_LT(std::abs(sp.h - de.h), 1e-10);
-  EXPECT_LT(std::abs(sp.s11 - de.s11), 1e-10);
-  EXPECT_LT(std::abs(sp.s21 - de.s21), 1e-10);
+// One solver: no "solver" parameter to bind, and the label keeps the
+// "ac/sparse" prefix that exported rows and references are keyed by.
+TEST(AcFamily, HasNoSolverParameterAndKeepsItsLabel) {
+  auto s = ScenarioRegistry::global().create("ac");
+  EXPECT_EQ(s->findParam("solver"), nullptr);
+  EXPECT_THROW(s->set("solver", std::string("sparse")), std::invalid_argument);
+  EXPECT_EQ(s->label(), "ac/sparse f=1e+08 z0=50 len=0.1 seg=32");
 }
 
 // Satellite check: the DFT of a sinusoidal steady-state transient must
@@ -164,6 +191,38 @@ TEST(AcEngine, FrequencySweepSharesOneSymbolicAnalysis) {
   EXPECT_EQ(result.okCount(), result.runs.size());
   EXPECT_EQ(result.solver_cache.symbolic_misses, 1);
   EXPECT_EQ(result.solver_cache.symbolic_hits, 5);
+}
+
+// Every AC corner reports its symbolic checkout and structural size in
+// its telemetry, like a transient corner: one build or one reuse per
+// corner, one RCM ordering for the whole sweep, and the banded system's
+// size.
+TEST(AcEngine, SweepTelemetryRecordsCheckoutAndStructure) {
+  SweepSpec spec;
+  spec.scenario = "ac";
+  spec.axis("frequency", {1e6, 1e7, 1e8, 1e9});
+
+  SweepRunnerOptions opt;
+  opt.workers = 2;
+  SweepRunner runner(opt);
+  const SweepResult result = runner.run(spec);
+
+  ASSERT_EQ(result.okCount(), result.runs.size());
+  long long builds = 0, reuses = 0, orderings = 0;
+  for (const SweepRunRecord& run : result.runs) {
+    const obs::RunTelemetry& t = run.telemetry;
+    builds += t.shared_symbolic_builds;
+    reuses += t.shared_symbolic_reuses;
+    orderings += t.rcm_orderings;
+    EXPECT_EQ(t.shared_symbolic_builds + t.shared_symbolic_reuses, 1) << run.label;
+    EXPECT_GT(t.structure.unknowns, 0) << run.label;
+    EXPECT_GT(t.structure.nonzeros, t.structure.unknowns) << run.label;
+    EXPECT_GT(t.structure.kl, 0) << run.label;
+    EXPECT_GT(t.structure.ku, 0) << run.label;
+  }
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(reuses, 3);
+  EXPECT_EQ(orderings, 1);
 }
 
 TEST(AcEngine, DcOperatingPointLinearFixtures) {

@@ -57,7 +57,6 @@ TEST(LuFactorization, ReuseForMultipleRhs) {
   EXPECT_NEAR(x1[0], 1.0, 1e-12);
   EXPECT_NEAR(x2[0], 1.0, 1e-12);
   EXPECT_NEAR(x2[1], 0.0, 1e-12);
-  EXPECT_GT(lu.absDeterminant(), 0.0);
 }
 
 TEST(LuFactorization, InPlaceRefactorAndSolve) {

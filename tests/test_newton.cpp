@@ -1,4 +1,4 @@
-// Unit tests for the scalar and vector Newton solvers.
+// Unit tests for the scalar Newton solver.
 #include "math/newton.h"
 
 #include <gtest/gtest.h>
@@ -85,39 +85,6 @@ TEST(NewtonScalar, StepClampDamps) {
   EXPECT_TRUE(res.converged);
   EXPECT_GE(res.iterations, 50);  // 5.0 / 0.1 steps
   EXPECT_NEAR(x, 5.0, 1e-9);
-}
-
-TEST(NewtonVector, Solves2x2Nonlinear) {
-  // x^2 + y^2 = 5, x*y = 2 -> (2, 1) from a nearby start.
-  Vector x{1.8, 1.2};
-  const auto res = newtonVector(
-      [](const Vector& v) {
-        return Vector{v[0] * v[0] + v[1] * v[1] - 5.0, v[0] * v[1] - 2.0};
-      },
-      [](const Vector& v) {
-        return Matrix{{2.0 * v[0], 2.0 * v[1]}, {v[1], v[0]}};
-      },
-      x);
-  EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(x[0], 2.0, 1e-8);
-  EXPECT_NEAR(x[1], 1.0, 1e-8);
-}
-
-TEST(NewtonVector, LinearSystemOneIteration) {
-  Vector x{0.0, 0.0};
-  Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  const auto res = newtonVector(
-      [&](const Vector& v) {
-        Vector f = a * v;
-        f[0] -= 5.0;
-        f[1] -= 10.0;
-        return f;
-      },
-      [&](const Vector&) { return a; }, x);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.iterations, 1);
-  EXPECT_NEAR(x[0], 1.0, 1e-10);
-  EXPECT_NEAR(x[1], 3.0, 1e-10);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // fixtures, the Hager condition estimate against a dense exact inverse
 // 1-norm (within 10x on systems up to 64 unknowns — the acceptance bound),
 // record/merge semantics, and end-to-end collection on all three LU paths
-// (dense LuFactorization, banded SparseLu, complex AC).
+// (dense LuFactorization, banded BandedLu, complex AC).
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +15,10 @@
 
 #include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
+#include "dense_oracle.h"
 #include "freq/ac_engine.h"
+#include "math/banded_lu.h"
 #include "math/linear_solve.h"
-#include "math/sparse_lu.h"
 #include "math/sparse_matrix.h"
 
 namespace fdtdmm {
@@ -289,7 +290,7 @@ TEST(Health, ConditionEstimateOnSparseFactorsMatchesDense) {
   sparse.finalize();
   EXPECT_DOUBLE_EQ(matrixNorm1(sparse), matrixNorm1(dense));
 
-  SparseLu slu;
+  BandedLu<double> slu;
   slu.factor(sparse);
   const double est = estimateInverseNorm1(
       n, [&slu](const Vector& b, Vector& x) { slu.solve(b, x); },
@@ -407,31 +408,29 @@ TEST(Health, CollectionIsOffByDefaultAndNeedsTelemetry) {
   }
 }
 
-TEST(Health, AcPathCollectsOnBothSolvers) {
-  for (AcOptions::Solver solver :
-       {AcOptions::Solver::kDense, AcOptions::Solver::kSparse}) {
-    Circuit circuit;
-    const int s = circuit.addNode();
-    const int out = circuit.addNode();
-    VoltageSource* src =
-        circuit.addVoltageSource(s, Circuit::kGround, [](double) { return 0.0; });
-    src->setAcValue(Complex(1.0, 0.0));
-    circuit.addResistor(s, out, 1e3);
-    circuit.addCapacitor(out, Circuit::kGround, 1e-12);
+TEST(Health, AcPathCollectsPivotsAndResidual) {
+  Circuit circuit;
+  const int s = circuit.addNode();
+  const int out = circuit.addNode();
+  VoltageSource* src =
+      circuit.addVoltageSource(s, Circuit::kGround, [](double) { return 0.0; });
+  src->setAcValue(Complex(1.0, 0.0));
+  circuit.addResistor(s, out, 1e3);
+  circuit.addCapacitor(out, Circuit::kGround, 1e-12);
 
-    RunTelemetry tel;
-    AcOptions opt;
-    opt.solver = solver;
-    opt.telemetry = &tel;
-    opt.health.collect = true;
-    AcSession session(circuit, opt);
-    session.solveAt(2e8);
-    EXPECT_TRUE(tel.health.collected);
-    EXPECT_GT(tel.health.factorizations, 0);
-    EXPECT_GT(tel.health.min_abs_pivot, 0.0);
-    EXPECT_GE(tel.health.residual_checks, 1);
-    EXPECT_LT(tel.health.max_relative_residual, 1e-10);
-  }
+  RunTelemetry tel;
+  AcOptions opt;
+  opt.telemetry = &tel;
+  opt.health.collect = true;
+  AcSession session(circuit, opt);
+  const ComplexVector x = session.solveAt(2e8);
+  EXPECT_TRUE(tel.health.collected);
+  EXPECT_GT(tel.health.factorizations, 0);
+  EXPECT_GT(tel.health.min_abs_pivot, 0.0);
+  EXPECT_GE(tel.health.residual_checks, 1);
+  EXPECT_LT(tel.health.max_relative_residual, 1e-10);
+  // The health probes watched a correct solve: the dense reference agrees.
+  EXPECT_LT(oracle::relativeGap(x, oracle::acDenseReference(circuit, 2e8)), 1e-12);
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // tests/dense_oracle.h on randomly generated R/L/C/K/V/I netlists — with
 // and without diodes — and on random single and coupled RLGC ladders.
 // Every node voltage must agree to kSparseTol at every step, and every
-// linear netlist must run on exactly one LU factorization. Each case is a
-// pure function of its seed (math/rng.h), so a failure names a
-// reproducible netlist.
+// linear netlist must run on exactly one LU factorization. The linear
+// netlists also go through the AC engine (AcSession) against the dense AC
+// reference. Each case is a pure function of its seed (math/rng.h), so a
+// failure names a reproducible netlist.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
 #include "dense_oracle.h"
+#include "freq/ac_engine.h"
 #include "math/rng.h"
 
 namespace fdtdmm {
@@ -208,6 +210,30 @@ TEST(RandomNetlists, LinearRlcKviMatchesDenseOracleOnOneFactorization) {
     expectAgreement(sp, ref, what);
     EXPECT_EQ(sp.lu_factorizations, 1) << what;
     EXPECT_EQ(sp.total_newton_iterations, ref.total_newton_iterations) << what;
+  }
+}
+
+TEST(RandomNetlists, LinearRlcKviAcMatchesDenseOracle) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::string what = "linear netlist seed " + std::to_string(seed);
+    Circuit c;
+    buildRandomNetlist(c, seed, false);
+    // Seeded AC phasors on every source (un-phasored sources are dark).
+    Rng rng(splitStream(seed, fnv1a64("random-netlist-ac"), 0).next());
+    const auto phasor = [&rng] {
+      return Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    };
+    for (const auto& e : c.elements()) {
+      if (auto* v = dynamic_cast<VoltageSource*>(e.get())) v->setAcValue(phasor());
+      if (auto* i = dynamic_cast<CurrentSource*>(e.get())) i->setAcValue(20e-3 * phasor());
+    }
+    AcSession session(c, AcOptions{});
+    for (int k = 0; k < 3; ++k) {
+      const double f = logUniform(rng, 1e6, 1e10);
+      const ComplexVector& x = session.solveAt(f);
+      EXPECT_LE(oracle::relativeGap(x, oracle::acDenseReference(c, f)), 1e-9)
+          << what << " f=" << f;
+    }
   }
 }
 
