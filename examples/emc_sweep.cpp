@@ -52,15 +52,14 @@ int main(int argc, char** argv) {
   }
 
   // Where the solver time went, per corner (shared exporter): these are
-  // linear runs, and amplitude/theta only reach the RHS — so with solver-
-  // state sharing (default-on) the grid factors its base exactly once: one
-  // corner shows lu=1, every other corner shows lu=0 and rides the shared
-  // factorization.
+  // linear runs, so every corner shows lu=1 — one base factorization for
+  // the whole transient. Amplitude/theta only reach the RHS, so with
+  // solver-state sharing (default-on) the grid is one structure class.
   sweepcli::printPhaseTable(result);
 
   // The sweep-wide view of the same economy.
-  std::printf("# solver cache: %lld base factorizations shared across %lld reuses\n",
-              result.solver_cache.numeric_misses, result.solver_cache.numeric_hits);
+  std::printf("# solver cache: %lld symbolic analyses shared across %lld reuses\n",
+              result.solver_cache.symbolic_misses, result.solver_cache.symbolic_hits);
 
   sweepcli::exportAndFinish(result, "emc", cli);
   return 0;

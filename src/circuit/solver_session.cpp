@@ -94,39 +94,6 @@ void SolverSession::realignPattern(obs::RunTelemetry* tel) {
   obs::traceInstant("sparse_pattern_realign", "solver");
 }
 
-bool SolverSession::ensureBaseFactored(double* t_factor, obs::RunTelemetry* tel) {
-  // work_sp_ still holds the untouched base values here, so the
-  // factorization below — by whichever session of the class performs it —
-  // is a pure function of the class's static stamps. Sharing is only sound
-  // while the pattern is the one the class key describes: after pattern
-  // growth the base is factored privately, as a sharing-disabled run would.
-  const bool pattern_unchanged =
-      work_sp_.patternVersion() == assembled_pattern_version_;
-  if (opt_.sharing.shareNumericBase() && pattern_unchanged) {
-    bool built = false;
-    auto nb = opt_.sharing.provider->numericBase(opt_.sharing.numeric_base_key, [&] {
-      auto b = std::make_shared<SolverNumericBase>();
-      obs::ScopedTimer factor_timer(t_factor);
-      b->factorWithOrder(work_sp_, *order_);
-      built = true;
-      return b;
-    });
-    if (nb && nb->dim() == n_unknowns_) {
-      shared_base_ = std::move(nb);
-      base_factored_ = true;
-      if (tel) built ? ++tel->shared_base_builds : ++tel->shared_base_reuses;
-      if (!built) obs::traceInstant("shared_base_reuse", "solver");
-      return built;
-    }
-    // Key collision (wrong dimension): fall through to a private
-    // factorization rather than solving with someone else's matrix.
-  }
-  obs::ScopedTimer factor_timer(t_factor);
-  base_lu_.factorWithOrder(work_sp_, *order_);
-  base_factored_ = true;
-  return true;
-}
-
 void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
                                           obs::NumericalHealth& h, bool any_solve) {
   // Relative residual of the last solve: x_new_ is the raw solution of the
@@ -160,19 +127,17 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
   if (!hopt.condition_estimate) return;
   const BandedLu<double>* lu = nullptr;
   double norm_a = 0.0;
-  if (base_factored_ && baseLu().factored()) {
-    lu = &baseLu();
+  if (base_lu_.factored()) {
+    lu = &base_lu_;
     norm_a = obs::matrixNorm1(base_sp_);
   } else if (work_lu_.factored()) {
     lu = &work_lu_;
     norm_a = obs::matrixNorm1(work_sp_);
   }
   if (lu == nullptr) return;
-  const obs::SolveFn solve = [this, lu](const Vector& b, Vector& x) {
-    lu->solve(b, x, lu_scratch_);
-  };
-  const obs::SolveFn solve_t = [this, lu](const Vector& b, Vector& x) {
-    lu->solveTranspose(b, x, lu_scratch_);
+  const obs::SolveFn solve = [lu](const Vector& b, Vector& x) { lu->solve(b, x); };
+  const obs::SolveFn solve_t = [lu](const Vector& b, Vector& x) {
+    lu->solveTranspose(b, x);
   };
   const double inv_norm = obs::estimateInverseNorm1(n_unknowns_, solve, solve_t);
   h.collected = true;
@@ -223,15 +188,13 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
   sys_.b.assign(n_unknowns_, 0.0);
   work_sp_ = base_sp_;
   sys_.sparse = &work_sp_;
-  assembled_pattern_version_ = work_sp_.patternVersion();
 
-  // base factorization: the untouched static matrix, created lazily on the
-  // first Newton iteration whose dynamic stamps leave the matrix clean
-  // (lazily so circuits whose base matrix alone is singular — e.g. a node
-  // held up only by a nonlinear device — still work); with sharing active
-  // it is checked out of the provider instead (ensureBaseFactored).
-  // work_lu_: refactored in place on every iteration that dirties the
-  // matrix — always private, always with the run's ordering.
+  // base_lu_: the untouched static matrix, factored lazily on the first
+  // Newton iteration whose dynamic stamps leave the matrix clean (lazily so
+  // circuits whose base matrix alone is singular — e.g. a node held up
+  // only by a nonlinear device — still work). work_lu_: refactored in
+  // place on every iteration that dirties the matrix. Both use the run's
+  // ordering.
 
   const auto n_settle = static_cast<long long>(std::ceil(opt_.settle_time / opt_.dt));
   const auto n_run = static_cast<long long>(std::ceil(opt_.t_stop / opt_.dt));
@@ -287,18 +250,19 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
         obs::ScopedTimer solve_timer(t_solve);
         work_lu_.solve(sys_.b, x_new_);
       } else {
-        if (!base_factored_) {
-          if (ensureBaseFactored(t_factor, tel)) ++result.lu_factorizations;
-          // Shared checkouts record too: the stats live on the
-          // factorization object, computed by whichever session built it.
+        if (!base_lu_.factored()) {
+          // work_sp_ holds the untouched base values here.
+          {
+            obs::ScopedTimer factor_timer(t_factor);
+            base_lu_.factorWithOrder(work_sp_, *order_);
+          }
+          ++result.lu_factorizations;
           if (health)
-            health->recordFactorization(baseLu().minAbsPivot(), baseLu().pivotGrowth());
+            health->recordFactorization(base_lu_.minAbsPivot(), base_lu_.pivotGrowth());
         }
-        last_lu_ = &baseLu();
+        last_lu_ = &base_lu_;
         obs::ScopedTimer solve_timer(t_solve);
-        // Caller-workspace solve: the factorization may be shared with
-        // concurrently solving sessions (identical numerics either way).
-        baseLu().solve(sys_.b, x_new_, lu_scratch_);
+        base_lu_.solve(sys_.b, x_new_);
       }
 
       double max_dx = 0.0;

@@ -1,5 +1,6 @@
 #include "circuit/solver_state.h"
 
+#include "math/banded_lu.h"
 #include "obs/trace.h"
 
 namespace fdtdmm {

@@ -1,37 +1,35 @@
 #pragma once
 /// \file solver_state.h
-/// Shareable solver state for cross-run factorization reuse.
+/// Shareable solver state for cross-run symbolic reuse.
 ///
 /// The transient engine's solver state (circuit/solver_session.h; one
-/// sparse path: CSR assembly + RCM-ordered banded LU) has three separable
-/// lifetimes:
+/// sparse path: CSR assembly + RCM-ordered banded LU) has two lifetimes:
 ///
 ///   1. *symbolic* state — the CSR pattern's fill-reducing RCM ordering.
 ///      A pure function of the matrix pattern, so every run whose circuit
-///      has the same structure computes the identical ordering.
-///   2. *numeric base* state — the BandedLu factorization of the static
-///      base matrix. A pure function of the assembled base values, so runs
-///      that differ only in their right-hand side (sources, field drive,
-///      companion histories) factor the identical matrix.
-///   3. per-run Newton/RHS workspaces — never shareable.
+///      has the same structure computes the identical ordering. This is
+///      the one shareable piece.
+///   2. per-run numeric state — the factorization of the static base
+///      matrix, the Newton/RHS workspaces and every refactorization.
+///      Never shared: each run factors its own base once.
 ///
-/// This header defines the immutable shared forms of (1) and (2) plus the
-/// SolverStateProvider interface through which a session checks them out.
+/// This header defines the immutable shared form of (1) plus the
+/// SolverStateProvider interface through which a session checks it out.
 /// The provider contract is exactly-once: for a given key, the builder
 /// callback runs in exactly one session and every other session (on any
 /// thread) receives the published object. The engine layer implements it
 /// with a keyed cache (engine/solver_state_cache.h); the circuit layer only
 /// sees this interface, so the dependency arrow keeps pointing upward.
 ///
-/// Correctness rests on the keys, not on the cache: a key must only be
-/// shared between runs whose corresponding state is bit-identical (same
-/// pattern for a structure key, same base matrix bytes for a numeric-base
-/// key). Scenario families derive keys from exactly the parameters that
-/// feed the static assembly (core/scenario.h, structureKey /
-/// numericBaseKey); an empty key opts out of sharing. Because shared state
-/// is built by an ordinary run from its own inputs, checking it out never
-/// changes results — waveforms and metrics are byte-identical with sharing
-/// on or off.
+/// A structure key should only be shared between runs whose patterns are
+/// identical. Scenario families derive it from exactly the parameters that
+/// shape the static pattern (core/scenario.h, structureKey); an empty key
+/// opts out of sharing. Because the ordering is built by an ordinary run
+/// from its own pattern, checking it out never changes results —
+/// waveforms and metrics are byte-identical with sharing on or off. A
+/// wrong key can cost band width but never correctness: an ordering only
+/// permutes the unknowns, and any permutation factors the same system
+/// (resolveSymbolic also re-orders privately on a dimension mismatch).
 
 #include <cstdio>
 #include <functional>
@@ -39,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "math/banded_lu.h"
 #include "math/sparse_matrix.h"
 #include "obs/health.h"
 #include "obs/telemetry.h"
@@ -53,39 +50,28 @@ struct SolverSymbolic {
   std::vector<std::size_t> rcm_order;  ///< reverseCuthillMcKee(base pattern)
 };
 
-/// Immutable shared numeric base state of one numeric-base class: the
-/// factorization of the static base matrix. Solving against it is const
-/// and thread-safe through the caller-workspace BandedLu::solve.
-using SolverNumericBase = BandedLu<double>;
-
 /// Exactly-once provider of shared solver state, keyed by the scenario
-/// layer's structure / numeric-base keys. Implementations must guarantee
-/// that for each key the builder runs exactly once even under concurrent
-/// lookups, and that a builder that throws publishes nothing (the next
-/// lookup retries). Returned objects are immutable and safe to use from
-/// any thread.
+/// layer's structure keys. Implementations must guarantee that for each
+/// key the builder runs exactly once even under concurrent lookups, and
+/// that a builder that throws publishes nothing (the next lookup retries).
+/// Returned objects are immutable and safe to use from any thread.
 class SolverStateProvider {
  public:
   virtual ~SolverStateProvider();
 
   using SymbolicBuilder = std::function<std::shared_ptr<const SolverSymbolic>()>;
-  using NumericBuilder = std::function<std::shared_ptr<const SolverNumericBase>()>;
 
   virtual std::shared_ptr<const SolverSymbolic> symbolic(
       const std::string& key, const SymbolicBuilder& build) = 0;
-  virtual std::shared_ptr<const SolverNumericBase> numericBase(
-      const std::string& key, const NumericBuilder& build) = 0;
 };
 
 /// Sharing handles a run carries into the solver (TransientOptions).
-/// Default-constructed = no sharing; either key may be empty independently
-/// to opt out of that level.
+/// Default-constructed = no sharing.
 struct SolverSharing {
   /// Provider the session checks state out of (not owned; must outlive the
   /// run). Null disables sharing entirely.
   SolverStateProvider* provider = nullptr;
-  std::string structure_key;     ///< symbolic-state class; "" = don't share
-  std::string numeric_base_key;  ///< base-factorization class; "" = don't share
+  std::string structure_key;  ///< symbolic-state class; "" = don't share
   /// Optional sweep-wide numerical-health switches (obs/health.h): the
   /// runner points every corner at one HealthOptions so collection is
   /// configured in exactly one place (not owned; must outlive the run).
@@ -95,9 +81,6 @@ struct SolverSharing {
   const obs::HealthOptions* health = nullptr;
 
   bool shareSymbolic() const { return provider != nullptr && !structure_key.empty(); }
-  bool shareNumericBase() const {
-    return provider != nullptr && !numeric_base_key.empty();
-  }
 };
 
 /// The symbolic checkout of both MNA engines (SolverSession and the AC
@@ -116,11 +99,11 @@ std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& shari
                                                       const SparseMatrix& pattern,
                                                       obs::RunTelemetry* tel);
 
-/// Round-trip-exact double formatting for sharing keys. Keys gate the reuse
-/// of factorizations between runs, so two different values must never
-/// collapse to one key: %g's 6 significant digits would merge e.g. 50.0 and
-/// 50.0000001 (silently sharing a wrong factorization); %.17g round-trips
-/// every double.
+/// Round-trip-exact double formatting for cache keys (a numeric structure
+/// parameter, or the result cache's content keys in
+/// engine/result_cache.h). Two different values must never collapse to
+/// one key: %g's 6 significant digits would merge e.g. 50.0 and 50.0000001
+/// (silently replaying the wrong corner); %.17g round-trips every double.
 inline std::string solverKeyNum(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);

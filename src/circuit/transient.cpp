@@ -5,9 +5,9 @@
 namespace fdtdmm {
 
 // The transient engine proper lives in SolverSession (circuit/
-// solver_session.h), which splits the solver state into symbolic /
-// numeric-base / per-run pieces so the engine layer can share the first
-// two across sweep corners. This wrapper is the one-shot API; with default
+// solver_session.h), which splits the solver state into a symbolic piece
+// and per-run numeric state so the engine layer can share the first
+// across sweep corners. This wrapper is the one-shot API; with default
 // TransientOptions::sharing every piece is private to the run.
 TransientResult runTransient(Circuit& circuit, const TransientOptions& opt,
                              const std::vector<NodeProbe>& probes,

@@ -85,12 +85,11 @@ struct TransientOptions {
   /// its collect flag is set.
   obs::HealthOptions health;
   /// Optional cross-run solver-state sharing (see circuit/solver_state.h).
-  /// Default-constructed (null provider) = no sharing, the historical
-  /// behavior. With a provider and non-empty keys, the run checks its
-  /// symbolic analysis and/or base factorization out of the provider
-  /// instead of computing private copies — results are guaranteed
-  /// bit-identical either way *provided the keys are honest* (equal keys
-  /// only for runs whose shared pieces are bit-identical).
+  /// Default-constructed (null provider) = no sharing. With a provider and
+  /// a non-empty structure key, the run checks its RCM ordering out of the
+  /// provider instead of computing it; results are bit-identical either
+  /// way when the key is honest (equal keys only for identical patterns).
+  /// The run always factors its own base matrix.
   SolverSharing sharing;
 };
 

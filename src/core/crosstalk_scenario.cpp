@@ -207,26 +207,14 @@ TaskWaveforms CrosstalkFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return runCrosstalkScenario(cfg_, std::move(driver), sharing);
 }
 
-// pattern/bit_time/t_stop stay out of both keys (RHS/run-length only); the
-// coupling>0 flags are structural because zero-coupling configurations
-// stamp no mutual elements at all (buildCoupledRlgcLines skips them).
+// pattern/bit_time/t_stop stay out of the key (RHS/run-length only), and so
+// do the element values; the coupling>0 flags are structural because
+// zero-coupling configurations stamp no mutual elements at all
+// (buildCoupledRlgcLines skips them).
 std::string CrosstalkFamily::structureKey() const {
   return "crosstalk|segments=" + std::to_string(cfg_.line.segments) +
          "|cm=" + (cfg_.coupling > 0.0 ? "1" : "0") +
          "|lm=" + (cfg_.coupling_l > 0.0 ? "1" : "0");
-}
-
-std::string CrosstalkFamily::numericBaseKey() const {
-  return structureKey() + "|dt=" + solverKeyNum(cfg_.dt) +
-         "|r=" + solverKeyNum(cfg_.line.r) + "|l=" + solverKeyNum(cfg_.line.l) +
-         "|g=" + solverKeyNum(cfg_.line.g) + "|c=" + solverKeyNum(cfg_.line.c) +
-         "|len=" + solverKeyNum(cfg_.line.length) +
-         "|k=" + solverKeyNum(cfg_.coupling) +
-         "|kl=" + solverKeyNum(cfg_.coupling_l) +
-         "|rvn=" + solverKeyNum(cfg_.victim_r_near) +
-         "|rvf=" + solverKeyNum(cfg_.victim_r_far) +
-         "|ralr=" + solverKeyNum(cfg_.agg_load_r) +
-         "|ralc=" + solverKeyNum(cfg_.agg_load_c);
 }
 
 }  // namespace fdtdmm

@@ -80,13 +80,10 @@ class CrosstalkFamily final : public Scenario {
   double bitTime() const override { return cfg_.bit_time; }
   double tStop() const override { return cfg_.t_stop; }
   bool needsReceiver() const override { return false; }
-  /// Sharing keys: the nonlinear driver port dirties the matrix every
-  /// Newton iteration, so the shared base LU is rarely exercised here —
-  /// but pattern/bit_time/t_stop corners still share the symbolic RCM
-  /// analysis, and the keys stay honest for configurations whose driver
-  /// settles to linearity.
+  /// Sharing key: corners of one ladder structure share the symbolic RCM
+  /// analysis, which serves the per-Newton-iteration refactorizations the
+  /// nonlinear driver port forces as well as the base.
   std::string structureKey() const override;
-  std::string numericBaseKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver) const override;

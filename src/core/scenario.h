@@ -158,20 +158,15 @@ class Scenario {
   virtual bool needsDriver() const { return true; }
   virtual bool needsReceiver() const = 0;
 
-  /// Solver-state sharing keys (see circuit/solver_state.h for the full
-  /// correctness contract). Two configurations of a family may return the
-  /// same structureKey() ONLY if their transients assemble bit-identical
-  /// sparse patterns (same unknown count, same structural stamps), and the
-  /// same numericBaseKey() ONLY if the assembled static base matrices are
-  /// bit-identical — i.e. every parameter that reaches a static stamp or
-  /// the solver setup is folded into the key (numbers via a round-trip-
-  /// exact format, not %g). numericBaseKey() must refine structureKey():
-  /// equal numeric keys imply equal structure keys. The default — empty
-  /// keys — opts the family out of sharing entirely, which is always safe;
-  /// families opt in per configuration (e.g. only for engines that run on
-  /// the MNA transient solver).
+  /// Solver-state sharing key (see circuit/solver_state.h). Two
+  /// configurations of a family should return the same structureKey()
+  /// only if their runs assemble identical sparse patterns (same unknown
+  /// count, same structural stamps): they then share one RCM ordering. A
+  /// wrong key costs band width, never correctness — an ordering is only
+  /// a permutation. The default — an empty key — opts the family out of
+  /// sharing; families opt in per configuration (e.g. only for engines
+  /// that run on the MNA solvers).
   virtual std::string structureKey() const { return {}; }
-  virtual std::string numericBaseKey() const { return {}; }
 
   /// Deep copy (sweep expansion clones a configured prototype per point).
   virtual std::unique_ptr<Scenario> clone() const = 0;
@@ -185,9 +180,9 @@ class Scenario {
 
   /// Sharing-aware run: like run(), but the family threads `sharing` into
   /// its TransientOptions so structurally identical sweep corners can reuse
-  /// one symbolic analysis / base factorization. The default ignores
-  /// `sharing` and delegates to run() — correct (if reuse-free) for every
-  /// family; families that emit non-empty keys override this too.
+  /// one symbolic analysis. The default ignores `sharing` and delegates to
+  /// run() — correct (if reuse-free) for every family; families that emit
+  /// a non-empty key override this too.
   /// Bit-identical-results contract: for honest keys, run(d, r) and
   /// run(d, r, sharing) produce identical waveforms.
   virtual TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,

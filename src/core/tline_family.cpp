@@ -147,7 +147,7 @@ TaskWaveforms TlineFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   switch (engine_) {
     case TlineEngine::kSpiceRbf:
       // 2e-12 is the engine's fixed default step (runSpiceRbfTline's dt
-      // parameter); it is baked into numericBaseKey() below.
+      // parameter).
       er = runSpiceRbfTline(cfg_, std::move(driver), std::move(receiver), 2e-12,
                             sharing);
       break;
@@ -167,23 +167,12 @@ TaskWaveforms TlineFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return out;
 }
 
-// pattern/bit_time/t_stop are RHS/run-length only; zc/td/load values reach
-// the static base stamps, so they live in the numeric key. The fixed dt
-// (2e-12, see run() above) is included literally so a future sweepable dt
-// cannot silently collide classes.
+// pattern/bit_time/t_stop are RHS/run-length only, and zc/td/load values
+// change the static stamps' values but not the pattern: only the far-end
+// load kind shapes the structure.
 std::string TlineFamily::structureKey() const {
   if (engine_ != TlineEngine::kSpiceRbf) return {};
   return std::string("tline|engine=spice-rbf|load=") + farEndLoadName(cfg_.load);
-}
-
-std::string TlineFamily::numericBaseKey() const {
-  if (engine_ != TlineEngine::kSpiceRbf) return {};
-  std::string key = structureKey() + "|dt=" + solverKeyNum(2e-12) +
-                    "|zc=" + solverKeyNum(cfg_.zc) + "|td=" + solverKeyNum(cfg_.td);
-  if (cfg_.load == FarEndLoad::kLinearRc) {
-    key += "|lr=" + solverKeyNum(cfg_.load_r) + "|lc=" + solverKeyNum(cfg_.load_c);
-  }
-  return key;
 }
 
 }  // namespace fdtdmm

@@ -47,11 +47,10 @@ class TlineFamily final : public Scenario {
   double bitTime() const override { return cfg_.bit_time; }
   double tStop() const override { return cfg_.t_stop; }
   bool needsReceiver() const override { return cfg_.load == FarEndLoad::kReceiver; }
-  /// Sharing keys: non-empty only for the spice-rbf engine (the MNA path);
+  /// Sharing key: non-empty only for the spice-rbf engine (the MNA path);
   /// the FDTD engines have no MNA solver state to share and return the
   /// opt-out default.
   std::string structureKey() const override;
-  std::string numericBaseKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver) const override;

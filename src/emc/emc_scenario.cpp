@@ -272,34 +272,19 @@ TaskWaveforms EmcFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return runEmcScenario(cfg_, std::move(driver), std::move(receiver), sharing);
 }
 
-// What stays OUT of these keys is the point: amplitude, arrival angles,
+// What stays OUT of this key is the point: amplitude, arrival angles,
 // polarization, bandwidth, pulse_t0, ground_reflection, trace geometry,
 // bit pattern, bit_time, and t_stop all reach the transient only through
-// RHS sources or run length, never through a static matrix stamp (the
+// RHS sources or run length, never through the static pattern (the
 // field-coupled ladder uses the same Inductor/Capacitor static stamps as
 // the plain one; RBF ports stamp only structural zeros, and the drive/
-// termination choice is in the structure key). The amp>0 flag is
-// still kept — structurally conservative, and it costs one extra class.
+// termination choice is in the key). The amp>0 flag is still kept —
+// structurally conservative, and it costs one extra class.
 std::string EmcFamily::structureKey() const {
   return "emc|segments=" + std::to_string(cfg_.line.segments) +
          "|drive=" + cfg_.drive + "|term=" + cfg_.termination +
          "|cfar=" + (cfg_.c_far > 0.0 ? "1" : "0") +
          "|field=" + (cfg_.amplitude > 0.0 ? "1" : "0");
-}
-
-std::string EmcFamily::numericBaseKey() const {
-  std::string key = structureKey() + "|dt=" + solverKeyNum(cfg_.dt) +
-                    "|r=" + solverKeyNum(cfg_.line.r) +
-                    "|l=" + solverKeyNum(cfg_.line.l) +
-                    "|g=" + solverKeyNum(cfg_.line.g) +
-                    "|c=" + solverKeyNum(cfg_.line.c) +
-                    "|len=" + solverKeyNum(cfg_.line.length);
-  if (cfg_.drive == "none") key += "|rnear=" + solverKeyNum(cfg_.r_near);
-  if (cfg_.termination == "resistive") {
-    key += "|rfar=" + solverKeyNum(cfg_.r_far);
-    if (cfg_.c_far > 0.0) key += "|cfarv=" + solverKeyNum(cfg_.c_far);
-  }
-  return key;
 }
 
 }  // namespace fdtdmm

@@ -115,13 +115,12 @@ class EmcFamily final : public Scenario {
   double tStop() const override { return cfg_.t_stop; }
   bool needsDriver() const override { return cfg_.drive == "driver"; }
   bool needsReceiver() const override { return cfg_.termination == "receiver"; }
-  /// Sharing keys: the incident field enters the transient purely through
-  /// RHS sources (Agrawal EMF terms) and the RBF ports add only structural
-  /// zeros to the static base, so amplitude/angle/polarization/bandwidth/geometry/
-  /// pattern corners of one link share a single base factorization — the
-  /// family's numericBaseKey() deliberately excludes all of them.
+  /// Sharing key: the incident field enters the transient purely through
+  /// RHS sources (Agrawal EMF terms), so amplitude/angle/polarization/
+  /// bandwidth/geometry/pattern corners of one link share a single RCM
+  /// ordering — the family's structureKey() deliberately excludes all of
+  /// them.
   std::string structureKey() const override;
-  std::string numericBaseKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver) const override;

@@ -1,7 +1,6 @@
 #include "engine/result_cache.h"
 
-#include <cstdio>
-
+#include "circuit/solver_state.h"
 #include "core/scenario.h"
 #include "engine/sweep_result.h"
 
@@ -9,18 +8,12 @@ namespace fdtdmm {
 
 namespace {
 
-// Round-trip-exact number format (the solverKeyNum convention): %g would
-// collapse distinct doubles into one key and replay the wrong corner.
-std::string keyNum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
+// Numbers round-trip exactly (solverKeyNum): %g would collapse distinct
+// doubles into one key and replay the wrong corner.
 std::string keyValue(const ParamValue& value) {
   if (std::holds_alternative<bool>(value))
     return std::get<bool>(value) ? "true" : "false";
-  if (std::holds_alternative<double>(value)) return keyNum(std::get<double>(value));
+  if (std::holds_alternative<double>(value)) return solverKeyNum(std::get<double>(value));
   return std::get<std::string>(value);
 }
 
@@ -33,8 +26,8 @@ std::string resultCacheKey(const SimulationTask& task, const EyeOptions& eye) {
   // serialize identically.
   for (const ParamDescriptor& d : task.scenario->descriptors())
     key += "|" + d.name + "=" + keyValue(task.scenario->get(d.name));
-  key += "|eye=" + keyNum(eye.window_start) + "," + keyNum(eye.window_width) + "," +
-         std::to_string(eye.skip_bits);
+  key += "|eye=" + solverKeyNum(eye.window_start) + "," +
+         solverKeyNum(eye.window_width) + "," + std::to_string(eye.skip_bits);
   return key;
 }
 
@@ -54,24 +47,8 @@ void ResultCache::put(const std::string& key, const SweepRunRecord& record) {
   auto stored = std::make_shared<SweepRunRecord>(record);
   stored->waves = TaskWaveforms{};  // strip memory-heavy waveforms
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(key);
-  if (it != records_.end()) return;  // first wins; equal keys are interchangeable
-  if (max_entries_ != 0 && records_.size() >= max_entries_) {
-    ++stats_.refused_inserts;  // at capacity: new keys are refused, not evicted
-    return;
-  }
-  records_.emplace(key, std::move(stored));
-  ++stats_.inserts;
-}
-
-void ResultCache::setMaxEntries(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_entries_ = max_entries;
-}
-
-std::size_t ResultCache::maxEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_entries_;
+  // First wins: records for equal keys are interchangeable.
+  if (records_.emplace(key, std::move(stored)).second) ++stats_.inserts;
 }
 
 ResultCacheStats ResultCache::stats() const {
@@ -82,11 +59,6 @@ ResultCacheStats ResultCache::stats() const {
 std::size_t ResultCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_.size();
-}
-
-void ResultCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
 }
 
 }  // namespace fdtdmm

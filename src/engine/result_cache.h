@@ -38,10 +38,6 @@ struct ResultCacheStats {
   long long hits = 0;     ///< find() calls that returned a record
   long long misses = 0;   ///< find() calls that returned null
   long long inserts = 0;  ///< records stored
-  /// put() calls for a NEW key refused because the cache sits at its
-  /// max_entries() bound (a nonzero value here on a long-lived cache
-  /// means later sweeps run uncached — raise the bound or clear()).
-  long long refused_inserts = 0;
 };
 
 /// The full-content key of a task (+ eye options). Deterministic: equal
@@ -50,18 +46,6 @@ std::string resultCacheKey(const SimulationTask& task, const EyeOptions& eye);
 
 class ResultCache {
  public:
-  /// `max_entries` bounds the record count: once full, put() refuses NEW
-  /// keys (counted in stats().refused_inserts) instead of growing — a
-  /// long-lived cache (the future sweep-server deployment) must not grow
-  /// without bound. 0 = unbounded. Lookups and re-puts of cached keys are
-  /// unaffected by the bound.
-  explicit ResultCache(std::size_t max_entries = 0) : max_entries_(max_entries) {}
-
-  /// Adjusts the bound. Shrinking below size() evicts nothing — existing
-  /// records stay; only new inserts are refused.
-  void setMaxEntries(std::size_t max_entries);
-  std::size_t maxEntries() const;
-
   /// Returns the cached record for `key`, or null (counting a hit/miss).
   std::shared_ptr<const SweepRunRecord> find(const std::string& key);
 
@@ -74,13 +58,11 @@ class ResultCache {
   ResultCacheStats stats() const;
 
   std::size_t size() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const SweepRunRecord>> records_;
-  ResultCacheStats stats_;      // guarded by mu_
-  std::size_t max_entries_ = 0;  // guarded by mu_; 0 = unbounded
+  ResultCacheStats stats_;  // guarded by mu_
 };
 
 }  // namespace fdtdmm

@@ -2,36 +2,19 @@
 
 namespace fdtdmm {
 
-template <typename T, typename Builder>
-std::shared_ptr<const T> SolverStateCache::resolve(
-    std::map<std::string, std::shared_ptr<Entry<T>>>& map, const std::string& key,
-    const Builder& build, long long SolverStateCacheStats::*hits,
-    long long SolverStateCacheStats::*misses) {
-  std::shared_ptr<Entry<T>> entry;
+std::shared_ptr<const SolverSymbolic> SolverStateCache::symbolic(
+    const std::string& key, const SymbolicBuilder& build) {
+  std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map.find(key);
-    if (it == map.end()) {
-      // Capacity check BEFORE slot creation: a refused key must not grow
-      // the map even transiently. The caller still gets a correct value —
-      // its builder runs below, privately and unpublished.
-      if (max_entries_ != 0 && map.size() >= max_entries_) {
-        ++(stats_.*misses);
-        ++stats_.refused_inserts;
-        entry = nullptr;
-      } else {
-        it = map.emplace(key, std::make_shared<Entry<T>>()).first;
-        entry = it->second;
-      }
-    } else {
-      entry = it->second;
-    }
-    if (entry && entry->value) {
-      ++(stats_.*hits);
+    auto it = symbolic_.find(key);
+    if (it == symbolic_.end()) it = symbolic_.emplace(key, std::make_shared<Entry>()).first;
+    entry = it->second;
+    if (entry->value) {
+      ++stats_.symbolic_hits;
       return entry->value;
     }
   }
-  if (!entry) return build();  // refused: private unpublished build
   // Build outside the cache lock but inside the entry lock: one builder
   // per key at a time, other keys fully concurrent. Re-check after
   // acquiring — a concurrent caller may have published while we waited.
@@ -39,12 +22,12 @@ std::shared_ptr<const T> SolverStateCache::resolve(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (entry->value) {
-      ++(stats_.*hits);
+      ++stats_.symbolic_hits;
       return entry->value;
     }
-    ++(stats_.*misses);
+    ++stats_.symbolic_misses;
   }
-  std::shared_ptr<const T> value = build();  // may throw: nothing published
+  std::shared_ptr<const SolverSymbolic> value = build();  // may throw: nothing published
   std::lock_guard<std::mutex> lock(mu_);
   if (value) {
     entry->value = value;
@@ -53,61 +36,19 @@ std::shared_ptr<const T> SolverStateCache::resolve(
   return value;
 }
 
-std::shared_ptr<const SolverSymbolic> SolverStateCache::symbolic(
-    const std::string& key, const SymbolicBuilder& build) {
-  return resolve(symbolic_, key, build, &SolverStateCacheStats::symbolic_hits,
-                 &SolverStateCacheStats::symbolic_misses);
-}
-
-std::shared_ptr<const SolverNumericBase> SolverStateCache::numericBase(
-    const std::string& key, const NumericBuilder& build) {
-  return resolve(numeric_, key, build, &SolverStateCacheStats::numeric_hits,
-                 &SolverStateCacheStats::numeric_misses);
-}
-
 SolverStateCacheStats SolverStateCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
-void SolverStateCache::setMaxEntries(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_entries_ = max_entries;
-}
-
-std::size_t SolverStateCache::maxEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_entries_;
-}
-
-namespace {
-
-// Count only published values: a key whose builder threw (or is still
-// running) is not a resolved class.
-template <typename Map>
-std::size_t resolvedCount(const Map& map) {
-  std::size_t n = 0;
-  for (const auto& kv : map)
-    if (kv.second && kv.second->value) ++n;
-  return n;
-}
-
-}  // namespace
-
 std::size_t SolverStateCache::structureClassCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return resolvedCount(symbolic_);
-}
-
-std::size_t SolverStateCache::numericClassCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resolvedCount(numeric_);
-}
-
-void SolverStateCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  symbolic_.clear();
-  numeric_.clear();
+  // Count only published values: a key whose builder threw (or is still
+  // running) is not a resolved class.
+  std::size_t n = 0;
+  for (const auto& kv : symbolic_)
+    if (kv.second->value) ++n;
+  return n;
 }
 
 }  // namespace fdtdmm

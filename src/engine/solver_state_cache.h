@@ -3,19 +3,17 @@
 /// Thread-safe SolverStateProvider shared by all sweep workers: the
 /// ModelCache economics (identify once, simulate everywhere) applied to
 /// the solver itself. Corners whose scenarios report the same
-/// structureKey() share one symbolic analysis (sparse pattern RCM
-/// ordering); corners with the same numericBaseKey() share one base LU
-/// factorization. On an N-corner RHS-only sweep that turns N base
-/// factorizations into one per numeric-base class, regardless of worker
-/// count.
+/// structureKey() share one symbolic analysis (the sparse pattern's RCM
+/// ordering), regardless of worker count; every corner factors its own
+/// base matrix.
 ///
 /// Exactly-once contract (per key): the first caller runs the builder
 /// under that key's entry mutex; concurrent callers with the same key
 /// block on the entry mutex — NOT on the whole cache — and receive the
 /// published value. Different keys build concurrently. A builder that
 /// throws publishes nothing; the next caller retries. Values are immutable
-/// (shared_ptr<const ...>), so workers solve against the same
-/// factorization concurrently without copies.
+/// (shared_ptr<const ...>), so workers factor with the same ordering
+/// concurrently without copies.
 
 #include <map>
 #include <memory>
@@ -32,69 +30,34 @@ namespace fdtdmm {
 struct SolverStateCacheStats {
   long long symbolic_hits = 0;    ///< symbolic() calls answered from the map
   long long symbolic_misses = 0;  ///< symbolic() calls that ran the builder
-  long long numeric_hits = 0;     ///< numericBase() calls answered from the map
-  long long numeric_misses = 0;   ///< numericBase() calls that ran the builder
-  long long inserts = 0;          ///< values published (successful builds)
-  /// Lookups of a NEW key refused because the class map sits at its
-  /// max_entries() bound. A refused lookup still runs the builder for its
-  /// caller (correctness is never capacity-dependent) — it just publishes
-  /// nothing, so the sharing economy degrades instead of the memory
-  /// growing without bound.
-  long long refused_inserts = 0;
+  /// Always 0: the cache shares no numeric state. perfbench/sweep_bench.cpp
+  /// still reads these two fields; they go with the next benchmark change.
+  long long numeric_hits = 0;
+  long long numeric_misses = 0;
+  long long inserts = 0;  ///< values published (successful builds)
 };
 
 class SolverStateCache final : public SolverStateProvider {
  public:
-  /// `max_entries` bounds EACH of the two class maps (symbolic and
-  /// numeric-base) separately: at capacity a lookup of a new key counts a
-  /// miss + refused insert and runs the builder privately for the caller
-  /// without publishing — the exactly-once economy is lost for that key
-  /// but results stay bit-identical (shared state is always rebuilt from
-  /// the caller's own inputs). 0 = unbounded.
-  explicit SolverStateCache(std::size_t max_entries = 0)
-      : max_entries_(max_entries) {}
-
-  /// Adjusts the bound; never evicts (shrinking only refuses new keys).
-  void setMaxEntries(std::size_t max_entries);
-  std::size_t maxEntries() const;
-
   std::shared_ptr<const SolverSymbolic> symbolic(const std::string& key,
                                                  const SymbolicBuilder& build) override;
-  std::shared_ptr<const SolverNumericBase> numericBase(
-      const std::string& key, const NumericBuilder& build) override;
 
   /// Snapshot of the hit/miss/insert counters.
   SolverStateCacheStats stats() const;
 
-  /// Distinct structure / numeric-base classes resolved so far. On a
-  /// purely linear sweep, total base factorizations == numericClassCount()
-  /// — the invariant the sharing tests pin.
+  /// Distinct structure classes resolved so far.
   std::size_t structureClassCount() const;
-  std::size_t numericClassCount() const;
-
-  /// Drops every cached value (stats keep counting). Entries being built
-  /// concurrently publish into the post-clear maps.
-  void clear();
 
  private:
   /// One key's slot: value plus the mutex that serializes its build.
-  template <typename T>
   struct Entry {
     std::mutex build_mu;
-    std::shared_ptr<const T> value;  // guarded by the outer mu_ for reads
+    std::shared_ptr<const SolverSymbolic> value;  // guarded by the outer mu_ for reads
   };
 
-  template <typename T, typename Builder>
-  std::shared_ptr<const T> resolve(std::map<std::string, std::shared_ptr<Entry<T>>>& map,
-                                   const std::string& key, const Builder& build,
-                                   long long SolverStateCacheStats::*hits,
-                                   long long SolverStateCacheStats::*misses);
-
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<Entry<SolverSymbolic>>> symbolic_;
-  std::map<std::string, std::shared_ptr<Entry<SolverNumericBase>>> numeric_;
+  std::map<std::string, std::shared_ptr<Entry>> symbolic_;
   SolverStateCacheStats stats_;  // guarded by mu_
-  std::size_t max_entries_ = 0;  // guarded by mu_; 0 = unbounded
 };
 
 }  // namespace fdtdmm

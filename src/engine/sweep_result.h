@@ -107,11 +107,10 @@ struct SweepResult {
   /// ModelCache effectiveness delta over this sweep (hits/misses/inserts
   /// attributable to it, including preload).
   ModelCacheStats model_cache;
-  /// SolverStateCache effectiveness delta over this sweep (symbolic and
-  /// numeric-base sharing; zero when sharing is disabled or no family
-  /// opted in). numeric_misses is the number of numeric-base classes this
-  /// sweep factored — on a purely linear sweep it equals the total LU
-  /// count across all corners.
+  /// SolverStateCache effectiveness delta over this sweep (symbolic
+  /// sharing; zero when sharing is disabled or no family opted in).
+  /// symbolic_misses is the number of structure classes this sweep
+  /// ordered.
   SolverStateCacheStats solver_cache;
   /// ResultCache effectiveness delta over this sweep (zero when result
   /// reuse is disabled or waveforms were requested).

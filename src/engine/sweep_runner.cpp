@@ -59,7 +59,7 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   result.workers = workers;
   result.runs.resize(tasks.size());
 
-  // Per-task execution plan: the final sharing keys (scenario key + the
+  // Per-task execution plan: the final sharing key (scenario key + the
   // model names the runner resolved — conservative: model identity can
   // never silently collide two classes) and the result-cache key.
   struct TaskPlan {
@@ -80,14 +80,11 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
     if (opt_.health.collect) plan.sharing.health = &opt_.health;
     if (opt_.share_solver_state) {
       std::string structure = task.scenario->structureKey();
-      std::string numeric = task.scenario->numericBaseKey();
-      if (!structure.empty() || !numeric.empty()) {
-        std::string models;
-        if (task.scenario->needsDriver()) models += "|drv=" + task.driver;
-        if (task.scenario->needsReceiver()) models += "|rcv=" + task.receiver;
+      if (!structure.empty()) {
+        if (task.scenario->needsDriver()) structure += "|drv=" + task.driver;
+        if (task.scenario->needsReceiver()) structure += "|rcv=" + task.receiver;
         plan.sharing.provider = opt_.solver_cache.get();
-        if (!structure.empty()) plan.sharing.structure_key = structure + models;
-        if (!numeric.empty()) plan.sharing.numeric_base_key = numeric + models;
+        plan.sharing.structure_key = std::move(structure);
       }
     }
     if (use_results) plan.result_key = resultCacheKey(task, opt_.eye);
@@ -111,11 +108,11 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
                                 (static_cast<double>(workers) * s.elapsed_seconds));
         }
         const SolverStateCacheStats sc = opt_.solver_cache->stats();
-        const long long nh = sc.numeric_hits - solver_before.numeric_hits;
-        const long long nm = sc.numeric_misses - solver_before.numeric_misses;
-        if (nh + nm > 0)
+        const long long hits = sc.symbolic_hits - solver_before.symbolic_hits;
+        const long long misses = sc.symbolic_misses - solver_before.symbolic_misses;
+        if (hits + misses > 0)
           s.solver_cache_hit_rate =
-              static_cast<double>(nh) / static_cast<double>(nh + nm);
+              static_cast<double>(hits) / static_cast<double>(hits + misses);
         if (use_results && s.total > 0)
           s.result_cache_hit_rate =
               static_cast<double>(s.replayed) / static_cast<double>(s.total);
@@ -162,8 +159,7 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
     const bool ea = sa.provider == nullptr;
     const bool eb = sb.provider == nullptr;
     if (ea != eb) return eb;  // shareable corners first
-    if (sa.structure_key != sb.structure_key) return sa.structure_key < sb.structure_key;
-    return sa.numeric_base_key < sb.numeric_base_key;
+    return sa.structure_key < sb.structure_key;
   });
 
   // The histogram registry outlives the pool (declared first, destroyed
@@ -249,18 +245,11 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   result.solver_cache.symbolic_hits = solver_after.symbolic_hits - solver_before.symbolic_hits;
   result.solver_cache.symbolic_misses =
       solver_after.symbolic_misses - solver_before.symbolic_misses;
-  result.solver_cache.numeric_hits = solver_after.numeric_hits - solver_before.numeric_hits;
-  result.solver_cache.numeric_misses =
-      solver_after.numeric_misses - solver_before.numeric_misses;
   result.solver_cache.inserts = solver_after.inserts - solver_before.inserts;
-  result.solver_cache.refused_inserts =
-      solver_after.refused_inserts - solver_before.refused_inserts;
   const ResultCacheStats results_after = opt_.result_cache->stats();
   result.result_cache.hits = results_after.hits - results_before.hits;
   result.result_cache.misses = results_after.misses - results_before.misses;
   result.result_cache.inserts = results_after.inserts - results_before.inserts;
-  result.result_cache.refused_inserts =
-      results_after.refused_inserts - results_before.refused_inserts;
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

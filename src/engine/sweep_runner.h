@@ -35,11 +35,11 @@ struct SweepRunnerOptions {
   /// Retain each run's waveforms in its SweepRunRecord (memory-heavy for
   /// large sweeps; metrics are always computed).
   bool keep_waveforms = false;
-  /// Share solver state (symbolic analysis + base LU factorization) across
-  /// corners with equal scenario sharing keys, through the runner's
-  /// SolverStateCache. Exported metrics are byte-identical on or off (the
-  /// keys guarantee bit-identical shared pieces); off = every corner
-  /// factors privately, the pre-SolverSession behavior.
+  /// Share the symbolic analysis (the RCM ordering) across corners with
+  /// equal scenario structure keys, through the runner's SolverStateCache.
+  /// Exported metrics are byte-identical on or off (an ordering is a pure
+  /// function of the pattern); off = every corner orders its own pattern.
+  /// Every corner factors its own base matrix either way.
   bool share_solver_state = true;
   /// Replay previously computed records for content-identical tasks from
   /// the runner's ResultCache instead of re-running them. Automatically
@@ -68,7 +68,7 @@ struct SweepRunnerOptions {
   /// ModelCache can still resolve the built-in "default" models). Passing
   /// shared instances lets several sweeps (e.g. an amplitude sweep and its
   /// clean-reference sweep) reuse each other's identified models,
-  /// factorizations, and finished corners.
+  /// orderings, and finished corners.
   std::shared_ptr<ModelCache> model_cache;
   std::shared_ptr<SolverStateCache> solver_cache;
   std::shared_ptr<ResultCache> result_cache;

@@ -76,8 +76,6 @@ std::string telemetryBody(const obs::RunTelemetry& t) {
   out += ", \"steps\": " + std::to_string(t.steps);
   out += ", \"transient_runs\": " + std::to_string(t.transient_runs);
   out += ", \"pattern_realignments\": " + std::to_string(t.pattern_realignments);
-  out += ", \"shared_base_builds\": " + std::to_string(t.shared_base_builds);
-  out += ", \"shared_base_reuses\": " + std::to_string(t.shared_base_reuses);
   out += ", \"shared_symbolic_builds\": " + std::to_string(t.shared_symbolic_builds);
   out += ", \"shared_symbolic_reuses\": " + std::to_string(t.shared_symbolic_reuses);
   out += ", \"rcm_orderings\": " + std::to_string(t.rcm_orderings);
@@ -107,14 +105,10 @@ obs::Counters sweepCounters(const SweepResult& result) {
   c.addSeconds("model_cache.preload", result.model_cache.preload_seconds, 0);
   c.add("solver_cache.symbolic_hits", result.solver_cache.symbolic_hits);
   c.add("solver_cache.symbolic_misses", result.solver_cache.symbolic_misses);
-  c.add("solver_cache.numeric_hits", result.solver_cache.numeric_hits);
-  c.add("solver_cache.numeric_misses", result.solver_cache.numeric_misses);
   c.add("solver_cache.inserts", result.solver_cache.inserts);
-  c.add("solver_cache.refused_inserts", result.solver_cache.refused_inserts);
   c.add("result_cache.hits", result.result_cache.hits);
   c.add("result_cache.misses", result.result_cache.misses);
   c.add("result_cache.inserts", result.result_cache.inserts);
-  c.add("result_cache.refused_inserts", result.result_cache.refused_inserts);
   c.add("health.warn_corners", static_cast<long long>(hs.warn_corners));
   c.add("health.critical_corners", static_cast<long long>(hs.critical_corners));
   return c;
@@ -147,16 +141,12 @@ std::string sweepTelemetryJson(const SweepResult& result) {
   const SolverStateCacheStats& sc = result.solver_cache;
   out += "  \"solver_cache\": {\"symbolic_hits\": " + std::to_string(sc.symbolic_hits);
   out += ", \"symbolic_misses\": " + std::to_string(sc.symbolic_misses);
-  out += ", \"numeric_hits\": " + std::to_string(sc.numeric_hits);
-  out += ", \"numeric_misses\": " + std::to_string(sc.numeric_misses);
-  out += ", \"inserts\": " + std::to_string(sc.inserts);
-  out += ", \"refused_inserts\": " + std::to_string(sc.refused_inserts) + "},\n";
+  out += ", \"inserts\": " + std::to_string(sc.inserts) + "},\n";
 
   const ResultCacheStats& rc = result.result_cache;
   out += "  \"result_cache\": {\"hits\": " + std::to_string(rc.hits);
   out += ", \"misses\": " + std::to_string(rc.misses);
-  out += ", \"inserts\": " + std::to_string(rc.inserts);
-  out += ", \"refused_inserts\": " + std::to_string(rc.refused_inserts) + "},\n";
+  out += ", \"inserts\": " + std::to_string(rc.inserts) + "},\n";
 
   const SweepResult::HealthSummary hs = result.healthSummary();
   const auto corner_index = [](std::size_t i) {

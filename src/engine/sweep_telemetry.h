@@ -17,7 +17,6 @@
 ///     "model_cache": { "hits": N, "misses": N, "inserts": N,
 ///                      "preload_seconds": ... },
 ///     "solver_cache": { "symbolic_hits": N, "symbolic_misses": N,
-///                       "numeric_hits": N, "numeric_misses": N,
 ///                       "inserts": N },
 ///     "result_cache": { "hits": N, "misses": N, "inserts": N },
 ///     "health_summary": { "collected_corners": N, "warn_corners": N,
@@ -39,9 +38,9 @@
 ///                     "newton_seconds": ... },
 ///         "lu_factorizations": N, "newton_iterations": N,
 ///         "max_newton_iterations": N, "steps": N, "transient_runs": N,
-///         "pattern_realignments": N, "shared_base_builds": N,
-///         "shared_base_reuses": N, "shared_symbolic_builds": N,
-///         "shared_symbolic_reuses": N,
+///         "pattern_realignments": N, "shared_symbolic_builds": N,
+///         "shared_symbolic_reuses": N, "rcm_orderings": N,
+///         "structure": { "unknowns": N, "nonzeros": N, "kl": N, "ku": N },
 ///         "health": { "collected": bool, "severity": "ok|warn|critical",
 ///                     "factorizations": N, "min_abs_pivot": ...,
 ///                     "max_pivot_growth": ..., "condition_estimates": N,
@@ -89,9 +88,8 @@ namespace fdtdmm {
 ///   pool.tasks          count = submitted, seconds = queue wait
 ///   pool.busy           seconds workers spent running task bodies
 ///   model_cache.hits / .misses / .inserts / .preload (seconds)
-///   solver_cache.symbolic_hits / .symbolic_misses / .numeric_hits /
-///                .numeric_misses / .inserts / .refused_inserts
-///   result_cache.hits / .misses / .inserts / .refused_inserts
+///   solver_cache.symbolic_hits / .symbolic_misses / .inserts
+///   result_cache.hits / .misses / .inserts
 ///   health.warn_corners / health.critical_corners
 ///
 /// Render with obs::countersJson for the one true footer format.

@@ -20,10 +20,6 @@
 ///     BandedLu<Complex> (math/banded_lu.h).
 ///   - the solution workspace x(omega).
 ///
-/// There is no numeric-base tier: unlike the transient path, where N
-/// corners share one static base factorization, every AC frequency point
-/// has distinct matrix values, so only the symbolic stage is shareable.
-///
 /// Nonlinear circuits are handled the standard SPICE way: compute the DC
 /// operating point with dcOperatingPoint(), pass it as AcOptions::x_dc,
 /// and every nonlinear device stamps the Jacobian of its linearization

@@ -91,10 +91,8 @@ class AcFamily final : public Scenario {
   bool needsReceiver() const override { return false; }
   /// Symbolic sharing: the AC matrix pattern depends on the ladder
   /// structure (segment count, presence of series-R / shunt-G nodes,
-  /// skin-branch chain) but NOT on the frequency — that is
-  /// the axis the sharing economy targets. There is no AC numeric-base
-  /// tier (every frequency has distinct matrix values), so
-  /// numericBaseKey() stays empty.
+  /// skin-branch chain) but NOT on the frequency — that is the axis the
+  /// sharing economy targets. Every frequency factors its own matrix.
   std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,

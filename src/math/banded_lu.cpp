@@ -213,13 +213,9 @@ void BandedLu<Scalar>::factorNumeric(const Csr& a) {
 
 template <typename Scalar>
 void BandedLu<Scalar>::solve(const Vec& b, Vec& x) const {
-  solve(b, x, work_);
-}
-
-template <typename Scalar>
-void BandedLu<Scalar>::solve(const Vec& b, Vec& x, Vec& work) const {
   if (!factored_) throw std::logic_error("BandedLu::solve: not factored");
   if (b.size() != n_) throw std::invalid_argument("BandedLu::solve: size mismatch");
+  Vec& work = work_;
   work.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) work[k] = b[order_[k]];
   // Forward: apply pivots interleaved with the L columns (gbtrs order).
@@ -251,17 +247,13 @@ typename BandedLu<Scalar>::Vec BandedLu<Scalar>::solve(const Vec& b) const {
 
 template <typename Scalar>
 void BandedLu<Scalar>::solveTranspose(const Vec& b, Vec& x) const {
-  solveTranspose(b, x, work_);
-}
-
-template <typename Scalar>
-void BandedLu<Scalar>::solveTranspose(const Vec& b, Vec& x, Vec& work) const {
   if (!factored_) throw std::logic_error("BandedLu::solveTranspose: not factored");
   if (b.size() != n_)
     throw std::invalid_argument("BandedLu::solveTranspose: size mismatch");
   // The RCM permutation is symmetric (rows and columns reordered alike),
   // so the transpose of the permuted matrix is the permuted transpose:
   // the same order_ wrapping as solve() applies.
+  Vec& work = work_;
   work.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) work[k] = b[order_[k]];
   // U^T z = b: U's band column j reaches up to kl + ku rows above the

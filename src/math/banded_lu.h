@@ -29,7 +29,9 @@
 /// path. Because the symbolic stage is a pure function of the pattern, an
 /// ordering published through the SolverStateCache seeds factorWithOrder
 /// in either engine, and every frequency point of an AC sweep reuses one
-/// symbolic analysis (the AcSession economy, src/freq/ac_engine.h).
+/// symbolic analysis (the AcSession economy, src/freq/ac_engine.h). A
+/// factorization itself is never shared between runs: each instance is
+/// owned by one session, which is why solve() may use internal scratch.
 
 #include <array>
 #include <complex>
@@ -89,10 +91,6 @@ class BandedLu {
   ///         not band-optimal), but then the sharing key was wrong.
   void factorWithOrder(const Csr& a, const std::vector<std::size_t>& order);
 
-  /// Ordering of the last symbolic analysis (order[new] = old; empty until
-  /// the first factor). Publishable to other instances via factorWithOrder.
-  const std::vector<std::size_t>& ordering() const { return order_; }
-
   /// RCM orderings this instance computed itself (factor() on a new
   /// pattern); factorWithOrder never adds to it.
   std::size_t orderingsComputed() const { return orderings_computed_; }
@@ -106,18 +104,10 @@ class BandedLu {
 
   /// Solves A x = b into x (resized; must not alias b). Allocation-free
   /// after the first call at a given dimension. NOT safe for concurrent
-  /// calls on one instance (uses an internal scratch vector); concurrent
-  /// sharers use the caller-workspace overload below.
+  /// calls on one instance (uses an internal scratch vector).
   /// \throws std::invalid_argument on size mismatch, std::logic_error if
   ///         nothing has been factored.
   void solve(const Vec& b, Vec& x) const;
-
-  /// Thread-safe solve into caller storage: identical numerics to
-  /// solve(b, x), but the permutation/substitution scratch lives in `work`
-  /// (resized; must alias neither b nor x), so any number of threads can
-  /// solve against one shared factorization concurrently — the enabling
-  /// detail of cross-run numeric-base sharing.
-  void solve(const Vec& b, Vec& x, Vec& work) const;
 
   /// Convenience allocating overload.
   Vec solve(const Vec& b) const;
@@ -128,11 +118,8 @@ class BandedLu {
   /// order), wrapped in the same RCM permutation as solve() (transposing
   /// commutes with the symmetric reordering). Used by the Hager condition
   /// estimator (obs/health.h) against already-cached real factorizations.
-  /// Same aliasing/threading contract as solve(): the two-argument form
-  /// uses the internal scratch, the `work` overload is safe against a
-  /// concurrently shared factorization.
+  /// Same aliasing/threading contract as solve().
   void solveTranspose(const Vec& b, Vec& x) const;
-  void solveTranspose(const Vec& b, Vec& x, Vec& work) const;
 
   /// Numerical-health probes of the last successful factorization (see
   /// LuFactorization), magnitudes taken as std::abs of the entries:

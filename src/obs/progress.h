@@ -43,7 +43,7 @@ struct ProgressSnapshot {
   double corners_per_second = 0.0;  ///< EMA-smoothed completion rate
   double eta_seconds = -1.0;        ///< remaining / rate; <0 if unknown
   double worker_utilization = -1.0;     ///< busy / (workers * elapsed), 0..1
-  double solver_cache_hit_rate = -1.0;  ///< numeric-base hits / lookups
+  double solver_cache_hit_rate = -1.0;  ///< symbolic hits / lookups
   double result_cache_hit_rate = -1.0;  ///< replays / corners submitted
   long long health_warn = 0;      ///< corners graded warn so far
   long long health_critical = 0;  ///< corners graded critical so far

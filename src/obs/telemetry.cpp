@@ -20,8 +20,6 @@ void RunTelemetry::merge(const RunTelemetry& o) {
   steps += o.steps;
   transient_runs += o.transient_runs;
   pattern_realignments += o.pattern_realignments;
-  shared_base_builds += o.shared_base_builds;
-  shared_base_reuses += o.shared_base_reuses;
   shared_symbolic_builds += o.shared_symbolic_builds;
   shared_symbolic_reuses += o.shared_symbolic_reuses;
   rcm_orderings += o.rcm_orderings;

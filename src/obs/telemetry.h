@@ -28,8 +28,9 @@
 ///
 ///   - phases                   TransientPhases above
 ///   - lu_factorizations        total LU count (== 1 per linear transient
-///                              — the paper's one-LU-per-run guarantee,
-///                              visible per corner)
+///                              — the paper's one-LU-per-run guarantee —
+///                              so a linear single-transient corner reads
+///                              exactly 1, with sharing on or off)
 ///   - newton_iterations        total Newton iterations
 ///   - max_newton_iterations    worst single step
 ///   - steps                    accepted time steps (t >= 0)
@@ -37,14 +38,8 @@
 ///   - pattern_realignments     sparse-pattern overflow recompiles (a
 ///                              dynamic stamp hit a structurally-new
 ///                              entry; see circuit/transient.h)
-///   - shared_base_builds       base factorizations this run performed AND
-///                              published to a SolverStateProvider (the
-///                              one build of a numeric-base class)
-///   - shared_base_reuses       base factorizations this run *skipped* by
-///                              checking a shared one out instead (each is
-///                              an LU that did not happen; see
-///                              circuit/solver_state.h)
-///   - shared_symbolic_builds   RCM orderings built and published
+///   - shared_symbolic_builds   RCM orderings built and published to a
+///                              SolverStateProvider (circuit/solver_state.h)
 ///   - shared_symbolic_reuses   RCM orderings checked out instead of built
 ///   - rcm_orderings            RCM orderings the run computed itself (one
 ///                              per transient or AC session and per pattern
@@ -121,8 +116,6 @@ struct RunTelemetry {
   long long steps = 0;
   long long transient_runs = 0;
   long long pattern_realignments = 0;
-  long long shared_base_builds = 0;
-  long long shared_base_reuses = 0;
   long long shared_symbolic_builds = 0;
   long long shared_symbolic_reuses = 0;
   long long rcm_orderings = 0;

@@ -57,33 +57,32 @@ TEST(EngineCaches, ModelCacheConcurrentFirstLookupIdentifiesOnce) {
   EXPECT_EQ(stats.hits, static_cast<long long>(kThreads) * kLookupsPerThread - 1);
 }
 
-TEST(EngineCaches, SolverStateCacheBuildsNumericBaseExactlyOnce) {
+TEST(EngineCaches, SolverStateCacheBuildsSymbolicExactlyOnce) {
   SolverStateCache cache;
   std::atomic<int> builds{0};
-  std::vector<std::shared_ptr<const SolverNumericBase>> seen(kThreads);
+  std::vector<std::shared_ptr<const SolverSymbolic>> seen(kThreads);
   hammer(kThreads, [&](int t) {
     for (int i = 0; i < kLookupsPerThread; ++i) {
-      seen[static_cast<std::size_t>(t)] = cache.numericBase("class-a", [&] {
+      seen[static_cast<std::size_t>(t)] = cache.symbolic("class-a", [&] {
         ++builds;
         // Stretch the build window so every other thread is parked on the
         // entry mutex while the builder runs.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return std::make_shared<SolverNumericBase>();
+        return std::make_shared<SolverSymbolic>();
       });
     }
   });
   EXPECT_EQ(builds.load(), 1);
-  for (const auto& base : seen) {
-    ASSERT_NE(base, nullptr);
-    EXPECT_EQ(base, seen.front());
+  for (const auto& sym : seen) {
+    ASSERT_NE(sym, nullptr);
+    EXPECT_EQ(sym, seen.front());
   }
   const SolverStateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.numeric_misses, 1);
+  EXPECT_EQ(stats.symbolic_misses, 1);
   EXPECT_EQ(stats.inserts, 1);
-  EXPECT_EQ(stats.numeric_hits,
+  EXPECT_EQ(stats.symbolic_hits,
             static_cast<long long>(kThreads) * kLookupsPerThread - 1);
-  EXPECT_EQ(stats.symbolic_hits + stats.symbolic_misses, 0);
-  EXPECT_EQ(cache.numericClassCount(), 1u);
+  EXPECT_EQ(cache.structureClassCount(), 1u);
 }
 
 TEST(EngineCaches, SolverStateCacheDistinctKeysBuildConcurrently) {
@@ -113,20 +112,19 @@ TEST(EngineCaches, SolverStateCacheDistinctKeysBuildConcurrently) {
 
 TEST(EngineCaches, SolverStateCacheThrowingBuilderPublishesNothing) {
   SolverStateCache cache;
-  EXPECT_THROW(cache.numericBase("bad",
-                                 []() -> std::shared_ptr<const SolverNumericBase> {
-                                   throw std::runtime_error("singular");
-                                 }),
+  EXPECT_THROW(cache.symbolic("bad",
+                              []() -> std::shared_ptr<const SolverSymbolic> {
+                                throw std::runtime_error("singular");
+                              }),
                std::runtime_error);
-  EXPECT_EQ(cache.numericClassCount(), 0u);
+  EXPECT_EQ(cache.structureClassCount(), 0u);
   // The next caller retries the build and can succeed.
-  auto base =
-      cache.numericBase("bad", [] { return std::make_shared<SolverNumericBase>(); });
-  EXPECT_NE(base, nullptr);
+  auto sym = cache.symbolic("bad", [] { return std::make_shared<SolverSymbolic>(); });
+  EXPECT_NE(sym, nullptr);
   const SolverStateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.numeric_misses, 2);  // the failed attempt counts as a miss
+  EXPECT_EQ(stats.symbolic_misses, 2);  // the failed attempt counts as a miss
   EXPECT_EQ(stats.inserts, 1);
-  EXPECT_EQ(cache.numericClassCount(), 1u);
+  EXPECT_EQ(cache.structureClassCount(), 1u);
 }
 
 TEST(EngineCaches, ResultCacheConcurrentPutInsertsOnce) {
@@ -154,77 +152,6 @@ TEST(EngineCaches, ResultCacheConcurrentPutInsertsOnce) {
   bad.ok = false;
   cache.put("other", bad);
   EXPECT_EQ(cache.find("other"), nullptr);
-}
-
-TEST(EngineCaches, ResultCacheMaxEntriesRefusesNewKeysOnly) {
-  ResultCache cache(2);
-  EXPECT_EQ(cache.maxEntries(), 2u);
-  SweepRunRecord rec;
-  rec.ok = true;
-  cache.put("a", rec);
-  cache.put("b", rec);
-  cache.put("c", rec);  // at capacity: refused, not evicted
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find("c"), nullptr);
-  EXPECT_NE(cache.find("a"), nullptr);
-  // Re-putting a cached key is a no-op, never a refusal.
-  cache.put("a", rec);
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts, 2);
-  EXPECT_EQ(stats.refused_inserts, 1);
-
-  // Raising the bound admits new keys again; shrinking evicts nothing.
-  cache.setMaxEntries(3);
-  cache.put("c", rec);
-  EXPECT_EQ(cache.size(), 3u);
-  cache.setMaxEntries(1);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_NE(cache.find("c"), nullptr);
-  EXPECT_EQ(cache.stats().refused_inserts, 1);
-}
-
-TEST(EngineCaches, SolverStateCacheMaxEntriesBuildsPrivatelyPastTheCap) {
-  SolverStateCache cache(1);
-  EXPECT_EQ(cache.maxEntries(), 1u);
-  std::atomic<int> builds{0};
-  auto builder = [&] {
-    ++builds;
-    return std::make_shared<SolverNumericBase>();
-  };
-  auto a1 = cache.numericBase("class-a", builder);
-  auto a2 = cache.numericBase("class-a", builder);
-  EXPECT_EQ(a1, a2);  // in-capacity key shares normally
-  // Past the cap: every lookup of the refused key still gets a value, but
-  // privately — the builder runs per call and nothing is published.
-  auto b1 = cache.numericBase("class-b", builder);
-  auto b2 = cache.numericBase("class-b", builder);
-  ASSERT_NE(b1, nullptr);
-  ASSERT_NE(b2, nullptr);
-  EXPECT_NE(b1, b2);
-  EXPECT_EQ(builds.load(), 3);
-  EXPECT_EQ(cache.numericClassCount(), 1u);
-
-  const SolverStateCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.numeric_hits, 1);
-  EXPECT_EQ(stats.numeric_misses, 3);  // the build, plus both refused calls
-  EXPECT_EQ(stats.inserts, 1);
-  EXPECT_EQ(stats.refused_inserts, 2);
-
-  // The bound covers each class map separately: the symbolic map is empty,
-  // so its first key publishes normally.
-  auto sym = cache.symbolic("sym-a", [] {
-    return std::make_shared<SolverSymbolic>();
-  });
-  EXPECT_NE(sym, nullptr);
-  EXPECT_EQ(cache.structureClassCount(), 1u);
-  EXPECT_EQ(cache.stats().refused_inserts, 2);
-
-  // Raising the bound lets the refused key publish on the next lookup.
-  cache.setMaxEntries(2);
-  auto b3 = cache.numericBase("class-b", builder);
-  auto b4 = cache.numericBase("class-b", builder);
-  EXPECT_EQ(b3, b4);
-  EXPECT_EQ(cache.numericClassCount(), 2u);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Tests for cross-corner solver-state sharing: the central invariant (a
-// linear RHS-only sweep performs one base LU factorization per
-// numeric-base class, not per corner), a checked-out RCM ordering serving
-// every factorization of a run, the byte-identical-exports contract
-// between sharing on and off, result-cache replay of repeated corners, the
-// honesty of the family sharing keys, and the valid-name lists in the
-// *FromName error messages.
+// Tests for cross-corner solver-state sharing: a linear RHS-only sweep
+// factors once per corner on one shared RCM ordering, a checked-out
+// ordering serves every factorization of a run, a wrong structure key
+// never changes a result, the byte-identical-exports contract between
+// sharing on and off, result-cache replay of repeated corners, the honesty
+// of the family structure keys, and the valid-name lists in the *FromName
+// error messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -18,6 +19,7 @@
 #include "circuit/transient.h"
 #include "core/scenario.h"
 #include "core/tline_family.h"
+#include "dense_oracle.h"
 #include "engine/sweep_runner.h"
 #include "signal/bit_pattern.h"
 #include "signal/linear_ports.h"
@@ -26,8 +28,7 @@ namespace fdtdmm {
 namespace {
 
 // 6 corners, all linear (quiescent victim trace, no macromodels), whose
-// amplitude x theta axes reach only the RHS: exactly one numeric-base
-// class.
+// amplitude x theta axes reach only the RHS: exactly one structure class.
 SweepSpec rhsOnlyEmcSpec() {
   SweepSpec spec;
   spec.scenario = "emc";
@@ -70,9 +71,9 @@ long long totalLu(const SweepResult& result) {
   return lu;
 }
 
-// THE invariant: total factorizations == numeric-base classes, for any
-// worker count, on a linear RHS-only sweep.
-TEST(FactorizationSharing, LinearSweepFactorsOncePerNumericClass) {
+// Every linear corner factors its own base exactly once, and the whole
+// structure class orders its pattern once, for any worker count.
+TEST(FactorizationSharing, LinearSweepFactorsOncePerCornerOnOneOrdering) {
   const SweepSpec spec = rhsOnlyEmcSpec();
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     SweepRunnerOptions opt;
@@ -82,21 +83,15 @@ TEST(FactorizationSharing, LinearSweepFactorsOncePerNumericClass) {
     ASSERT_EQ(result.okCount(), result.runs.size());
     ASSERT_EQ(result.runs.size(), 6u);
 
-    // One class: amplitude/theta are RHS-only.
-    EXPECT_EQ(runner.solverCache()->numericClassCount(), 1u) << workers;
-    EXPECT_EQ(totalLu(result), 1) << workers;
-    EXPECT_EQ(result.solver_cache.numeric_misses, 1) << workers;
-    EXPECT_EQ(result.solver_cache.numeric_hits, 5) << workers;
-    // The corners also share one RCM ordering (6 corners, 1 analysis).
+    // One class: amplitude/theta are RHS-only (6 corners, 1 analysis).
+    EXPECT_EQ(totalLu(result), 6) << workers;
     EXPECT_EQ(runner.solverCache()->structureClassCount(), 1u) << workers;
     EXPECT_EQ(result.solver_cache.symbolic_misses, 1) << workers;
     EXPECT_EQ(result.solver_cache.symbolic_hits, 5) << workers;
 
     for (const SweepRunRecord& r : result.runs) {
-      // Each corner either built its class base (1 LU) or checked it out,
-      // and likewise computed the class ordering or checked it out.
-      EXPECT_EQ(r.telemetry.lu_factorizations + r.telemetry.shared_base_reuses, 1)
-          << r.label;
+      EXPECT_EQ(r.telemetry.lu_factorizations, 1) << r.label;
+      // Each corner computed the class ordering or checked it out.
       EXPECT_EQ(r.telemetry.rcm_orderings + r.telemetry.shared_symbolic_reuses, 1)
           << r.label;
     }
@@ -158,6 +153,90 @@ TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
   EXPECT_EQ(cache.stats().symbolic_hits, 1);
 }
 
+// A linear ladder: a ramped source behind 50 ohm drives `segments` RLGC
+// sections into a 60 ohm load. `bridge` adds one capacitor between two
+// non-adjacent segment nodes: the same unknown count, a different pattern.
+Circuit sourceDrivenLadder(std::size_t segments, bool bridge, int& far) {
+  Circuit c;
+  const int src = c.addNode();
+  const int near = c.addNode();
+  far = c.addNode();
+  c.addVoltageSource(src, Circuit::kGround,
+                     [](double t) { return std::clamp(t / 0.2e-9, 0.0, 1.0); });
+  c.addResistor(src, near, 50.0);
+  RlgcParams p;
+  p.segments = segments;
+  const std::vector<int> nodes =
+      buildRlgcLineSegments(c, near, Circuit::kGround, far, Circuit::kGround, p);
+  if (bridge) c.addCapacitor(nodes[1], nodes[6], 1e-12);
+  c.addResistor(far, Circuit::kGround, 60.0);
+  return c;
+}
+
+TransientOptions ladderOptions(SolverStateCache* cache, obs::RunTelemetry* tel) {
+  TransientOptions opt;
+  opt.dt = 5e-12;
+  opt.t_stop = 2e-9;
+  opt.telemetry = tel;
+  if (cache != nullptr) {
+    opt.sharing.provider = cache;
+    opt.sharing.structure_key = "one-key-for-every-ladder";
+  }
+  return opt;
+}
+
+// A wrong structure key on a different unknown count: the checked-out
+// ordering does not fit, so the run orders privately and matches the
+// sharing-off run bit for bit.
+TEST(FactorizationSharing, WrongKeyOnOtherDimensionOrdersPrivately) {
+  SolverStateCache cache;
+  obs::RunTelemetry first, second;
+  int far = 0;
+  Circuit a = sourceDrivenLadder(10, false, far);
+  runTransient(a, ladderOptions(&cache, &first), {{"far", far, 0}});
+  EXPECT_EQ(first.shared_symbolic_builds, 1);
+
+  Circuit b = sourceDrivenLadder(12, false, far);
+  const TransientResult shared =
+      runTransient(b, ladderOptions(&cache, &second), {{"far", far, 0}});
+  EXPECT_NE(second.structure.unknowns, first.structure.unknowns);
+  EXPECT_EQ(second.rcm_orderings, 1);
+  EXPECT_EQ(second.shared_symbolic_reuses, 0);
+
+  Circuit c = sourceDrivenLadder(12, false, far);
+  const TransientResult alone =
+      runTransient(c, ladderOptions(nullptr, nullptr), {{"far", far, 0}});
+  const Waveform& x = shared.at("far");
+  const Waveform& y = alone.at("far");
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t k = 0; k < x.size(); ++k) EXPECT_EQ(x[k], y[k]) << k;
+}
+
+// A wrong structure key on the same unknown count: the run checks out an
+// ordering computed for another pattern. That is still a permutation, so
+// the result still agrees with the dense oracle.
+TEST(FactorizationSharing, WrongKeyOnSameDimensionStillMatchesTheOracle) {
+  SolverStateCache cache;
+  obs::RunTelemetry first, second;
+  int far = 0;
+  Circuit a = sourceDrivenLadder(10, false, far);
+  runTransient(a, ladderOptions(&cache, &first), {{"far", far, 0}});
+
+  Circuit b = sourceDrivenLadder(10, true, far);
+  const TransientResult res =
+      runTransient(b, ladderOptions(&cache, &second), {{"far", far, 0}});
+  EXPECT_EQ(second.structure.unknowns, first.structure.unknowns);
+  EXPECT_GT(second.structure.nonzeros, first.structure.nonzeros);
+  EXPECT_EQ(second.shared_symbolic_reuses, 1);
+  EXPECT_EQ(second.rcm_orderings, 0);
+  EXPECT_EQ(res.lu_factorizations, 1);
+
+  Circuit ref_circuit = sourceDrivenLadder(10, true, far);
+  const TransientResult ref = oracle::runDenseReference(
+      ref_circuit, ladderOptions(nullptr, nullptr), {{"far", far, 0}});
+  EXPECT_LE(oracle::maxAbsDiff(res.at("far"), ref.at("far")), oracle::kSparseTol);
+}
+
 // Sharing must never perturb a metric byte — on or off, any worker count,
 // linear (emc) and nonlinear (crosstalk) families alike.
 TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
@@ -170,9 +249,9 @@ TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
     const SweepResult result = runner.run(spec);
     EXPECT_EQ(result.okCount(), result.runs.size());
     if (!share) {
-      // Sharing off: every corner factors privately, caches stay cold.
-      EXPECT_EQ(result.solver_cache.numeric_hits, 0);
-      EXPECT_EQ(result.solver_cache.numeric_misses, 0);
+      // Sharing off: every corner orders privately, caches stay cold.
+      EXPECT_EQ(result.solver_cache.symbolic_hits, 0);
+      EXPECT_EQ(result.solver_cache.symbolic_misses, 0);
       EXPECT_EQ(result.result_cache.inserts, 0);
     }
     return exportMetrics(result);
@@ -222,8 +301,8 @@ TEST(FactorizationSharing, RepeatedSweepReplaysFromResultCache) {
   EXPECT_EQ(second.result_cache.inserts, 0);
   // No corner ran: no factorizations, no solver-cache traffic.
   EXPECT_EQ(totalLu(second), 0);
-  EXPECT_EQ(second.solver_cache.numeric_misses, 0);
-  EXPECT_EQ(second.solver_cache.numeric_hits, 0);
+  EXPECT_EQ(second.solver_cache.symbolic_misses, 0);
+  EXPECT_EQ(second.solver_cache.symbolic_hits, 0);
   for (const SweepRunRecord& r : second.runs) EXPECT_EQ(r.telemetry.steps, 0);
 
   const Exports a = exportMetrics(first);
@@ -243,40 +322,29 @@ TEST(FactorizationSharing, RepeatedSweepReplaysFromResultCache) {
   for (const SweepRunRecord& r : waved.runs) EXPECT_GT(r.waves.v_far.size(), 0u);
 }
 
-// Key honesty: RHS-only parameters must stay out of both keys; parameters
-// that reach a static stamp or the solver setup must change the numeric
-// key; structural parameters must change the structure key; and the
-// numeric key must refine the structure key.
-TEST(FactorizationSharing, EmcKeysTrackStructureAndStaticBase) {
+// Key honesty: RHS-only parameters and element values must stay out of
+// the structure key; parameters that change the pattern must change it.
+TEST(FactorizationSharing, EmcKeyTracksStructureOnly) {
   auto scenario = ScenarioRegistry::global().create("emc");
   const std::string structure = scenario->structureKey();
-  const std::string numeric = scenario->numericBaseKey();
   ASSERT_FALSE(structure.empty());
-  ASSERT_FALSE(numeric.empty());
-  // Refinement: equal numeric keys must imply equal structure keys.
-  EXPECT_EQ(numeric.compare(0, structure.size(), structure), 0);
 
-  // RHS-only knobs: field excitation and geometry never touch the keys.
+  // RHS-only knobs: field excitation and geometry never touch the key.
   scenario->set("amplitude", 750.0);
   scenario->set("theta", 45.0);
   scenario->set("phi", 30.0);
   scenario->set("pulse_t0", 2e-9);
   scenario->set("route_deg", 15.0);
   EXPECT_EQ(scenario->structureKey(), structure);
-  EXPECT_EQ(scenario->numericBaseKey(), numeric);
 
-  // Static-stamp knobs: same structure, different base matrix.
+  // Static-stamp values: same pattern, same key.
   scenario->set("line_c", 1.1e-10);
-  EXPECT_EQ(scenario->structureKey(), structure);
-  EXPECT_NE(scenario->numericBaseKey(), numeric);
   scenario->set("dt", 1.3e-11);
-  const std::string numeric2 = scenario->numericBaseKey();
-  EXPECT_NE(numeric2, numeric);
+  EXPECT_EQ(scenario->structureKey(), structure);
 
-  // Structural knobs: different pattern, different everything.
+  // Structural knobs: different pattern.
   scenario->set("segments", 16.0);
   EXPECT_NE(scenario->structureKey(), structure);
-  EXPECT_NE(scenario->numericBaseKey(), numeric2);
 
   // amplitude=0 drops the field sources entirely — a structural change.
   auto quiet = ScenarioRegistry::global().create("emc");
@@ -288,35 +356,27 @@ TEST(FactorizationSharing, TlineKeysOnlyForTheMnaEngine) {
   auto scenario = ScenarioRegistry::global().create("tline");
   scenario->set("engine", std::string("spice-rbf"));
   const std::string structure = scenario->structureKey();
-  const std::string numeric = scenario->numericBaseKey();
   EXPECT_FALSE(structure.empty());
-  EXPECT_EQ(numeric.compare(0, structure.size(), structure), 0);
-  scenario->set("zc", 120.0);  // reaches the lumped model: numeric-only
+  scenario->set("zc", 120.0);  // reaches the lumped model's values only
   EXPECT_EQ(scenario->structureKey(), structure);
-  EXPECT_NE(scenario->numericBaseKey(), numeric);
 
-  // The FDTD engines never run the MNA solver: no keys, no sharing.
+  // The FDTD engines never run the MNA solver: no key, no sharing.
   for (const char* engine : {"fdtd1d", "fdtd3d"}) {
     scenario->set("engine", std::string(engine));
     EXPECT_EQ(scenario->structureKey(), "") << engine;
-    EXPECT_EQ(scenario->numericBaseKey(), "") << engine;
   }
 }
 
-TEST(FactorizationSharing, CrosstalkKeysFoldCouplingIntoTheBase) {
+TEST(FactorizationSharing, CrosstalkKeyTracksCouplingPresence) {
   auto scenario = ScenarioRegistry::global().create("crosstalk");
   const std::string structure = scenario->structureKey();
-  const std::string numeric = scenario->numericBaseKey();
   ASSERT_FALSE(structure.empty());
-  EXPECT_EQ(numeric.compare(0, structure.size(), structure), 0);
-  // Coupling stamps mutual elements: same structure (both nonzero),
-  // different static base.
+  // Coupling stamps mutual elements: same structure while both nonzero.
   scenario->set("coupling", 0.25);
   EXPECT_EQ(scenario->structureKey(), structure);
-  EXPECT_NE(scenario->numericBaseKey(), numeric);
-  // Victim terminations are resistors in the static matrix.
+  // Victim terminations are resistor values in an unchanged pattern.
   scenario->set("victim_r_far", 75.0);
-  EXPECT_NE(scenario->numericBaseKey(), numeric);
+  EXPECT_EQ(scenario->structureKey(), structure);
   // coupling=0 skips the mutual stamps entirely — structural.
   scenario->set("coupling", 0.0);
   EXPECT_NE(scenario->structureKey(), structure);
