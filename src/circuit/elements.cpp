@@ -147,7 +147,18 @@ Inductor::Inductor(int n1, int n2, double l, TimeFn emf, double i0)
   emf_ = std::move(emf);
 }
 
-void Inductor::begin(double) { v_prev_ = 0.0; }
+void Inductor::begin(double) {
+  v_prev_ = 0.0;
+  emf_t_ = std::numeric_limits<double>::quiet_NaN();
+}
+
+double Inductor::emfAt(double t) {
+  if (t != emf_t_) {
+    emf_v_ = emf_(t);
+    emf_t_ = t;
+  }
+  return emf_v_;
+}
 
 void Inductor::stampStatic(StampSystem& sys, double dt) {
   // Theta method: i_new = i_prev + dt/L (theta v_new + (1-theta) v_prev),
@@ -167,13 +178,13 @@ void Inductor::stampStatic(StampSystem& sys, double dt) {
 void Inductor::stampDynamic(StampSystem& sys, const Vector&, double t_new, double dt) {
   const double hp = (1.0 - kTheta) * dt / l_;
   double rhs = i_prev_ + hp * v_prev_;
-  if (emf_) rhs += kTheta * dt / l_ * emf_(t_new);
+  if (emf_) rhs += kTheta * dt / l_ * emfAt(t_new);
   sys.b[branch_offset_] += rhs;
 }
 
 void Inductor::endStep(const Vector& x, double t_new, double) {
   v_prev_ = nodeV(x, n1_) - nodeV(x, n2_);
-  if (emf_) v_prev_ += emf_(t_new);
+  if (emf_) v_prev_ += emfAt(t_new);
   i_prev_ = x[branch_offset_];
 }
 

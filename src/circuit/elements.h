@@ -14,6 +14,7 @@
 #include <complex>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -255,11 +256,18 @@ class Inductor final : public Element {
   std::string name() const override { return "L"; }
 
  private:
+  /// emf_(t), evaluated once per time point: every Newton iteration of a
+  /// step and its endStep share one call. Keyed on t, not cached in
+  /// beginStep, because Element::stamp callers skip beginStep.
+  double emfAt(double t);
+
   int n1_, n2_;
   double l_;
   TimeFn emf_;     ///< optional series EMF (may be empty)
   double i_prev_;
   double v_prev_ = 0.0;  ///< previous branch voltage *including* the EMF
+  double emf_t_ = std::numeric_limits<double>::quiet_NaN();  ///< memo key
+  double emf_v_ = 0.0;  ///< emf_(emf_t_)
 };
 
 /// A pair of mutually coupled inductors (linear transformer):

@@ -115,15 +115,14 @@ PcbRun runPcbScenario(const PcbScenario& cfg,
 
   if (cfg.with_incident) {
     const double sigma = gaussianSigmaForBandwidth(cfg.inc_bandwidth);
-    // Launch the pulse so it is negligible everywhere at t = 0: the
-    // earliest corner sees the peak after ~6 sigma plus the longest
-    // propagation delay across the domain.
-    const double lmax = static_cast<double>(spec.nx) * cfg.cell +
-                        static_cast<double>(spec.ny) * cfg.cell;
-    const double t0 = 6.0 * sigma + 0.0 * lmax;  // delays are >= 0 from the corner
+    // The pulse peaks 6 sigma after t = 0 at the domain origin, where the
+    // delay is 0 (g(0) = exp(-18)). Edges downstream along k_hat see it
+    // later; edges upstream (for theta < 90 deg, the air above the board)
+    // have negative delays and see it earlier.
+    const double t0 = 6.0 * sigma;
     constexpr double deg = 3.14159265358979323846 / 180.0;
     PlaneWave wave(cfg.inc_theta_deg * deg, cfg.inc_phi_deg * deg,
-                   cfg.inc_amplitude, gaussianPulseShape(t0, sigma));
+                   cfg.inc_amplitude, GaussianPulse(t0, sigma));
     solver.setIncidentWave(wave);
   }
 

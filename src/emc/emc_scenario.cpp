@@ -90,7 +90,7 @@ TaskWaveforms runEmcScenario(const EmcScenario& cfg,
   if (cfg.amplitude > 0.0) {
     const double sigma = gaussianSigmaForBandwidth(cfg.bandwidth);
     const PlaneWave wave(cfg.theta_deg * kDeg, cfg.phi_deg * kDeg,
-                         cfg.amplitude, gaussianPulseShape(cfg.pulse_t0, sigma),
+                         cfg.amplitude, GaussianPulse(cfg.pulse_t0, sigma),
                          cfg.pol_theta, cfg.pol_phi);
     AgrawalOptions aopt;
     aopt.ground_reflection = cfg.ground_reflection;

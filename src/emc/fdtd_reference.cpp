@@ -105,7 +105,7 @@ EmcFdtdReferenceRun runEmcFdtdReference(const EmcFdtdReference& cfg) {
 
   const double sigma = gaussianSigmaForBandwidth(cfg.bandwidth);
   const PlaneWave wave(cfg.theta_deg * kDeg, cfg.phi_deg * kDeg, cfg.amplitude,
-                       gaussianPulseShape(emcReferencePulseT0(cfg), sigma),
+                       GaussianPulse(emcReferencePulseT0(cfg), sigma),
                        cfg.pol_theta, cfg.pol_phi);
   solver.setIncidentWave(wave);
 

@@ -23,7 +23,7 @@ AgrawalSources::AgrawalSources(const PlaneWave& wave,
                                const TraceGeometry& geom,
                                std::size_t segments,
                                const AgrawalOptions& opt)
-    : shape_(wave.shape()) {
+    : pulse_(wave.pulse()) {
   validateTraceGeometry(geom);
   if (segments == 0)
     throw std::invalid_argument("AgrawalSources: need >= 1 segment");

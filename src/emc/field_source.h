@@ -19,7 +19,9 @@
 /// AgrawalSources precomputes, from the analytic PlaneWave and the trace
 /// geometry, a flat list of (coefficient, delay) terms per source — each
 /// evaluation is then a handful of pulse-shape lookups g(t - tau), exactly
-/// like the FDTD solver's precomputed incident tables. When the trace runs
+/// like the FDTD solver's precomputed incident tables; a term whose
+/// retarded time lies outside the pulse's support (where g is exactly 0)
+/// is skipped without a lookup. When the trace runs
 /// over a (modelled-infinite) PEC ground plane, the wave's plane reflection
 /// is added by image theory: the image wave is the original evaluated at
 /// the z-mirrored point with tangential components negated and the normal
@@ -72,9 +74,15 @@ class AgrawalSources {
     double tau;   ///< propagation delay at the evaluation point [s]
   };
 
+  /// Sums the terms in their stored order (part of the bit-identical
+  /// contract); a skipped term would add exactly ±0 to v.
   double eval(const std::vector<Term>& terms, double t) const {
     double v = 0.0;
-    for (const Term& term : terms) v += term.coef * shape_.g(t - term.tau);
+    for (const Term& term : terms) {
+      const double xi = t - term.tau;
+      if (xi < pulse_.supportBegin() || xi > pulse_.supportEnd()) continue;
+      v += term.coef * pulse_.g(xi);
+    }
     return v;
   }
 
@@ -84,7 +92,7 @@ class AgrawalSources {
                 double x, double y, double z, double z_ground, double scale,
                 bool reflect) const;
 
-  PulseShape shape_;
+  GaussianPulse pulse_;
   std::vector<std::vector<Term>> per_segment_;
   std::vector<Term> near_riser_;
   std::vector<Term> far_riser_;

@@ -1,30 +1,18 @@
 #include "fdtd/incident.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace fdtdmm {
 
-PulseShape gaussianPulseShape(double t0, double sigma) {
-  if (sigma <= 0.0) throw std::invalid_argument("gaussianPulseShape: sigma must be > 0");
-  PulseShape s;
-  s.g = [t0, sigma](double t) {
-    const double u = (t - t0) / sigma;
-    return std::exp(-0.5 * u * u);
-  };
-  s.dg = [t0, sigma](double t) {
-    const double u = (t - t0) / sigma;
-    return -(u / sigma) * std::exp(-0.5 * u * u);
-  };
-  return s;
+GaussianPulse::GaussianPulse(double t0, double sigma) : t0_(t0), sigma_(sigma) {
+  if (!std::isfinite(t0) || !std::isfinite(sigma) || !(sigma > 0.0))
+    throw std::invalid_argument("GaussianPulse: need finite t0 and finite sigma > 0");
 }
 
 PlaneWave::PlaneWave(double theta_rad, double phi_rad, double amplitude,
-                     PulseShape shape, double pol_theta, double pol_phi,
+                     GaussianPulse pulse, double pol_theta, double pol_phi,
                      double x0, double y0, double z0)
-    : amp_(amplitude), shape_(std::move(shape)), x0_(x0), y0_(y0), z0_(z0) {
-  if (!shape_.g || !shape_.dg)
-    throw std::invalid_argument("PlaneWave: pulse shape must define g and dg");
+    : amp_(amplitude), pulse_(pulse), x0_(x0), y0_(y0), z0_(z0) {
   const double st = std::sin(theta_rad), ct = std::cos(theta_rad);
   const double sp = std::sin(phi_rad), cp = std::cos(phi_rad);
   // The wave comes *from* (theta, phi): propagation along -r_hat.

@@ -1,5 +1,6 @@
 #include "fdtd/solver.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,29 +34,36 @@ void FdtdSolver::setIncidentWave(const PlaneWave& wave) {
   if (started_) throw std::logic_error("FdtdSolver: cannot set incident wave after start");
   incident_ = std::make_unique<PlaneWave>(wave);
 
-  // Precompute PEC forcing tables: only edges with nonzero polarization
-  // component need per-step evaluation.
+  // Precompute PEC forcing and dielectric correction tables: only edges
+  // with a nonzero polarization component need per-step evaluation. Each
+  // table is sorted by delay, so a step visits only the contiguous window
+  // of edges inside the pulse's support; every entry writes its own edge,
+  // so the visiting order cannot change a value.
+  const auto by_delay = [](const auto& a, const auto& b) { return a.delay < b.delay; };
   for (auto& v : pec_incident_) v.clear();
   for (const Grid3::PecEdge& e : grid_.pecEdges()) {
     const double amp = incident_->polarization(e.axis) * incident_->amplitude();
     if (amp == 0.0) continue;
-    double x, y, z;
-    grid_.edgeCenter(e.axis, e.i, e.j, e.k, x, y, z);
     pec_incident_[static_cast<int>(e.axis)].push_back(
-        {grid_.idx(e.i, e.j, e.k), static_cast<int>(e.axis),
-         incident_->delay(x, y, z), amp});
+        {grid_.idx(e.i, e.j, e.k), incidentDelay(e.axis, e.i, e.j, e.k), amp});
   }
-  // Precompute dielectric correction tables.
+  for (auto& v : pec_incident_) std::stable_sort(v.begin(), v.end(), by_delay);
   for (auto& v : mat_incident_) v.clear();
   for (const Grid3::MaterialEdge& e : grid_.materialEdges()) {
     const double amp = incident_->polarization(e.axis) * incident_->amplitude();
     if (amp == 0.0) continue;
-    double x, y, z;
-    grid_.edgeCenter(e.axis, e.i, e.j, e.k, x, y, z);
     mat_incident_[static_cast<int>(e.axis)].push_back(
-        {grid_.idx(e.i, e.j, e.k), incident_->delay(x, y, z), amp,
+        {grid_.idx(e.i, e.j, e.k), incidentDelay(e.axis, e.i, e.j, e.k), amp,
          e.cb * e.d_eps, e.cb * e.sigma});
   }
+  for (auto& v : mat_incident_) std::stable_sort(v.begin(), v.end(), by_delay);
+}
+
+double FdtdSolver::incidentDelay(Axis axis, std::size_t i, std::size_t j,
+                                 std::size_t k) const {
+  double x, y, z;
+  grid_.edgeCenter(axis, i, j, k, x, y, z);
+  return incident_->delay(x, y, z);
 }
 
 LumpedPort* FdtdSolver::addLumpedPort(const LumpedPortSpec& spec, PortModelPtr model) {
@@ -109,11 +117,6 @@ LumpedPort* FdtdSolver::addLumpedPort(const LumpedPortSpec& spec, PortModelPtr m
   port->alpha2_ = d_axis * dt / eps;
   port->alpha3_ = d_axis * dt / (2.0 * eps * area);
   port->d_axis_ = d_axis;
-  if (incident_) {
-    double x, y, z;
-    grid_.edgeCenter(spec.axis, spec.i, spec.j, spec.k, x, y, z);
-    port->inc_delay_ = incident_->delay(x, y, z);
-  }
   ports_.push_back(std::move(port));
   return ports_.back().get();
 }
@@ -254,36 +257,38 @@ void FdtdSolver::updateE() {
 
 void FdtdSolver::applyIncidentMaterialCorrections(double t_half) {
   if (!incident_) return;
-  const PulseShape& shape = incident_->shape();
+  const GaussianPulse& pulse = incident_->pulse();
   std::vector<double>* fields[3] = {&grid_.exData(), &grid_.eyData(), &grid_.ezData()};
   for (int c = 0; c < 3; ++c) {
     std::vector<double>& f = *fields[c];
-    for (const MatIncident& m : mat_incident_[c]) {
+    const std::vector<MatIncident>& table = mat_incident_[c];
+    const IndexRange active = supportWindow(table, pulse, t_half);
+    for (std::size_t n = active.first; n < active.last; ++n) {
+      const MatIncident& m = table[n];
       const double xi = t_half - m.delay;
       // E_s update gains -cb * [(eps-eps0) dEi/dt + sigma Ei].
-      f[m.id] -= m.cb_deps * m.amp * shape.dg(xi) + m.cb_sigma * m.amp * shape.g(xi);
+      f[m.id] -= m.cb_deps * m.amp * pulse.dg(xi) + m.cb_sigma * m.amp * pulse.g(xi);
     }
   }
 }
 
 void FdtdSolver::applyPecEdges(double t_new) {
   std::vector<double>* fields[3] = {&grid_.exData(), &grid_.eyData(), &grid_.ezData()};
-  if (incident_) {
-    const PulseShape& shape = incident_->shape();
-    // Zero all PEC edges first (cheap relative to the incident subset), then
-    // subtract the incident field where the polarization reaches.
-    for (const Grid3::PecEdge& e : grid_.pecEdges()) {
-      (*fields[static_cast<int>(e.axis)])[grid_.idx(e.i, e.j, e.k)] = 0.0;
-    }
-    for (int c = 0; c < 3; ++c) {
-      std::vector<double>& f = *fields[c];
-      for (const PecIncident& p : pec_incident_[c]) {
-        f[p.id] = -p.amp * shape.g(t_new - p.delay);
-      }
-    }
-  } else {
-    for (const Grid3::PecEdge& e : grid_.pecEdges()) {
-      (*fields[static_cast<int>(e.axis)])[grid_.idx(e.i, e.j, e.k)] = 0.0;
+  // Zero every PEC edge (this also restores 0 on edges the pulse has
+  // left), then subtract the incident field where the pulse and the
+  // polarization reach.
+  for (const Grid3::PecEdge& e : grid_.pecEdges()) {
+    (*fields[static_cast<int>(e.axis)])[grid_.idx(e.i, e.j, e.k)] = 0.0;
+  }
+  if (!incident_) return;
+  const GaussianPulse& pulse = incident_->pulse();
+  for (int c = 0; c < 3; ++c) {
+    std::vector<double>& f = *fields[c];
+    const std::vector<PecIncident>& table = pec_incident_[c];
+    const IndexRange active = supportWindow(table, pulse, t_new);
+    for (std::size_t n = active.first; n < active.last; ++n) {
+      const PecIncident& p = table[n];
+      f[p.id] = -p.amp * pulse.g(t_new - p.delay);
     }
   }
 }
@@ -315,11 +320,11 @@ void FdtdSolver::solvePorts(double t_new, double t_half) {
     }
     double ei_new = 0.0;
     if (incident_) {
-      const PulseShape& shape = incident_->shape();
+      const GaussianPulse& pulse = incident_->pulse();
       const double amp = incident_->polarization(axis) * incident_->amplitude();
       // eps0 dEi/dt contribution of Eq. (8), evaluated at n+1/2.
-      w += kEps0 * amp * shape.dg(t_half - port.inc_delay_);
-      ei_new = amp * shape.g(t_new - port.inc_delay_);
+      w += kEps0 * amp * pulse.dg(t_half - port.inc_delay_);
+      ei_new = amp * pulse.g(t_new - port.inc_delay_);
     }
 
     const double rhs = port.alpha1_ * port.v_total_ + port.alpha2_ * w -
@@ -417,6 +422,10 @@ void FdtdSolver::stepOnce() {
   if (!started_) {
     started_ = true;
     for (auto& p : ports_) {
+      // Here, not in addLumpedPort, so the attach order of ports and wave
+      // does not matter.
+      const LumpedPortSpec& ps = p->spec_;
+      if (incident_) p->inc_delay_ = incidentDelay(ps.axis, ps.i, ps.j, ps.k);
       p->model_->prepare(grid_.dt());
       p->v_rec_ = Waveform(grid_.dt(), grid_.dt(), Vector{});
       p->i_rec_ = Waveform(grid_.dt(), grid_.dt(), Vector{});

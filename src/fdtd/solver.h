@@ -4,9 +4,12 @@
 /// paper's hybridization engine (Section 3). Each time step:
 ///   1. leapfrog H update (scattered fields);
 ///   2. volume E update with baked material coefficients;
-///   3. scattered-field dielectric corrections from the incident wave;
+///   3. scattered-field dielectric corrections from the incident wave, on
+///      the dielectric edges whose retarded time lies in the pulse's
+///      support (a delay-sorted window; the others would add exactly 0);
 ///   4. Mur-1 absorbing boundaries;
-///   5. tangential-E forcing on PEC edges (E_s = -E_i);
+///   5. tangential-E forcing on PEC edges (E_s = -E_i): every PEC edge is
+///      zeroed, then only the edges in the pulse's support get -E_i;
 ///   6. per-port Newton-Raphson solve of the coupled Eq. (8) + device law
 ///      (Eq. (13) for RBF macromodels), overwriting the port edge field;
 ///   7. probe recording.
@@ -61,7 +64,8 @@ class LumpedPort {
   double d_axis_ = 0.0;     ///< edge length along the port axis
   double v_total_ = 0.0;    ///< total cell voltage at the previous step
   double i_prev_ = 0.0;     ///< device current at the previous step (mesh sign)
-  double inc_delay_ = 0.0;  ///< plane-wave delay at the edge center
+  double inc_delay_ = 0.0;  ///< plane-wave delay at the edge center (set
+                            ///< at the first step)
   int max_newton_ = 0;
   long long total_newton_ = 0;
   Waveform v_rec_;
@@ -124,7 +128,8 @@ class FdtdSolver {
   double time() const { return static_cast<double>(step_) * grid_.dt(); }
 
   /// Attaches the incident plane wave (scattered-field formulation).
-  /// Must be called before the first step.
+  /// Must be called before the first step; ports added before or after it
+  /// see the same wave.
   void setIncidentWave(const PlaneWave& wave);
 
   /// Adds a lumped one-port at a z-directed edge. The edge must be strictly
@@ -171,6 +176,8 @@ class FdtdSolver {
   void recordProbes();
   double totalE(Axis axis, std::size_t i, std::size_t j, std::size_t k,
                 double t) const;
+  /// Plane-wave delay at the center of an E edge (incident_ must be set).
+  double incidentDelay(Axis axis, std::size_t i, std::size_t j, std::size_t k) const;
 
   Grid3 grid_;
   FdtdSolverOptions opt_;
@@ -189,15 +196,16 @@ class FdtdSolver {
   std::vector<Waveform> i_probes_;
   std::vector<std::unique_ptr<NtffRecorder>> ntff_;
 
-  // Precomputed incident-wave data for the PEC edge forcing.
+  // Precomputed incident-wave data for the PEC edge forcing, per
+  // component, sorted by delay (supportWindow).
   struct PecIncident {
     std::size_t id;   ///< linear index into the component array
-    int axis;
     double delay;     ///< plane-wave delay at the edge center
     double amp;       ///< polarization * amplitude for this component
   };
   std::vector<PecIncident> pec_incident_[3];
-  // Incident-correction data per material edge (delay and component amp).
+  // Incident-correction data per material edge (delay and component amp),
+  // per component, sorted by delay.
   struct MatIncident {
     std::size_t id;
     double delay;

@@ -6,8 +6,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "circuit/circuit.h"
+#include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
 
 namespace fdtdmm {
@@ -176,6 +178,39 @@ TEST(SeriesEmfInductor, EmfActsAsSeriesSourceAcrossRLoop) {
   EXPECT_NEAR(res.at("v1").value(4e-9), -0.25, 1e-3);
   EXPECT_NEAR(res.at("v2").value(4e-9), +0.75, 1e-3);
   EXPECT_EQ(res.lu_factorizations, 1);  // EMF is RHS-only
+}
+
+TEST(SeriesEmfInductor, EmfEvaluatedOncePerTimePoint) {
+  // A small field-coupled ladder: every Newton iteration of a step and its
+  // endStep share one EMF evaluation, settle steps included.
+  RlgcParams p;
+  p.length = 0.05;
+  p.segments = 4;
+  std::vector<long long> calls(p.segments, 0);
+  std::vector<TimeFn> emf;
+  for (std::size_t s = 0; s < p.segments; ++s)
+    emf.push_back([&calls, s](double t) {
+      ++calls[s];
+      return 0.1 * std::sin(2e9 * t + static_cast<double>(s));
+    });
+  Circuit c;
+  const int n1 = c.addNode();
+  const int n2 = c.addNode();
+  c.addResistor(n1, 0, 50.0);
+  buildRlgcLineSegments(c, n1, 0, n2, 0, p, emf);
+  c.addResistor(n2, 0, 50.0);
+
+  TransientOptions opt;
+  opt.dt = 5e-12;
+  opt.t_stop = 1e-9;
+  opt.settle_time = 0.1e-9;
+  const auto res = runTransient(c, opt, {{"v2", n2, 0}});
+  const long long settle_steps = static_cast<long long>(std::ceil(opt.settle_time / opt.dt));
+  const long long time_points = settle_steps + static_cast<long long>(res.steps);
+  // Newton needs more than one iteration per step here, so evaluating the
+  // EMF per iteration would show in the count.
+  ASSERT_GT(res.total_newton_iterations, time_points);
+  for (std::size_t s = 0; s < p.segments; ++s) EXPECT_EQ(calls[s], time_points) << "segment " << s;
 }
 
 }  // namespace

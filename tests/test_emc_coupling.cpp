@@ -70,7 +70,7 @@ TEST(TraceGeometry, SamplesAndValidates) {
 TEST(AgrawalSources, TangentialProjectionAndDelays) {
   // Wave from +z (k = -z), theta-polarized along +x at theta = 0, phi = 0.
   const double sigma = 50e-12;
-  const PlaneWave wave(0.0, 0.0, 100.0, gaussianPulseShape(1e-9, sigma));
+  const PlaneWave wave(0.0, 0.0, 100.0, GaussianPulse(1e-9, sigma));
   AgrawalOptions opt;
   opt.ground_reflection = false;
 
