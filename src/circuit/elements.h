@@ -8,8 +8,10 @@
 /// Newton iteration: RHS history/source terms and the Jacobian entries of
 /// nonlinear devices). The transient engine assembles the static part once
 /// per run, factors it once, and re-stamps only the dynamic part inside the
-/// Newton loop — re-factoring only when a dynamic stamp actually touched
-/// the matrix.
+/// Newton loop. When a dynamic stamp touches the matrix it solves on the
+/// same factorization plus a low-rank correction for the changed rows, and
+/// re-factors only when the change is too wide for that (see
+/// circuit/transient.h).
 
 #include <complex>
 #include <deque>
@@ -35,8 +37,9 @@ struct StampSystem {
   Vector b;
   SparseMatrix* sparse = nullptr;  ///< CSR target set by the sparse engine
   /// Set by add() whenever a matrix entry is written. The engine clears it
-  /// before the dynamic stamping pass of each Newton iteration and
-  /// re-factors only if it comes back dirty; custom elements must route
+  /// before the dynamic stamping pass of each Newton iteration and corrects
+  /// or re-factors its base factorization only if it comes back dirty;
+  /// custom elements must route
   /// all matrix writes through add() (directly or via the Element stamp
   /// helpers) so the dirty check — and the sparse target — see them.
   bool matrix_dirty = false;

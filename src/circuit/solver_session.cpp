@@ -98,8 +98,9 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
                                           obs::NumericalHealth& h, bool any_solve) {
   // Relative residual of the last solve: x_new_ is the raw solution of the
   // final Newton iteration (before damping clamps), and sys_.b / work_sp_
-  // are exactly the system it solved — work_sp_ holds base or dirtied
-  // values matching whichever factorization ran.
+  // are exactly the system it solved — work_sp_ holds the base or dirtied
+  // values of that iteration, so a low-rank solve is checked against the
+  // updated matrix, not the base it was solved on.
   if (any_solve) {
     double b_inf = 0.0;
     for (double v : sys_.b) b_inf = std::max(b_inf, std::abs(v));
@@ -121,9 +122,9 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
 
   // Hager 1-norm condition estimate on whichever factorization is cached —
   // a handful of O(n b) substitutions, never a refactorization. The base
-  // factorization is preferred (it is the matrix the run solved with on
-  // every clean iteration); a run that never factored a base (every
-  // iteration dirtied) estimates on its last work factorization instead.
+  // factorization is preferred (every clean and every low-rank iteration
+  // solved on it); a run that never factored a base (every change too wide,
+  // or a singular base) estimates on its last work factorization instead.
   if (!hopt.condition_estimate) return;
   const BandedLu<double>* lu = nullptr;
   double norm_a = 0.0;
@@ -143,6 +144,35 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
   h.collected = true;
   ++h.condition_estimates;
   h.max_condition_estimate = std::max(h.max_condition_estimate, norm_a * inv_norm);
+}
+
+void SolverSession::factorBase(double* t_factor, obs::NumericalHealth* health,
+                               TransientResult& result) {
+  {
+    obs::ScopedTimer factor_timer(t_factor);
+    base_lu_.factorWithOrder(base_sp_, *order_);
+  }
+  ++result.lu_factorizations;
+  if (health) health->recordFactorization(base_lu_.minAbsPivot(), base_lu_.pivotGrowth());
+}
+
+bool SolverSession::solveLowRank(double* t_factor, double* t_solve,
+                                 obs::NumericalHealth* health, TransientResult& result) {
+  if (base_singular_) return false;  // (b), once for the rest of the run
+  {
+    obs::ScopedTimer solve_timer(t_solve);
+    if (!low_rank_.setChange(base_sp_, work_sp_)) return false;  // (a)
+  }
+  if (!base_lu_.factored()) {
+    try {
+      factorBase(t_factor, health, result);
+    } catch (const std::runtime_error&) {
+      base_singular_ = true;  // (b)
+      return false;
+    }
+  }
+  obs::ScopedTimer solve_timer(t_solve);
+  return low_rank_.solve(sys_.b, x_new_);  // false on (c)
 }
 
 TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
@@ -189,12 +219,12 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
   work_sp_ = base_sp_;
   sys_.sparse = &work_sp_;
 
-  // base_lu_: the untouched static matrix, factored lazily on the first
-  // Newton iteration whose dynamic stamps leave the matrix clean (lazily so
-  // circuits whose base matrix alone is singular — e.g. a node held up
-  // only by a nonlinear device — still work). work_lu_: refactored in
-  // place on every iteration that dirties the matrix. Both use the run's
-  // ordering.
+  // base_lu_: the untouched static matrix, factored from base_sp_ on the
+  // first Newton iteration that needs it (lazily so circuits whose base
+  // matrix alone is singular — e.g. a node held up only by a nonlinear
+  // device — still work). A dirtied iteration solves on it through
+  // low_rank_; work_lu_ refactors the working matrix in place on the
+  // fallbacks. Both use the run's ordering.
 
   const auto n_settle = static_cast<long long>(std::ceil(opt_.settle_time / opt_.dt));
   const auto n_run = static_cast<long long>(std::ceil(opt_.t_stop / opt_.dt));
@@ -239,27 +269,23 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
       if (work_sp_.patternGrown()) realignPattern(tel);
       if (sys_.matrix_dirty) {
         matrix_was_dirtied_ = true;
-        {
-          obs::ScopedTimer factor_timer(t_factor);
-          work_lu_.factorWithOrder(work_sp_, *order_);
-        }
-        ++result.lu_factorizations;
-        last_lu_ = &work_lu_;
-        if (health)
-          health->recordFactorization(work_lu_.minAbsPivot(), work_lu_.pivotGrowth());
-        obs::ScopedTimer solve_timer(t_solve);
-        work_lu_.solve(sys_.b, x_new_);
-      } else {
-        if (!base_lu_.factored()) {
-          // work_sp_ holds the untouched base values here.
+        if (solveLowRank(t_factor, t_solve, health, result)) {
+          ++result.low_rank_solves;
+          last_lu_ = &base_lu_;
+        } else {
           {
             obs::ScopedTimer factor_timer(t_factor);
-            base_lu_.factorWithOrder(work_sp_, *order_);
+            work_lu_.factorWithOrder(work_sp_, *order_);
           }
           ++result.lu_factorizations;
+          last_lu_ = &work_lu_;
           if (health)
-            health->recordFactorization(base_lu_.minAbsPivot(), base_lu_.pivotGrowth());
+            health->recordFactorization(work_lu_.minAbsPivot(), work_lu_.pivotGrowth());
+          obs::ScopedTimer solve_timer(t_solve);
+          work_lu_.solve(sys_.b, x_new_);
         }
+      } else {
+        if (!base_lu_.factored()) factorBase(t_factor, health, result);
         last_lu_ = &base_lu_;
         obs::ScopedTimer solve_timer(t_solve);
         base_lu_.solve(sys_.b, x_new_);
@@ -316,8 +342,9 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
                           Waveform(0.0, opt_.dt, std::move(branch_data[p])));
   }
 
-  // Structural size of the system this run factored last: what its LU
-  // and substitution costs scale with (O(n b^2) and O(n b)).
+  // Structural size of the factorization this run solved on last (the
+  // base, after a low-rank solve): what its LU and substitution costs
+  // scale with (O(n b^2) and O(n b)).
   obs::StructureSize size;
   size.unknowns = static_cast<long long>(n_unknowns_);
   size.nonzeros = static_cast<long long>(work_sp_.nonZeros());
@@ -327,6 +354,7 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
   }
   if (tel) {
     tel->lu_factorizations += result.lu_factorizations;
+    tel->low_rank_solves += result.low_rank_solves;
     tel->newton_iterations += result.total_newton_iterations;
     tel->max_newton_iterations =
         std::max(tel->max_newton_iterations, result.max_newton_iterations);
@@ -346,6 +374,7 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
                    ", \"ku\": " + std::to_string(size.ku) +
                    ", \"steps\": " + std::to_string(result.steps) +
                    ", \"lu_factorizations\": " + std::to_string(result.lu_factorizations) +
+                   ", \"low_rank_solves\": " + std::to_string(result.low_rank_solves) +
                    ", \"newton_iterations\": " + std::to_string(result.total_newton_iterations));
   return result;
 }

@@ -11,16 +11,27 @@
 ///                           factorization of that pattern;
 ///   - per-run numeric     — the assembled static base matrix and its
 ///     state                 BandedLu factorization (factored once, lazily),
-///                           Newton solution vectors, the RHS/Jacobian
-///                           working system, and the dirtied-matrix
-///                           refactorization — never shared.
+///                           the low-rank update that solves dirtied
+///                           iterations on that factorization (with its
+///                           cached Z = A0^-1 E_R), Newton solution vectors,
+///                           the RHS/Jacobian working system, and the
+///                           fallback refactorization — never shared.
+///
+/// A Newton iteration whose dynamic stamps dirty the matrix is solved on
+/// the base factorization plus a Woodbury correction (math/low_rank_update.h)
+/// when its change spans at most kMaxUpdateRank rows and columns, so a
+/// circuit whose nonlinear devices are a few two-terminal ports factors
+/// once per run. The iteration refactors the working matrix instead only
+/// when (a) the change is wider, (b) the base alone is singular (the rest
+/// of the run then refactors, without retrying the base), or (c) the
+/// correction would cancel.
 ///
 /// runTransient is a thin wrapper that constructs a session and runs it.
 /// With TransientOptions::sharing set, the session checks its ordering out
 /// of a SolverStateProvider: the first run of a structure class computes
 /// it from its own (identical) pattern and publishes it, every later run
 /// skips the RCM analysis entirely — its base factorization and its
-/// dirtied-matrix refactorizations all use the checked-out ordering.
+/// fallback refactorizations all use the checked-out ordering.
 
 #include <memory>
 #include <vector>
@@ -28,6 +39,7 @@
 #include "circuit/solver_state.h"
 #include "circuit/transient.h"
 #include "math/banded_lu.h"
+#include "math/low_rank_update.h"
 #include "math/sparse_matrix.h"
 
 namespace fdtdmm {
@@ -64,6 +76,15 @@ class SolverSession {
   /// no Newton iteration ever solved).
   void collectEndOfRunHealth(const obs::HealthOptions& hopt, obs::NumericalHealth& h,
                              bool any_solve);
+  /// Factors the static base from base_sp_, counted and health-recorded
+  /// like every LU. \throws std::runtime_error when the base is singular.
+  void factorBase(double* t_factor, obs::NumericalHealth* health, TransientResult& result);
+  /// Solves a dirtied iteration into x_new_ on the base factorization plus
+  /// a low-rank correction, factoring the base first if needed. Returns
+  /// false on the fallbacks (a)-(c) of the file comment; the caller then
+  /// refactors the working matrix.
+  bool solveLowRank(double* t_factor, double* t_solve, obs::NumericalHealth* health,
+                    TransientResult& result);
 
   Circuit& circuit_;
   TransientOptions opt_;
@@ -82,11 +103,13 @@ class SolverSession {
 
   // --- per-run numeric state: never shared ---
   BandedLu<double> base_lu_;  ///< static base, factored once
+  LowRankUpdate low_rank_{base_lu_};  ///< dirtied solves on base_lu_
+  bool base_singular_ = false;        ///< base failed to factor: refactor
   Vector x_;
   Vector x_new_;
   StampSystem sys_;
   SparseMatrix work_sp_;      ///< dirtied/value-refreshed working copy
-  BandedLu<double> work_lu_;  ///< refactored when a dynamic stamp dirties
+  BandedLu<double> work_lu_;  ///< refactored on the fallbacks (a)-(c)
   /// Most recent factorization used.
   const BandedLu<double>* last_lu_ = nullptr;
   bool matrix_was_dirtied_ = false;

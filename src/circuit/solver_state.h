@@ -10,8 +10,9 @@
 ///      has the same structure computes the identical ordering. This is
 ///      the one shareable piece.
 ///   2. per-run numeric state — the factorization of the static base
-///      matrix, the Newton/RHS workspaces and every refactorization.
-///      Never shared: each run factors its own base once.
+///      matrix, its low-rank update, the Newton/RHS workspaces and any
+///      fallback refactorization. Never shared: each run factors its own
+///      base once.
 ///
 /// This header defines the immutable shared form of (1) plus the
 /// SolverStateProvider interface through which a session checks it out.

@@ -20,12 +20,19 @@
 ///     histories, line reflections) and, for nonlinear devices, adds
 ///     Jacobian entries on top of the base values.
 ///  3. A dirty-pattern check (StampSystem::matrix_dirty, set by the matrix
-///     stamp helpers) decides whether the cached base factorization is
-///     still valid. A purely linear circuit therefore performs exactly ONE
-///     LU factorization for the entire run — every Newton iteration is a
-///     forward/back substitution — while circuits with nonlinear devices
-///     re-factor only on iterations whose dynamic stamps touched the
-///     matrix. No allocations happen inside the loop.
+///     stamp helpers) decides whether the cached base factorization solves
+///     the iteration alone. A purely linear circuit therefore performs
+///     exactly ONE LU factorization for the entire run — every Newton
+///     iteration is a forward/back substitution. An iteration whose
+///     dynamic stamps touched the matrix is solved on the same base
+///     factorization plus a Woodbury correction for the changed rows
+///     (math/low_rank_update.h), so a circuit whose nonlinear devices are
+///     a few two-terminal ports (the RBF driver and receiver macromodels)
+///     also factors once. It refactors only when the change spans more
+///     than kMaxUpdateRank rows or columns (transistor-level circuits),
+///     when the base alone is singular, or when the correction would
+///     cancel (see circuit/solver_session.h). No allocations happen inside
+///     the loop.
 ///
 /// Sparse assembly and factorization
 /// ---------------------------------
@@ -116,9 +123,13 @@ struct TransientResult {
   int max_newton_iterations = 0;           ///< worst step
   long long total_newton_iterations = 0;
   /// LU factorizations performed. Exactly 1 when no dynamic stamp touches
-  /// the matrix (purely linear circuits); up to total_newton_iterations
-  /// (+1 for the base) otherwise.
+  /// the matrix (purely linear circuits) or every dirtied iteration is a
+  /// low-rank solve; up to total_newton_iterations (+1 for the base) when
+  /// the fallbacks refactor.
   long long lu_factorizations = 0;
+  /// Newton iterations that solved a dirtied matrix on the base
+  /// factorization plus a low-rank correction instead of refactoring.
+  long long low_rank_solves = 0;
   bool converged = true;  ///< false if any step hit the iteration cap
 
   /// Access with existence check. \throws std::out_of_range.

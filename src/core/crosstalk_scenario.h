@@ -9,7 +9,9 @@
 /// both ends. The whole structure runs on the MNA
 /// transient engine, so it inherits the static/dynamic stamp split: the two
 /// ladders and the four terminations are assembled and LU-factored once,
-/// and only the nonlinear driver port restamps per Newton iteration.
+/// and only the nonlinear driver port restamps per Newton iteration — one
+/// row, which the engine folds in as a low-rank update of that
+/// factorization, so a corner performs one LU.
 ///
 /// Waveform mapping (what the generic metric layer sees):
 ///   v_near  — aggressor near end (driver pad voltage),
@@ -81,8 +83,7 @@ class CrosstalkFamily final : public Scenario {
   double tStop() const override { return cfg_.t_stop; }
   bool needsReceiver() const override { return false; }
   /// Sharing key: corners of one ladder structure share the symbolic RCM
-  /// analysis, which serves the per-Newton-iteration refactorizations the
-  /// nonlinear driver port forces as well as the base.
+  /// analysis that orders each corner's base factorization.
   std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,

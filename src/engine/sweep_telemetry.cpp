@@ -71,6 +71,7 @@ std::string telemetryBody(const obs::RunTelemetry& t) {
   out += ", \"solve_seconds\": " + num(p.solve_seconds);
   out += ", \"newton_seconds\": " + num(p.newton_seconds) + "}";
   out += ", \"lu_factorizations\": " + std::to_string(t.lu_factorizations);
+  out += ", \"low_rank_solves\": " + std::to_string(t.low_rank_solves);
   out += ", \"newton_iterations\": " + std::to_string(t.newton_iterations);
   out += ", \"max_newton_iterations\": " + std::to_string(t.max_newton_iterations);
   out += ", \"steps\": " + std::to_string(t.steps);

@@ -36,7 +36,8 @@
 ///         "phases": { "stamp_static_seconds": ..., "factor_seconds": ...,
 ///                     "rhs_stamp_seconds": ..., "solve_seconds": ...,
 ///                     "newton_seconds": ... },
-///         "lu_factorizations": N, "newton_iterations": N,
+///         "lu_factorizations": N, "low_rank_solves": N,
+///         "newton_iterations": N,
 ///         "max_newton_iterations": N, "steps": N, "transient_runs": N,
 ///         "pattern_realignments": N, "shared_symbolic_builds": N,
 ///         "shared_symbolic_reuses": N, "rcm_orderings": N,

@@ -74,14 +74,7 @@ void ThreadPool::workerLoop(std::size_t worker_id) {
     // its own per-thread sharding, so recording never stalls submitters.
     if (recorder != nullptr)
       recorder->record("pool.queue_wait_seconds", wait_seconds);
-    const Clock::time_point run_begin = Clock::now();
-    task();  // packaged_task: exceptions land in the future
-    const double run_seconds =
-        std::chrono::duration<double>(Clock::now() - run_begin).count();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.busy_seconds += run_seconds;
-    }
+    task();  // packaged_task: exceptions land in the future, run time in stats_
   }
 }
 

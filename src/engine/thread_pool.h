@@ -78,7 +78,15 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
+    // The run time is accounted inside the packaged callable: BusyTimer's
+    // destructor runs before the packaged_task stores the value (or the
+    // exception) and makes the future ready, so a caller that reads
+    // stats() right after get() sees this task's busy time.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(f)]() mutable -> R {
+          const BusyTimer timer(*this);
+          return fn();
+        });
     std::future<R> fut = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -108,6 +116,22 @@ class ThreadPool {
 
  private:
   using Clock = std::chrono::steady_clock;
+  /// Adds its lifetime to stats_.busy_seconds.
+  class BusyTimer {
+   public:
+    explicit BusyTimer(ThreadPool& pool) : pool_(pool), begin_(Clock::now()) {}
+    ~BusyTimer() {
+      const double seconds = std::chrono::duration<double>(Clock::now() - begin_).count();
+      std::lock_guard<std::mutex> lock(pool_.mu_);
+      pool_.stats_.busy_seconds += seconds;
+    }
+    BusyTimer(const BusyTimer&) = delete;
+    BusyTimer& operator=(const BusyTimer&) = delete;
+
+   private:
+    ThreadPool& pool_;
+    Clock::time_point begin_;
+  };
   struct QueuedTask {
     std::function<void()> fn;
     Clock::time_point enqueued;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "math/linear_solve.h"
@@ -61,18 +62,26 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
   obs::NumericalHealth* const health = tel && h_opt ? &tel->health : nullptr;
   double* const t_factor = tel ? &tel->phases.factor_seconds : nullptr;
   double* const t_solve = tel ? &tel->phases.solve_seconds : nullptr;
-  {
-    obs::ScopedTimer factor_timer(t_factor);
-    lu_.factorWithOrder({sp_re_, sp_im_}, symbolic_->rcm_order);
+  // stampAc is const and state-free and the excitations reach only the
+  // RHS, so the matrix restamped at the last factored omega is bitwise
+  // the factored one: the forward and reverse S-parameter excitations of
+  // one frequency point share one factorization.
+  if (omega != factored_omega_) {
+    factored_omega_ = std::numeric_limits<double>::quiet_NaN();
+    {
+      obs::ScopedTimer factor_timer(t_factor);
+      lu_.factorWithOrder({sp_re_, sp_im_}, symbolic_->rcm_order);
+    }
+    factored_omega_ = omega;
+    ++factorizations_;
+    if (tel) ++tel->lu_factorizations;
+    if (health) health->recordFactorization(lu_.minAbsPivot(), lu_.pivotGrowth());
   }
-  ++factorizations_;
-  if (health) health->recordFactorization(lu_.minAbsPivot(), lu_.pivotGrowth());
   {
     obs::ScopedTimer solve_timer(t_solve);
     lu_.solve(sys_.b, x_);
   }
   if (tel) {
-    ++tel->lu_factorizations;
     obs::StructureSize size;
     size.unknowns = static_cast<long long>(n_);
     size.nonzeros = static_cast<long long>(sp_re_.nonZeros());

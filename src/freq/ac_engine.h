@@ -27,6 +27,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -59,8 +60,8 @@ struct AcOptions {
   obs::RunTelemetry* telemetry = nullptr;
   /// Numerical-health collection (obs/health.h): with health.collect set
   /// (directly or via sharing.health, which per-option collect overrides)
-  /// AND telemetry attached, every solveAt records the factorization's
-  /// pivot stats and one complex relative residual ||Ax-b||inf/||b||inf
+  /// AND telemetry attached, every factorization records its pivot stats
+  /// and every solveAt one complex relative residual ||Ax-b||inf/||b||inf
   /// into telemetry->health. No condition estimate on this path: the Hager
   /// estimator (obs::estimateInverseNorm1) iterates on real vectors, so a
   /// complex system would need a complex variant of it. Grading happens in
@@ -71,7 +72,9 @@ struct AcOptions {
 /// One frequency-domain analysis of one Circuit. Construction assigns the
 /// unknown layout and validates options; the first solveAt() assembles the
 /// CSR pattern pair and resolves its ordering, and every call re-stamps
-/// values, factors, and solves.
+/// values and solves. A call factors only when its frequency differs from
+/// the last factored one: a repeat at the same frequency (a changed
+/// excitation) reuses the factorization, bit for bit.
 ///
 /// solveAt() is repeatable at the same or different frequencies, and
 /// element AC excitations (VoltageSource/CurrentSource::setAcValue) may be
@@ -96,7 +99,8 @@ class AcSession {
   /// Unknown count (nodes + branches).
   std::size_t unknowns() const { return n_; }
 
-  /// Number of complex factorizations performed (one per solveAt call).
+  /// Number of complex factorizations performed: one per solveAt call at
+  /// a frequency other than the last factored one.
   std::size_t factorizations() const { return factorizations_; }
 
  private:
@@ -118,6 +122,9 @@ class AcSession {
   std::shared_ptr<const SolverSymbolic> symbolic_;
 
   BandedLu<Complex> lu_;
+  /// Angular frequency lu_ holds the factorization of; NaN (matching no
+  /// omega) while nothing valid is factored.
+  double factored_omega_ = std::numeric_limits<double>::quiet_NaN();
   ComplexVector x_;
   std::size_t factorizations_ = 0;
 };

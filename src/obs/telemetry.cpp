@@ -15,6 +15,7 @@ void StructureSize::mergeMax(const StructureSize& o) {
 void RunTelemetry::merge(const RunTelemetry& o) {
   phases += o.phases;
   lu_factorizations += o.lu_factorizations;
+  low_rank_solves += o.low_rank_solves;
   newton_iterations += o.newton_iterations;
   max_newton_iterations = std::max(max_newton_iterations, o.max_newton_iterations);
   steps += o.steps;

@@ -11,11 +11,15 @@
 ///   - stamp_static   one-time static assembly of the MNA base matrix
 ///                    (element stampStatic walk + CSR pattern finalize +
 ///                    the pattern's RCM ordering, unless checked out)
-///   - factor         LU factorizations (base + any refactor forced by a
-///                    matrix-dirtying dynamic stamp)
+///   - factor         LU factorizations: the base, plus the refactors of
+///                    dirtied iterations the low-rank update declined
+///                    (a change wider than kMaxUpdateRank rows, a singular
+///                    base, a cancelling correction)
 ///   - rhs_stamp      per-Newton-iteration dynamic stamping: base-matrix
 ///                    restore, RHS rebuild, nonlinear Jacobian entries
-///   - solve          forward/back substitutions
+///   - solve          forward/back substitutions, including a dirtied
+///                    iteration's low-rank update (the value diff, Z's
+///                    substitutions and the k x k correction)
 ///   - newton         the whole Newton loop (contains factor + rhs_stamp +
 ///                    solve plus convergence checking; the remainder of
 ///                    the run's wall time is probe recording and element
@@ -30,7 +34,14 @@
 ///   - lu_factorizations        total LU count (== 1 per linear transient
 ///                              — the paper's one-LU-per-run guarantee —
 ///                              so a linear single-transient corner reads
-///                              exactly 1, with sharing on or off)
+///                              exactly 1, with sharing on or off; so does
+///                              a corner whose nonlinear devices are a few
+///                              ports, such as a crosstalk corner)
+///   - low_rank_solves          Newton iterations that solved a dirtied
+///                              matrix on the base factorization plus a
+///                              low-rank correction (math/low_rank_update.h)
+///                              instead of refactoring; a crosstalk corner
+///                              reads newton_iterations
 ///   - newton_iterations        total Newton iterations
 ///   - max_newton_iterations    worst single step
 ///   - steps                    accepted time steps (t >= 0)
@@ -62,7 +73,8 @@
 ///   - unknowns   MNA unknowns n
 ///   - nonzeros   CSR entries of the final pattern
 ///   - kl, ku     lower/upper bandwidth of the RCM-permuted matrix of the
-///                run's last factorization
+///                factorization the run solved on last (the base, after a
+///                low-rank solve)
 ///
 /// Merging keeps the field-wise maximum (a multi-transient corner reports
 /// its largest system).
@@ -111,6 +123,7 @@ struct StructureSize {
 struct RunTelemetry {
   TransientPhases phases;
   long long lu_factorizations = 0;
+  long long low_rank_solves = 0;
   long long newton_iterations = 0;
   int max_newton_iterations = 0;
   long long steps = 0;

@@ -1,11 +1,17 @@
 #pragma once
-// Dense reference solvers the banded engines are checked against:
+// Reference solvers the banded engines are checked against:
 //
 //  - runDenseReference: the textbook SPICE transient loop that rebuilds the
 //    complete MNA system through Element::stamp (static + dynamic stamps
 //    into a zeroed dense matrix) and LU-factors it at every Newton
 //    iteration. It shares no solver state with SolverSession — no cached
 //    base factorization, no CSR pattern, no RCM ordering.
+//  - runBandedReference: the same loop on a fresh CSR matrix factored by
+//    its own BandedLu at every Newton iteration — the refactor-every-
+//    iteration banded path that SolverSession's low-rank updates replace.
+//    It sums each entry in the engine's order (static stamps, finalize,
+//    then dynamic stamps on top) and orders the same pattern with the same
+//    RCM, but caches nothing across iterations.
 //  - acDenseReference: one AC point stamped through Element::stampAc into
 //    dense real/imaginary targets and solved as a real system of twice the
 //    size (solveComplexDense), with the same dense LuFactorization — no
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "circuit/transient.h"
+#include "math/banded_lu.h"
 #include "math/linear_solve.h"
 
 namespace fdtdmm::oracle {
@@ -30,17 +37,19 @@ namespace fdtdmm::oracle {
 constexpr double kSparseTol = 1e-8;
 
 // Same stepping, Newton damping, convergence test and probe semantics as
-// runTransient (settle pre-roll, accepted steps at t >= 0). Counts one LU
-// per Newton iteration.
-inline TransientResult runDenseReference(Circuit& circuit, const TransientOptions& opt,
-                                         const std::vector<NodeProbe>& probes) {
+// runTransient (settle pre-roll, accepted steps at t >= 0). Each Newton
+// iteration zeroes sys.b, calls assemble(sys, x, t) to stamp the complete
+// system about x, and factorSolve(sys, x_new); one LU is counted per
+// iteration.
+template <typename Assemble, typename FactorSolve>
+TransientResult runRestampReference(Circuit& circuit, const TransientOptions& opt,
+                                    const std::vector<NodeProbe>& probes, Assemble assemble,
+                                    FactorSolve factorSolve) {
   const std::size_t n = circuit.assignUnknowns();
   const auto& elements = circuit.elements();
   for (const auto& e : elements) e->begin(opt.dt);
 
   StampSystem sys;
-  sys.a = Matrix(n, n);
-  LuFactorization lu;
   Vector x(n, 0.0), x_new(n, 0.0);
   const auto node = [](const Vector& v, int k) {
     return k == 0 ? 0.0 : v[static_cast<std::size_t>(k - 1)];
@@ -56,17 +65,15 @@ inline TransientResult runDenseReference(Circuit& circuit, const TransientOption
     int it = 0;
     bool converged = false;
     for (; it < opt.max_newton_iterations && !converged; ++it) {
-      std::fill_n(sys.a.data(), n * n, 0.0);
       sys.b.assign(n, 0.0);
-      for (const auto& e : elements) e->stamp(sys, x, t, opt.dt);
-      lu.factor(sys.a);
+      assemble(sys, x, t);
+      factorSolve(sys, x_new);
       ++result.lu_factorizations;
-      lu.solve(sys.b, x_new);
       double max_dx = 0.0;
       for (std::size_t k = 0; k < n; ++k) {
         double dx = x_new[k] - x[k];
         if (!std::isfinite(dx))
-          throw std::runtime_error("runDenseReference: Newton diverged");
+          throw std::runtime_error("runRestampReference: Newton diverged");
         if (opt.max_delta_v > 0.0) dx = std::clamp(dx, -opt.max_delta_v, opt.max_delta_v);
         x[k] += dx;
         max_dx = std::max(max_dx, std::abs(dx));
@@ -86,6 +93,49 @@ inline TransientResult runDenseReference(Circuit& circuit, const TransientOption
   for (std::size_t p = 0; p < probes.size(); ++p)
     result.probes.emplace(probes[p].label, Waveform(0.0, opt.dt, std::move(data[p])));
   return result;
+}
+
+// The dense reference: Element::stamp into a zeroed dense matrix, then
+// LuFactorization.
+inline TransientResult runDenseReference(Circuit& circuit, const TransientOptions& opt,
+                                         const std::vector<NodeProbe>& probes) {
+  const std::size_t n = circuit.assignUnknowns();
+  LuFactorization lu;
+  return runRestampReference(
+      circuit, opt, probes,
+      [&](StampSystem& sys, const Vector& x, double t) {
+        if (sys.a.rows() != n) sys.a = Matrix(n, n);
+        std::fill_n(sys.a.data(), n * n, 0.0);
+        for (const auto& e : circuit.elements()) e->stamp(sys, x, t, opt.dt);
+      },
+      [&lu](StampSystem& sys, Vector& x_new) {
+        lu.factor(sys.a);
+        lu.solve(sys.b, x_new);
+      });
+}
+
+// The banded reference: static stamps into a fresh CSR matrix, finalize,
+// dynamic stamps on top (folding any out-of-pattern entries in), then a
+// BandedLu with its own RCM ordering.
+inline TransientResult runBandedReference(Circuit& circuit, const TransientOptions& opt,
+                                          const std::vector<NodeProbe>& probes) {
+  const std::size_t n = circuit.assignUnknowns();
+  SparseMatrix csr;
+  BandedLu<double> lu;
+  return runRestampReference(
+      circuit, opt, probes,
+      [&](StampSystem& sys, const Vector& x, double t) {
+        csr.reset(n);
+        sys.sparse = &csr;
+        for (const auto& e : circuit.elements()) e->stampStatic(sys, opt.dt);
+        csr.finalize();
+        for (const auto& e : circuit.elements()) e->stampDynamic(sys, x, t, opt.dt);
+        csr.mergeOverflow();
+      },
+      [&](StampSystem& sys, Vector& x_new) {
+        lu.factor(csr);
+        lu.solve(sys.b, x_new);
+      });
 }
 
 // Solves the complex system (re + j*im) x = b through its real equivalent

@@ -75,6 +75,66 @@ TEST(AcEngine, LossySkinLadderMatchesDenseReference) {
   }
 }
 
+// The S-parameter extraction's shape: forward then reverse excitation at
+// one frequency on one session. The second solve reuses the first one's
+// factorization (the matrix is unchanged), and both solutions are bitwise
+// those of a fresh session per excitation; a new frequency refactors.
+TEST(AcEngine, ExcitationsAtOneFrequencyShareOneFactorization) {
+  VoltageSource* src1 = nullptr;
+  VoltageSource* src2 = nullptr;
+  const auto build = [&](Circuit& circuit) {
+    const int s1 = circuit.addNode();
+    const int p1 = circuit.addNode();
+    const int p2 = circuit.addNode();
+    const int s2 = circuit.addNode();
+    src1 = circuit.addVoltageSource(s1, Circuit::kGround, dark());
+    src2 = circuit.addVoltageSource(s2, Circuit::kGround, dark());
+    circuit.addResistor(s1, p1, 50.0);
+    circuit.addResistor(s2, p2, 50.0);
+    RlgcParams line;
+    line.r = 5.0;
+    line.segments = 16;
+    buildRlgcLine(circuit, p1, Circuit::kGround, p2, Circuit::kGround, line);
+  };
+  const double f = 3e8;
+  const auto excite = [&](bool forward) {
+    src1->setAcValue(Complex(forward ? 1.0 : 0.0, 0.0));
+    src2->setAcValue(Complex(forward ? 0.0 : 1.0, 0.0));
+  };
+  const auto fresh = [&](bool forward) {
+    Circuit circuit;
+    build(circuit);
+    excite(forward);
+    AcSession session(circuit, AcOptions{});
+    return session.solveAt(f);
+  };
+  const ComplexVector fresh_forward = fresh(true);
+  const ComplexVector fresh_reverse = fresh(false);
+
+  Circuit circuit;
+  build(circuit);
+  obs::RunTelemetry tel;
+  AcOptions opt;
+  opt.telemetry = &tel;
+  AcSession session(circuit, opt);
+  excite(true);
+  const ComplexVector forward = session.solveAt(f);
+  excite(false);
+  const ComplexVector reverse = session.solveAt(f);
+  EXPECT_EQ(session.factorizations(), 1u);
+  EXPECT_EQ(tel.lu_factorizations, 1);
+  EXPECT_EQ(forward, fresh_forward);
+  EXPECT_EQ(reverse, fresh_reverse);
+
+  session.solveAt(2.0 * f);
+  EXPECT_EQ(session.factorizations(), 2u);
+  EXPECT_EQ(tel.lu_factorizations, 2);
+  EXPECT_LT(oracle::relativeGap(session.solveAt(2.0 * f),
+                                oracle::acDenseReference(circuit, 2.0 * f)),
+            1e-9);
+  EXPECT_EQ(session.factorizations(), 2u);
+}
+
 // H and the S-parameters of one frequency point via the "ac" family.
 struct AcPoint {
   Complex h, s11, s21, s12, s22;

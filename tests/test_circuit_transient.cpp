@@ -7,6 +7,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dense_oracle.h"
+
 namespace fdtdmm {
 namespace {
 
@@ -187,21 +189,32 @@ TEST(Transient, LinearCircuitFactorsOnce) {
   EXPECT_GT(res.total_newton_iterations, res.lu_factorizations);
 }
 
-TEST(Transient, NonlinearCircuitRefactorsPerIteration) {
-  Circuit c;
-  const int src = c.addNode();
-  const int out = c.addNode();
-  c.addVoltageSource(src, Circuit::kGround,
-                     [](double t) { return 2.0 * std::sin(2e9 * M_PI * t); });
-  c.addDiode(src, out);
-  c.addResistor(out, Circuit::kGround, 1000.0);
+TEST(Transient, NonlinearCircuitFactorsBaseOnce) {
+  const auto build = [](Circuit& c) {
+    const int src = c.addNode();
+    const int out = c.addNode();
+    c.addVoltageSource(src, Circuit::kGround,
+                       [](double t) { return 2.0 * std::sin(2e9 * M_PI * t); });
+    c.addDiode(src, out);
+    c.addResistor(out, Circuit::kGround, 1000.0);
+    return out;
+  };
+  Circuit c, oracle_circuit;
+  const int out = build(c);
+  build(oracle_circuit);
   TransientOptions opt;
   opt.dt = 1e-12;
   opt.t_stop = 1e-9;
   const auto res = runTransient(c, opt, {{"v", out, 0}});
-  // The diode dirties the matrix at every Newton iteration, so each one
-  // factors (and the lazily-created base factorization is never needed).
-  EXPECT_EQ(res.lu_factorizations, res.total_newton_iterations);
+  // The diode dirties the matrix at every Newton iteration, but only its
+  // two rows: each iteration is solved on the one base factorization plus
+  // a rank-2 correction, and agrees with the dense refactor-every-iteration
+  // oracle.
+  EXPECT_EQ(res.lu_factorizations, 1);
+  EXPECT_EQ(res.low_rank_solves, res.total_newton_iterations);
+  const auto ref = oracle::runDenseReference(oracle_circuit, opt, {{"v", out, 0}});
+  EXPECT_EQ(res.total_newton_iterations, ref.total_newton_iterations);
+  EXPECT_LE(oracle::maxAbsDiff(res.at("v"), ref.at("v")), oracle::kSparseTol);
 }
 
 TEST(Transient, OptionValidation) {

@@ -21,6 +21,7 @@
 #include "core/tline_family.h"
 #include "dense_oracle.h"
 #include "engine/sweep_runner.h"
+#include "math/low_rank_update.h"
 #include "signal/bit_pattern.h"
 #include "signal/linear_ports.h"
 
@@ -99,8 +100,10 @@ TEST(FactorizationSharing, LinearSweepFactorsOncePerCornerOnOneOrdering) {
 }
 
 // A lossless ladder driven by a behavioral port: the port restamps its
-// conductance every Newton iteration, so every iteration refactors.
-Circuit portDrivenLadder(int& far) {
+// conductance every Newton iteration. `clamps` adds a clamp diode to ground
+// on each of the first `clamps` segment nodes; their Jacobian entries are
+// diagonals the ladder's shunt capacitors already put in the pattern.
+Circuit portDrivenLadder(int& far, int clamps = 0) {
   const BitPattern pattern("0110", 0.5e-9);
   Circuit c;
   const int near = c.addNode();
@@ -110,47 +113,61 @@ Circuit portDrivenLadder(int& far) {
                           [pattern](double t) { return 1.8 * pattern.levelAt(t); }, 45.0));
   RlgcParams p;
   p.segments = 10;
-  buildRlgcLine(c, near, Circuit::kGround, far, Circuit::kGround, p);
+  const std::vector<int> nodes =
+      buildRlgcLineSegments(c, near, Circuit::kGround, far, Circuit::kGround, p);
+  for (int k = 0; k < clamps; ++k) c.addDiode(nodes[static_cast<std::size_t>(k)], Circuit::kGround);
   c.addResistor(far, Circuit::kGround, 60.0);
   return c;
 }
 
 // A run that checks a shared RCM ordering out computes none of its own:
-// its base AND its per-iteration refactorizations all use the shared
-// ordering (the port's Jacobian positions are part of the static pattern,
-// so nothing forces a re-ordering).
+// its base and every refactorization use the shared ordering (the dynamic
+// Jacobian positions are all part of the static pattern, so nothing forces
+// a re-ordering). The port-driven ladder factors only its base and solves
+// every iteration as a low-rank update of it. With five clamp diodes the
+// iterations dirty six rows, more than kMaxUpdateRank, so every one of them
+// refactors — still without an RCM analysis on the reuse run.
 TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
-  SolverStateCache cache;
-  std::map<std::string, Waveform> first;
-  for (int run = 0; run < 2; ++run) {
-    int far = 0;
-    Circuit c = portDrivenLadder(far);
-    obs::RunTelemetry tel;
-    TransientOptions opt;
-    opt.dt = 5e-12;
-    opt.t_stop = 2e-9;
-    opt.telemetry = &tel;
-    opt.sharing.provider = &cache;
-    opt.sharing.structure_key = "port-driven-ladder";
-    const TransientResult res = runTransient(c, opt, {{"far", far, 0}});
-    EXPECT_GT(res.lu_factorizations, 1) << run;
-    EXPECT_EQ(tel.pattern_realignments, 0) << run;
-    if (run == 0) {
-      EXPECT_EQ(tel.shared_symbolic_builds, 1);
-      EXPECT_EQ(tel.rcm_orderings, 1);
-      first = res.probes;
-    } else {
-      EXPECT_EQ(tel.shared_symbolic_reuses, 1);
-      EXPECT_EQ(tel.rcm_orderings, 0);
-      // Same pattern, same ordering: bit-identical waveforms.
-      const Waveform& a = first.at("far");
-      const Waveform& b = res.at("far");
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]) << k;
+  static_assert(5 + 1 > kMaxUpdateRank, "the clamped ladder must be too wide");
+  for (const int clamps : {0, 5}) {
+    SolverStateCache cache;
+    std::map<std::string, Waveform> first;
+    for (int run = 0; run < 2; ++run) {
+      int far = 0;
+      Circuit c = portDrivenLadder(far, clamps);
+      obs::RunTelemetry tel;
+      TransientOptions opt;
+      opt.dt = 5e-12;
+      opt.t_stop = 2e-9;
+      opt.telemetry = &tel;
+      opt.sharing.provider = &cache;
+      opt.sharing.structure_key = "port-driven-ladder";
+      const TransientResult res = runTransient(c, opt, {{"far", far, 0}});
+      if (clamps == 0) {
+        EXPECT_EQ(res.lu_factorizations, 1) << run;
+        EXPECT_EQ(res.low_rank_solves, res.total_newton_iterations) << run;
+      } else {
+        EXPECT_GT(res.lu_factorizations, 1) << run;
+        EXPECT_EQ(res.lu_factorizations, res.total_newton_iterations) << run;
+      }
+      EXPECT_EQ(tel.pattern_realignments, 0) << clamps << " " << run;
+      if (run == 0) {
+        EXPECT_EQ(tel.shared_symbolic_builds, 1);
+        EXPECT_EQ(tel.rcm_orderings, 1);
+        first = res.probes;
+      } else {
+        EXPECT_EQ(tel.shared_symbolic_reuses, 1);
+        EXPECT_EQ(tel.rcm_orderings, 0) << clamps;
+        // Same pattern, same ordering: bit-identical waveforms.
+        const Waveform& a = first.at("far");
+        const Waveform& b = res.at("far");
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]) << k;
+      }
     }
+    EXPECT_EQ(cache.stats().symbolic_misses, 1);
+    EXPECT_EQ(cache.stats().symbolic_hits, 1);
   }
-  EXPECT_EQ(cache.stats().symbolic_misses, 1);
-  EXPECT_EQ(cache.stats().symbolic_hits, 1);
 }
 
 // A linear ladder: a ramped source behind 50 ohm drives `segments` RLGC

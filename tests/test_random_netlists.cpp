@@ -3,7 +3,8 @@
 // tests/dense_oracle.h on randomly generated R/L/C/K/V/I netlists — with
 // and without diodes — and on random single and coupled RLGC ladders.
 // Every node voltage must agree to kSparseTol at every step, and every
-// linear netlist must run on exactly one LU factorization. The linear
+// linear netlist — and every diode netlist whose diodes dirty at most
+// kMaxUpdateRank rows — must run on exactly one LU factorization. The linear
 // netlists also go through the AC engine (AcSession) against the dense AC
 // reference. Each case is a pure function of its seed (math/rng.h), so a
 // failure names a reproducible netlist.
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "circuit/transient.h"
 #include "dense_oracle.h"
 #include "freq/ac_engine.h"
+#include "math/low_rank_update.h"
 #include "math/rng.h"
 
 namespace fdtdmm {
@@ -62,6 +65,8 @@ std::pair<int, int> randomPair(Rng& rng, int n) {
 struct Case {
   TransientOptions opt;
   std::vector<NodeProbe> probes;
+  /// Distinct non-ground diode terminals: the rows the diodes dirty.
+  std::size_t diode_rows = 0;
 };
 
 /// R/L/C/K/V/I netlist (plus diodes when `diodes`). A resistor spanning
@@ -110,6 +115,7 @@ Case buildRandomNetlist(Circuit& c, std::uint64_t seed, bool diodes) {
     const auto [a, b] = randomPair(rng, n);
     c.addCurrentSource(a, b, randomSource(rng, 20e-3));
   }
+  std::set<int> diode_nodes;
   if (diodes) {
     // Each diode sits behind a series resistor: a bare junction across a
     // 2 V source would conduct kiloamperes, which the engine's global
@@ -124,10 +130,12 @@ Case buildRandomNetlist(Circuit& c, std::uint64_t seed, bool diodes) {
         c.addDiode(junction, a);
       }
       c.addResistor(junction, b, logUniform(rng, 10.0, 1e3));
+      diode_nodes.insert({a, junction});  // both > 0
     }
   }
 
   Case out;
+  out.diode_rows = diode_nodes.size();
   out.opt.dt = rng.uniform(2e-12, 10e-12);
   out.opt.t_stop = 1e-9;
   for (int k = 1; k <= c.nodeCount(); ++k)
@@ -246,7 +254,14 @@ TEST(RandomNetlists, DiodeNetlistsMatchDenseOracle) {
     const TransientResult sp = runTransient(a, sp_case.opt, sp_case.probes);
     const TransientResult ref = oracle::runDenseReference(b, ref_case.opt, ref_case.probes);
     expectAgreement(sp, ref, what);
-    EXPECT_GT(sp.lu_factorizations, 1) << what;  // the diodes refactor
+    // Diodes confined to a few rows are low-rank updates of the one base
+    // factorization; wider ones refactor.
+    if (sp_case.diode_rows <= kMaxUpdateRank) {
+      EXPECT_EQ(sp.lu_factorizations, 1) << what;
+      EXPECT_EQ(sp.low_rank_solves, sp.total_newton_iterations) << what;
+    } else {
+      EXPECT_GT(sp.lu_factorizations, 1) << what;
+    }
   }
 }
 

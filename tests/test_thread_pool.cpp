@@ -124,5 +124,26 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
 }
 
+// A task's run time is in stats().busy_seconds by the time its future is
+// ready: a caller that reads stats() right after get() sees every task it
+// collected.
+TEST(ThreadPool, BusySecondsIncludeEveryCollectedTask) {
+  ThreadPool pool(2);
+  double busy = 0.0;
+  int missed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    pool.submit([] {
+           const auto begin = std::chrono::steady_clock::now();
+           while (std::chrono::steady_clock::now() == begin) {
+           }
+         })
+        .get();
+    const double now = pool.stats().busy_seconds;
+    if (!(now > busy)) ++missed;
+    busy = now;
+  }
+  EXPECT_EQ(missed, 0);
+}
+
 }  // namespace
 }  // namespace fdtdmm
