@@ -6,76 +6,8 @@
 
 namespace fdtdmm {
 
-void Element::stampConductance(StampSystem& sys, int n1, int n2, double g) {
-  addAnode(sys, n1, n1, g);
-  addAnode(sys, n2, n2, g);
-  addAnode(sys, n1, n2, -g);
-  addAnode(sys, n2, n1, -g);
-}
-
-void Element::stampCurrentSource(StampSystem& sys, int n1, int n2, double i) {
-  // Current i flows out of n1, into n2: subtract at n1, add at n2.
-  if (n1 != 0) sys.b[static_cast<std::size_t>(n1 - 1)] -= i;
-  if (n2 != 0) sys.b[static_cast<std::size_t>(n2 - 1)] += i;
-}
-
-void Element::addA(StampSystem& sys, int row_node, std::size_t col, double v) {
-  if (row_node != 0) {
-    sys.add(static_cast<std::size_t>(row_node - 1), col, v);
-  }
-}
-
-void Element::addAnode(StampSystem& sys, int row_node, int col_node, double v) {
-  if (row_node != 0 && col_node != 0) {
-    sys.add(static_cast<std::size_t>(row_node - 1), static_cast<std::size_t>(col_node - 1), v);
-  }
-}
-
-void Element::addArowNode(StampSystem& sys, std::size_t row, int col_node, double v) {
-  if (col_node != 0) {
-    sys.add(row, static_cast<std::size_t>(col_node - 1), v);
-  }
-}
-
 void Element::stampAc(AcStampSystem&, double, const Vector&) const {
   throw std::logic_error(name() + ": AC analysis not supported");
-}
-
-void Element::stampAcAdmittance(AcStampSystem& sys, int n1, int n2,
-                                std::complex<double> y) {
-  acAddAnode(sys, n1, n1, y);
-  acAddAnode(sys, n2, n2, y);
-  acAddAnode(sys, n1, n2, -y);
-  acAddAnode(sys, n2, n1, -y);
-}
-
-void Element::stampAcCurrentSource(AcStampSystem& sys, int n1, int n2,
-                                   std::complex<double> i) {
-  // Current i flows out of n1, into n2: subtract at n1, add at n2.
-  if (n1 != 0) sys.b[static_cast<std::size_t>(n1 - 1)] -= i;
-  if (n2 != 0) sys.b[static_cast<std::size_t>(n2 - 1)] += i;
-}
-
-void Element::acAddA(AcStampSystem& sys, int row_node, std::size_t col,
-                     std::complex<double> v) {
-  if (row_node != 0) {
-    sys.add(static_cast<std::size_t>(row_node - 1), col, v);
-  }
-}
-
-void Element::acAddAnode(AcStampSystem& sys, int row_node, int col_node,
-                         std::complex<double> v) {
-  if (row_node != 0 && col_node != 0) {
-    sys.add(static_cast<std::size_t>(row_node - 1),
-            static_cast<std::size_t>(col_node - 1), v);
-  }
-}
-
-void Element::acAddArowNode(AcStampSystem& sys, std::size_t row, int col_node,
-                            std::complex<double> v) {
-  if (col_node != 0) {
-    sys.add(row, static_cast<std::size_t>(col_node - 1), v);
-  }
 }
 
 // ---------------------------------------------------------------- Resistor
@@ -89,7 +21,7 @@ void Resistor::stampStatic(StampSystem& sys, double) {
 }
 
 void Resistor::stampAc(AcStampSystem& sys, double, const Vector&) const {
-  stampAcAdmittance(sys, n1_, n2_, {g_, 0.0});
+  stampConductance(sys, n1_, n2_, {g_, 0.0});
 }
 
 // --------------------------------------------------------------- Capacitor
@@ -131,7 +63,7 @@ void Capacitor::endStep(const Vector& x, double, double) {
 }
 
 void Capacitor::stampAc(AcStampSystem& sys, double omega, const Vector&) const {
-  stampAcAdmittance(sys, n1_, n2_, {0.0, omega * c_});
+  stampConductance(sys, n1_, n2_, {0.0, omega * c_});
 }
 
 // ---------------------------------------------------------------- Inductor
@@ -192,11 +124,11 @@ void Inductor::stampAc(AcStampSystem& sys, double omega, const Vector&) const {
   // Branch row: v(n1) - v(n2) - j*omega*L * i = 0. The optional transient
   // EMF is a time-domain excitation and contributes nothing at AC.
   const std::size_t ib = branch_offset_;
-  acAddArowNode(sys, ib, n1_, {1.0, 0.0});
-  acAddArowNode(sys, ib, n2_, {-1.0, 0.0});
+  addArowNode(sys, ib, n1_, {1.0, 0.0});
+  addArowNode(sys, ib, n2_, {-1.0, 0.0});
   sys.add(ib, ib, {0.0, -omega * l_});
-  acAddA(sys, n1_, ib, {1.0, 0.0});
-  acAddA(sys, n2_, ib, {-1.0, 0.0});
+  addA(sys, n1_, ib, {1.0, 0.0});
+  addA(sys, n2_, ib, {-1.0, 0.0});
 }
 
 // --------------------------------------------------------- CoupledInductors
@@ -261,18 +193,18 @@ void CoupledInductors::stampAc(AcStampSystem& sys, double omega,
   // v1 = j*omega*(L1 i1 + M i2), v2 = j*omega*(M i1 + L2 i2).
   const std::size_t ib1 = branch_offset_;
   const std::size_t ib2 = branch_offset_ + 1;
-  acAddArowNode(sys, ib1, a1_, {1.0, 0.0});
-  acAddArowNode(sys, ib1, b1_, {-1.0, 0.0});
+  addArowNode(sys, ib1, a1_, {1.0, 0.0});
+  addArowNode(sys, ib1, b1_, {-1.0, 0.0});
   sys.add(ib1, ib1, {0.0, -omega * l1_});
   sys.add(ib1, ib2, {0.0, -omega * m_});
-  acAddArowNode(sys, ib2, a2_, {1.0, 0.0});
-  acAddArowNode(sys, ib2, b2_, {-1.0, 0.0});
+  addArowNode(sys, ib2, a2_, {1.0, 0.0});
+  addArowNode(sys, ib2, b2_, {-1.0, 0.0});
   sys.add(ib2, ib1, {0.0, -omega * m_});
   sys.add(ib2, ib2, {0.0, -omega * l2_});
-  acAddA(sys, a1_, ib1, {1.0, 0.0});
-  acAddA(sys, b1_, ib1, {-1.0, 0.0});
-  acAddA(sys, a2_, ib2, {1.0, 0.0});
-  acAddA(sys, b2_, ib2, {-1.0, 0.0});
+  addA(sys, a1_, ib1, {1.0, 0.0});
+  addA(sys, b1_, ib1, {-1.0, 0.0});
+  addA(sys, a2_, ib2, {1.0, 0.0});
+  addA(sys, b2_, ib2, {-1.0, 0.0});
 }
 
 // ----------------------------------------------------------- VoltageSource
@@ -299,10 +231,10 @@ void VoltageSource::stampDynamic(StampSystem& sys, const Vector&, double t_new, 
 void VoltageSource::stampAc(AcStampSystem& sys, double, const Vector&) const {
   const std::size_t ib = branch_offset_;
   // Branch row: v(n1) - v(n2) = ac phasor (0 = AC short).
-  acAddArowNode(sys, ib, n1_, {1.0, 0.0});
-  acAddArowNode(sys, ib, n2_, {-1.0, 0.0});
-  acAddA(sys, n1_, ib, {1.0, 0.0});
-  acAddA(sys, n2_, ib, {-1.0, 0.0});
+  addArowNode(sys, ib, n1_, {1.0, 0.0});
+  addArowNode(sys, ib, n2_, {-1.0, 0.0});
+  addA(sys, n1_, ib, {1.0, 0.0});
+  addA(sys, n2_, ib, {-1.0, 0.0});
   sys.b[ib] += ac_;
 }
 
@@ -318,7 +250,7 @@ void CurrentSource::stampDynamic(StampSystem& sys, const Vector&, double t_new, 
 }
 
 void CurrentSource::stampAc(AcStampSystem& sys, double, const Vector&) const {
-  stampAcCurrentSource(sys, n2_, n1_, ac_);
+  stampCurrentSource(sys, n2_, n1_, ac_);
 }
 
 // ------------------------------------------------------------------- Diode
@@ -358,7 +290,7 @@ void Diode::stampAc(AcStampSystem& sys, double, const Vector& x_dc) const {
   const double v = dcNodeV(x_dc, na_) - dcNodeV(x_dc, nc_);
   double g = 0.0;
   (void)evalCurrent(v, p_, g);
-  stampAcAdmittance(sys, na_, nc_, {g, 0.0});
+  stampConductance(sys, na_, nc_, {g, 0.0});
 }
 
 // ------------------------------------------------------------------ Mosfet
@@ -437,11 +369,11 @@ void Mosfet::stampAc(AcStampSystem& sys, double, const Vector& x_dc) const {
   double gm = 0.0, gds = 0.0;
   (void)evalIds(vgs, vds, p_, gm, gds);
 
-  stampAcAdmittance(sys, d, s, {gds, 0.0});
-  acAddAnode(sys, d, ng_, {gm, 0.0});
-  acAddAnode(sys, d, s, {-gm, 0.0});
-  acAddAnode(sys, s, ng_, {-gm, 0.0});
-  acAddAnode(sys, s, s, {gm, 0.0});
+  stampConductance(sys, d, s, {gds, 0.0});
+  addAnode(sys, d, ng_, {gm, 0.0});
+  addAnode(sys, d, s, {-gm, 0.0});
+  addAnode(sys, s, ng_, {-gm, 0.0});
+  addAnode(sys, s, s, {gm, 0.0});
 }
 
 // --------------------------------------------------------------- IdealLine
@@ -510,22 +442,22 @@ void IdealLine::stampAc(AcStampSystem& sys, double omega, const Vector&) const {
   const std::size_t i1 = branch_offset_;
   const std::size_t i2 = branch_offset_ + 1;
   const std::complex<double> e = std::exp(std::complex<double>(0.0, -omega * td_));
-  acAddArowNode(sys, i1, p1p_, {1.0, 0.0});
-  acAddArowNode(sys, i1, p1m_, {-1.0, 0.0});
+  addArowNode(sys, i1, p1p_, {1.0, 0.0});
+  addArowNode(sys, i1, p1m_, {-1.0, 0.0});
   sys.add(i1, i1, {-zc_, 0.0});
-  acAddArowNode(sys, i1, p2p_, -e);
-  acAddArowNode(sys, i1, p2m_, e);
+  addArowNode(sys, i1, p2p_, -e);
+  addArowNode(sys, i1, p2m_, e);
   sys.add(i1, i2, -e * zc_);
-  acAddArowNode(sys, i2, p2p_, {1.0, 0.0});
-  acAddArowNode(sys, i2, p2m_, {-1.0, 0.0});
+  addArowNode(sys, i2, p2p_, {1.0, 0.0});
+  addArowNode(sys, i2, p2m_, {-1.0, 0.0});
   sys.add(i2, i2, {-zc_, 0.0});
-  acAddArowNode(sys, i2, p1p_, -e);
-  acAddArowNode(sys, i2, p1m_, e);
+  addArowNode(sys, i2, p1p_, -e);
+  addArowNode(sys, i2, p1m_, e);
   sys.add(i2, i1, -e * zc_);
-  acAddA(sys, p1p_, i1, {1.0, 0.0});
-  acAddA(sys, p1m_, i1, {-1.0, 0.0});
-  acAddA(sys, p2p_, i2, {1.0, 0.0});
-  acAddA(sys, p2m_, i2, {-1.0, 0.0});
+  addA(sys, p1p_, i1, {1.0, 0.0});
+  addA(sys, p1m_, i1, {-1.0, 0.0});
+  addA(sys, p2p_, i2, {1.0, 0.0});
+  addA(sys, p2m_, i2, {-1.0, 0.0});
 }
 
 void IdealLine::endStep(const Vector& x, double t_new, double) {

@@ -1,6 +1,7 @@
 #pragma once
 /// \file elements.h
-/// Circuit element hierarchy for the MNA transient engine. Each element
+/// Circuit element hierarchy of the MNA engines (transient, DC operating
+/// point and, through stampAc, the AC engine). Each element
 /// splits its linearized MNA contribution into a *static* part (matrix
 /// entries that depend only on topology and the fixed time step: R/C/L
 /// companion conductances, source/branch incidence rows, line
@@ -26,57 +27,38 @@
 
 namespace fdtdmm {
 
-/// MNA system A x = b; unknowns are node voltages (node k > 0 at index
-/// k-1) followed by branch currents. The matrix is an *abstract stamp
-/// target*: writes go through add(), which routes to either the dense
-/// matrix `a` (default) or, when the engine points `sparse` at a
-/// SparseMatrix, to that CSR target — so every element stamps dense and
-/// sparse systems through one code path.
-struct StampSystem {
-  Matrix a;  ///< dense target, active while `sparse` is null
-  Vector b;
-  SparseMatrix* sparse = nullptr;  ///< CSR target set by the sparse engine
-  /// Set by add() whenever a matrix entry is written. The engine clears it
-  /// before the dynamic stamping pass of each Newton iteration and corrects
-  /// or re-factors its base factorization only if it comes back dirty;
-  /// custom elements must route
-  /// all matrix writes through add() (directly or via the Element stamp
-  /// helpers) so the dirty check — and the sparse target — see them.
+/// MNA system A x = b over `Scalar`; unknowns are node voltages (node
+/// k > 0 at index k-1) followed by branch currents. Every element writes its
+/// matrix entries through add() into the CSR target `csr`, which the engine
+/// points at the matrix it assembles (math/sparse_matrix.h), and its
+/// right-hand side into `b`. The real system (StampSystem) serves the
+/// transient engine and the DC operating point, the complex one
+/// (AcStampSystem) the AC engine.
+template <typename Scalar>
+struct MnaSystem {
+  CsrMatrix<Scalar>* csr = nullptr;  ///< CSR target, set by the engine
+  std::vector<Scalar> b;
+  /// Set by add() whenever a matrix entry is written. The transient engine
+  /// clears it before the dynamic stamping pass of each Newton iteration
+  /// and corrects or re-factors its base factorization only if it comes
+  /// back dirty; custom elements must route all matrix writes through add()
+  /// (directly or via the Element stamp helpers) so the dirty check sees
+  /// them.
   bool matrix_dirty = false;
 
-  /// Adds v to matrix entry (row, col) of the active target.
-  void add(std::size_t row, std::size_t col, double v) {
-    if (sparse != nullptr) {
-      sparse->add(row, col, v);
-    } else {
-      a(row, col) += v;
-    }
+  /// Adds v to matrix entry (row, col).
+  void add(std::size_t row, std::size_t col, Scalar v) {
+    csr->add(row, col, v);
     matrix_dirty = true;
   }
 };
 
-/// Complex MNA system A(omega) x = b for the frequency-domain path,
-/// A = G + j*omega*B (plus frequency-dependent terms like the ideal line's
-/// e^{-j omega Td}). Assembled as TWO real StampSystem targets — `re` for
-/// the real part and `im` for the imaginary part — so the existing
-/// dense/sparse routing of StampSystem::add is reused verbatim and both
-/// targets end up with byte-identical CSR patterns (add() always writes
-/// both, even when one part is zero), the precondition of the
-/// BandedLu<Complex> factorization of the pair (math/banded_lu.h). The
-/// AC engine assembles into CSR targets; the dense targets serve the test
-/// suite's reference solve. The right-hand side is natively complex.
-struct AcStampSystem {
-  StampSystem re;  ///< real part of A (b unused; the complex RHS is below)
-  StampSystem im;  ///< imaginary part of A (same pattern as `re`)
-  std::vector<std::complex<double>> b;
+/// The transient engine's real system.
+using StampSystem = MnaSystem<double>;
 
-  /// Adds v to complex matrix entry (row, col) — both parts, always, so
-  /// the two patterns stay identical.
-  void add(std::size_t row, std::size_t col, std::complex<double> v) {
-    re.add(row, col, v.real());
-    im.add(row, col, v.imag());
-  }
-};
+/// The AC engine's complex system A(omega) x = b, A = G + j*omega*B (plus
+/// frequency-dependent terms like the ideal line's e^{-j omega Td}).
+using AcStampSystem = MnaSystem<Complex>;
 
 /// Source waveform type shared with the signal module.
 using TimeFn = std::function<double(double t)>;
@@ -100,9 +82,10 @@ class Element {
   virtual void beginStep(double /*t_new*/, double /*dt*/) {}
 
   /// Stamps the time-invariant matrix entries. Called once per run, after
-  /// begin(). Contract: may only write to sys.a — the RHS is rebuilt from
-  /// zero every Newton iteration, so static contributions to sys.b would be
-  /// silently lost (the engine rejects them with std::logic_error).
+  /// begin(). Contract: may only write matrix entries (sys.add) — the RHS
+  /// is rebuilt from zero every Newton iteration, so static contributions
+  /// to sys.b would be silently lost (the engine rejects them with
+  /// std::logic_error).
   virtual void stampStatic(StampSystem& /*sys*/, double /*dt*/) {}
 
   /// Stamps the per-iteration contributions about iterate x: RHS source and
@@ -112,18 +95,6 @@ class Element {
   /// factorization of the static matrix is stale.
   virtual void stampDynamic(StampSystem& /*sys*/, const Vector& /*x*/,
                             double /*t_new*/, double /*dt*/) {}
-
-  /// Full linearized stamp about iterate x: static + dynamic parts. This is
-  /// what the pre-split engine assembled at every Newton iteration; the
-  /// dense reference oracle of the test suite (and element unit tests)
-  /// still use it.
-  /// NOT virtual: subclasses contribute by overriding stampStatic /
-  /// stampDynamic. Declaring a `stamp` with this signature in a subclass
-  /// only hides this wrapper — the engine will never call it.
-  void stamp(StampSystem& sys, const Vector& x, double t_new, double dt) {
-    stampStatic(sys, dt);
-    stampDynamic(sys, x, t_new, dt);
-  }
 
   /// Commits the accepted solution of this step.
   virtual void endStep(const Vector& /*x*/, double /*t_new*/, double /*dt*/) {}
@@ -144,10 +115,11 @@ class Element {
   ///    default 0 makes an un-phasored voltage source an AC short and an
   ///    un-phasored current source an AC open). The inductor's series EMC
   ///    EMF likewise contributes nothing.
-  ///  - All matrix writes go through AcStampSystem::add (or the stampAc*
-  ///    helpers), which writes BOTH real and imaginary targets on every
-  ///    add so the two sparse patterns stay identical; RHS writes go to
-  ///    sys.b (complex, sized to the unknown count by the engine).
+  ///  - All matrix writes go through AcStampSystem::add (or the stamp
+  ///    helpers, which take either system); RHS writes go to sys.b
+  ///    (complex, sized to the unknown count by the engine). The entry
+  ///    positions written must not depend on omega, so one CSR pattern
+  ///    serves every frequency point.
   ///  - Branch unknowns reuse the transient branch_offset_ assignment, so
   ///    an AC system has exactly the unknown layout of the transient one.
   ///  - May be called many times per assembly (once per frequency point);
@@ -167,31 +139,41 @@ class Element {
   /// Voltage of node n in the unknown vector (ground = 0).
   static double nodeV(const Vector& x, int n) { return n == 0 ? 0.0 : x[static_cast<std::size_t>(n - 1)]; }
 
-  /// Adds conductance g between nodes n1 and n2 (standard 4-point stamp).
-  static void stampConductance(StampSystem& sys, int n1, int n2, double g);
+  // Stamp helpers, shared by the real and the complex system.
+
+  /// Adds conductance g (an admittance, on the complex system) between
+  /// nodes n1 and n2 (standard 4-point stamp).
+  template <typename Scalar>
+  static void stampConductance(MnaSystem<Scalar>& sys, int n1, int n2, Scalar g) {
+    addAnode(sys, n1, n1, g);
+    addAnode(sys, n2, n2, g);
+    addAnode(sys, n1, n2, -g);
+    addAnode(sys, n2, n1, -g);
+  }
 
   /// Adds current `i` flowing out of n1 into n2 to the RHS (i.e. a source
   /// pushing current from n2 to n1 adds +i at n1).
-  static void stampCurrentSource(StampSystem& sys, int n1, int n2, double i);
+  template <typename Scalar>
+  static void stampCurrentSource(MnaSystem<Scalar>& sys, int n1, int n2, Scalar i) {
+    if (n1 != 0) sys.b[static_cast<std::size_t>(n1 - 1)] -= i;
+    if (n2 != 0) sys.b[static_cast<std::size_t>(n2 - 1)] += i;
+  }
 
   /// Matrix entry helpers that ignore the ground node.
-  static void addA(StampSystem& sys, int row_node, std::size_t col, double v);
-  static void addAnode(StampSystem& sys, int row_node, int col_node, double v);
-  static void addArowNode(StampSystem& sys, std::size_t row, int col_node, double v);
-
-  /// AC counterparts of the stamp helpers above: complex 4-point admittance
-  /// stamp, complex RHS injection (current y flowing out of n1 into n2),
-  /// and ground-skipping complex matrix writes.
-  static void stampAcAdmittance(AcStampSystem& sys, int n1, int n2,
-                                std::complex<double> y);
-  static void stampAcCurrentSource(AcStampSystem& sys, int n1, int n2,
-                                   std::complex<double> i);
-  static void acAddA(AcStampSystem& sys, int row_node, std::size_t col,
-                     std::complex<double> v);
-  static void acAddAnode(AcStampSystem& sys, int row_node, int col_node,
-                         std::complex<double> v);
-  static void acAddArowNode(AcStampSystem& sys, std::size_t row, int col_node,
-                            std::complex<double> v);
+  template <typename Scalar>
+  static void addA(MnaSystem<Scalar>& sys, int row_node, std::size_t col, Scalar v) {
+    if (row_node != 0) sys.add(static_cast<std::size_t>(row_node - 1), col, v);
+  }
+  template <typename Scalar>
+  static void addAnode(MnaSystem<Scalar>& sys, int row_node, int col_node, Scalar v) {
+    if (row_node != 0 && col_node != 0)
+      sys.add(static_cast<std::size_t>(row_node - 1), static_cast<std::size_t>(col_node - 1),
+              v);
+  }
+  template <typename Scalar>
+  static void addArowNode(MnaSystem<Scalar>& sys, std::size_t row, int col_node, Scalar v) {
+    if (col_node != 0) sys.add(row, static_cast<std::size_t>(col_node - 1), v);
+  }
 
   /// Voltage of node n in a DC operating-point vector where an empty
   /// vector means "all zeros" (the stampAc convention for x_dc).
@@ -261,7 +243,7 @@ class Inductor final : public Element {
  private:
   /// emf_(t), evaluated once per time point: every Newton iteration of a
   /// step and its endStep share one call. Keyed on t, not cached in
-  /// beginStep, because Element::stamp callers skip beginStep.
+  /// beginStep, because the DC operating point stamps without beginStep.
   double emfAt(double t);
 
   int n1_, n2_;

@@ -64,7 +64,7 @@ void SolverSession::assembleStatic(double* t_static, obs::RunTelemetry* tel) {
   obs::ScopedTimer stamp_static_timer(t_static);
   StampSystem base;
   base_sp_.reset(n_unknowns_);
-  base.sparse = &base_sp_;
+  base.csr = &base_sp_;
   base.b.assign(n_unknowns_, 0.0);
   for (auto& e : circuit_.elements()) e->stampStatic(base, opt_.dt);
   rejectStaticRhs(base.b);
@@ -101,24 +101,7 @@ void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
   // are exactly the system it solved — work_sp_ holds the base or dirtied
   // values of that iteration, so a low-rank solve is checked against the
   // updated matrix, not the base it was solved on.
-  if (any_solve) {
-    double b_inf = 0.0;
-    for (double v : sys_.b) b_inf = std::max(b_inf, std::abs(v));
-    double r_inf = 0.0;
-    const auto& row_ptr = work_sp_.rowPtr();
-    const auto& col_idx = work_sp_.colIdx();
-    const auto& values = work_sp_.values();
-    for (std::size_t r = 0; r < n_unknowns_; ++r) {
-      double acc = -sys_.b[r];
-      for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-        acc += values[k] * x_new_[col_idx[k]];
-      r_inf = std::max(r_inf, std::abs(acc));
-    }
-    h.collected = true;
-    ++h.residual_checks;
-    h.max_relative_residual =
-        std::max(h.max_relative_residual, r_inf / (b_inf > 0.0 ? b_inf : 1.0));
-  }
+  if (any_solve) h.recordResidual(obs::relativeResidual(work_sp_, x_new_, sys_.b));
 
   // Hager 1-norm condition estimate on whichever factorization is cached —
   // a handful of O(n b) substitutions, never a refactorization. The base
@@ -217,7 +200,7 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
   x_new_.assign(n_unknowns_, 0.0);
   sys_.b.assign(n_unknowns_, 0.0);
   work_sp_ = base_sp_;
-  sys_.sparse = &work_sp_;
+  sys_.csr = &work_sp_;
 
   // base_lu_: the untouched static matrix, factored from base_sp_ on the
   // first Newton iteration that needs it (lazily so circuits whose base

@@ -9,8 +9,9 @@ namespace fdtdmm {
 // library (implementations live in the engine layer).
 SolverStateProvider::~SolverStateProvider() = default;
 
+template <typename Scalar>
 std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
-                                                      const SparseMatrix& pattern,
+                                                      const CsrMatrix<Scalar>& pattern,
                                                       obs::RunTelemetry* tel) {
   const std::size_t n = pattern.dim();
   const auto order = [&pattern, n] {
@@ -45,5 +46,12 @@ std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& shari
   if (tel) ++tel->rcm_orderings;
   return order();
 }
+
+template std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing&,
+                                                               const CsrMatrix<double>&,
+                                                               obs::RunTelemetry*);
+template std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing&,
+                                                               const CsrMatrix<Complex>&,
+                                                               obs::RunTelemetry*);
 
 }  // namespace fdtdmm

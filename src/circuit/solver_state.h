@@ -96,8 +96,10 @@ struct SolverSharing {
 /// Bookkeeping goes to `tel` when non-null: rcm_orderings counts an
 /// ordering computed here (the class's build or a private one), and
 /// shared_symbolic_builds / shared_symbolic_reuses count the checkout.
+/// Reads only the pattern of `pattern` (real or complex).
+template <typename Scalar>
 std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
-                                                      const SparseMatrix& pattern,
+                                                      const CsrMatrix<Scalar>& pattern,
                                                       obs::RunTelemetry* tel);
 
 /// Round-trip-exact double formatting for cache keys (a numeric structure

@@ -37,8 +37,8 @@
 /// Sparse assembly and factorization
 /// ---------------------------------
 /// There is one solver path. The static stamps build a compressed-sparse-
-/// row *symbolic pattern* once (StampSystem routes element writes into a
-/// SparseMatrix target), numeric values are refreshed in place each
+/// row *symbolic pattern* once (StampSystem::add writes every element
+/// stamp into its SparseMatrix target), numeric values are refreshed in place each
 /// iteration, and every factorization is a BandedLu<double> — reverse
 /// Cuthill-McKee fill-reducing ordering plus banded LU with partial
 /// pivoting. The ordering is computed once per run (or checked out of a
@@ -51,8 +51,9 @@
 /// widens the pattern once, re-orders, and continues — pattern growth
 /// costs one recompile per new position set, not one per iteration.
 ///
-/// The dense full-restamp loop over Element::stamp is kept only in the
-/// test tree, as the reference oracle the sparse path is checked against.
+/// The dense full-restamp loop (every element's static and dynamic stamps,
+/// factored densely each Newton iteration) is kept only in the test tree,
+/// as the reference oracle the sparse path is checked against.
 
 #include <map>
 #include <string>

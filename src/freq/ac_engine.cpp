@@ -5,13 +5,35 @@
 #include <limits>
 #include <stdexcept>
 
-#include "math/linear_solve.h"
 #include "obs/counters.h"
 
 namespace fdtdmm {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
+
+// One step of iterative refinement of x, solved from A x = b on `lu`, with
+// the residual b - A x accumulated in extended precision (long double).
+// The DC stamp's dt = 1 s inductor companions put theta/L (up to ~1e10) in
+// the branch rows next to the unit KCL entries and the conductances. On
+// the seeded random netlists of the test suite the RCM-ordered banded
+// elimination then lands up to 7e-6 relative off an 80-bit dense solve;
+// after this step, within 1e-10. r and dx are scratch.
+void refineOnce(const SparseMatrix& a, const Vector& b, const BandedLu<double>& lu, Vector& x,
+                Vector& r, Vector& dx) {
+  const auto& row_ptr = a.rowPtr();
+  const auto& col_idx = a.colIdx();
+  const auto& values = a.values();
+  r.resize(b.size());
+  for (std::size_t row = 0; row < b.size(); ++row) {
+    long double acc = b[row];
+    for (std::size_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k)
+      acc -= static_cast<long double>(values[k]) * x[col_idx[k]];
+    r[row] = static_cast<double>(acc);
+  }
+  lu.solve(r, dx);
+  for (std::size_t k = 0; k < x.size(); ++k) x[k] += dx[k];
+}
 }  // namespace
 
 AcSession::AcSession(Circuit& circuit, AcOptions opt)
@@ -23,33 +45,30 @@ AcSession::AcSession(Circuit& circuit, AcOptions opt)
 }
 
 void AcSession::assemblePattern(double omega) {
-  // Build both CSR patterns with one stamping pass. The entry *positions*
-  // an element writes are frequency-independent (only values depend on
-  // omega — see the stampAc contract), so the pattern assembled here is
-  // valid for every later frequency; restampValues() scatters into it
+  // Build the CSR pattern with one stamping pass. The entry *positions* an
+  // element writes are frequency-independent (only values depend on omega
+  // — see the stampAc contract), so the pattern assembled here is valid
+  // for every later frequency; restampValues() scatters into it
   // allocation-free.
-  sp_re_.reset(n_);
-  sp_im_.reset(n_);
-  sys_.re.sparse = &sp_re_;
-  sys_.im.sparse = &sp_im_;
+  sp_.reset(n_);
+  sys_.csr = &sp_;
   sys_.b.assign(n_, Complex(0.0, 0.0));
   for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
-  sp_re_.finalize();
-  sp_im_.finalize();
+  sp_.finalize();
   // One ordering for every frequency point: checked out of the sharing
   // provider, built and published, or private.
-  symbolic_ = resolveSymbolic(opt_.sharing, sp_re_, opt_.telemetry);
+  symbolic_ = resolveSymbolic(opt_.sharing, sp_, opt_.telemetry);
 }
 
 void AcSession::restampValues(double omega) {
-  sp_re_.clearValues();
-  sp_im_.clearValues();
+  sp_.clearValues();
   sys_.b.assign(n_, Complex(0.0, 0.0));
   for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
 }
 
 const ComplexVector& AcSession::solveAt(double f_hz) {
-  if (f_hz < 0.0) throw std::invalid_argument("AcSession::solveAt: f must be >= 0");
+  if (!std::isfinite(f_hz) || f_hz < 0.0)
+    throw std::invalid_argument("AcSession::solveAt: f must be finite and >= 0");
   const double omega = 2.0 * kPi * f_hz;
   if (symbolic_ == nullptr) assemblePattern(omega);
   restampValues(omega);
@@ -70,7 +89,7 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
     factored_omega_ = std::numeric_limits<double>::quiet_NaN();
     {
       obs::ScopedTimer factor_timer(t_factor);
-      lu_.factorWithOrder({sp_re_, sp_im_}, symbolic_->rcm_order);
+      lu_.factorWithOrder(sp_, symbolic_->rcm_order);
     }
     factored_omega_ = omega;
     ++factorizations_;
@@ -84,36 +103,13 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
   if (tel) {
     obs::StructureSize size;
     size.unknowns = static_cast<long long>(n_);
-    size.nonzeros = static_cast<long long>(sp_re_.nonZeros());
+    size.nonzeros = static_cast<long long>(sp_.nonZeros());
     size.kl = static_cast<long long>(lu_.lowerBandwidth());
     size.ku = static_cast<long long>(lu_.upperBandwidth());
     tel->structure.mergeMax(size);
   }
-  if (health) recordResidual(*health);
+  if (health) health->recordResidual(obs::relativeResidual(sp_, x_, sys_.b));
   return x_;
-}
-
-void AcSession::recordResidual(obs::NumericalHealth& h) const {
-  // Complex relative residual ||Ax - b||inf / ||b||inf of the solve that
-  // just ran, with A = re + j*im recomposed from the assembly targets (the
-  // factorization holds a permuted band form, not A itself).
-  double b_inf = 0.0;
-  for (const Complex& v : sys_.b) b_inf = std::max(b_inf, std::abs(v));
-  double r_inf = 0.0;
-  const auto& row_ptr = sp_re_.rowPtr();
-  const auto& col_idx = sp_re_.colIdx();
-  const auto& re_vals = sp_re_.values();
-  const auto& im_vals = sp_im_.values();
-  for (std::size_t r = 0; r < n_; ++r) {
-    Complex acc = -sys_.b[r];
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-      acc += Complex(re_vals[k], im_vals[k]) * x_[col_idx[k]];
-    r_inf = std::max(r_inf, std::abs(acc));
-  }
-  h.collected = true;
-  ++h.residual_checks;
-  h.max_relative_residual =
-      std::max(h.max_relative_residual, r_inf / (b_inf > 0.0 ? b_inf : 1.0));
 }
 
 Vector dcOperatingPoint(Circuit& circuit, int max_iter, double tol) {
@@ -126,18 +122,34 @@ Vector dcOperatingPoint(Circuit& circuit, int max_iter, double tol) {
   // t = 0 transient value. For linear circuits this converges in one
   // iteration; nonlinear devices stamp their Newton Jacobian + residual
   // exactly as in the transient loop.
-  Vector x(n, 0.0);
+  Vector x(n, 0.0), x_new, r, dx;
+  SparseMatrix a(n);
   StampSystem sys;
-  LuFactorization lu;
-  for (int it = 0; it < max_iter; ++it) {
-    sys.a = Matrix(n, n);
+  sys.csr = &a;
+  const auto stamp = [&] {
     sys.b.assign(n, 0.0);
-    for (const auto& e : circuit.elements()) e->stamp(sys, x, 0.0, 1.0);
-    lu.factor(sys.a);
-    Vector x_new = lu.solve(sys.b);
+    for (const auto& e : circuit.elements()) {
+      e->stampStatic(sys, 1.0);
+      e->stampDynamic(sys, x, 0.0, 1.0);
+    }
+  };
+  // The first pass fixes the pattern; every iteration then restamps its
+  // values, so each entry is summed in stamp order, and the LU keeps its
+  // analysis until an out-of-pattern stamp grows the pattern. Each solve
+  // takes one refinement step (refineOnce).
+  stamp();
+  a.finalize();
+  BandedLu<double> lu;
+  for (int it = 0; it < max_iter; ++it) {
+    a.clearValues();
+    stamp();
+    a.mergeOverflow();
+    lu.factor(a);
+    lu.solve(sys.b, x_new);
+    refineOnce(a, sys.b, lu, x_new, r, dx);
     double delta = 0.0;
     for (std::size_t k = 0; k < n; ++k) delta = std::max(delta, std::abs(x_new[k] - x[k]));
-    x = std::move(x_new);
+    std::swap(x, x_new);
     if (delta < tol) return x;
   }
   throw std::runtime_error("dcOperatingPoint: Newton did not converge");

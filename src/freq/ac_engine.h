@@ -71,7 +71,7 @@ struct AcOptions {
 
 /// One frequency-domain analysis of one Circuit. Construction assigns the
 /// unknown layout and validates options; the first solveAt() assembles the
-/// CSR pattern pair and resolves its ordering, and every call re-stamps
+/// complex CSR pattern and resolves its ordering, and every call re-stamps
 /// values and solves. A call factors only when its frequency differs from
 /// the last factored one: a repeat at the same frequency (a changed
 /// excitation) reuses the factorization, bit for bit.
@@ -91,9 +91,9 @@ class AcSession {
   /// Solves A(j 2 pi f_hz) x = b and returns the solution phasor vector
   /// (node voltages then branch currents, the transient unknown layout).
   /// The reference is valid until the next solveAt() call.
-  /// \throws std::invalid_argument if f_hz < 0; std::runtime_error on a
-  ///         numerically singular system; std::logic_error from an
-  ///         element without an AC model.
+  /// \throws std::invalid_argument if f_hz is negative, NaN or infinite;
+  ///         std::runtime_error on a numerically singular system;
+  ///         std::logic_error from an element without an AC model.
   const ComplexVector& solveAt(double f_hz);
 
   /// Unknown count (nodes + branches).
@@ -106,17 +106,13 @@ class AcSession {
  private:
   void assemblePattern(double omega);
   void restampValues(double omega);
-  /// Records the complex relative residual of the last solve (health
-  /// collection; see AcOptions::health).
-  void recordResidual(obs::NumericalHealth& h) const;
 
   Circuit& circuit_;
   AcOptions opt_;
   std::size_t n_ = 0;
 
   AcStampSystem sys_;
-  SparseMatrix sp_re_;  ///< CSR target of sys_.re
-  SparseMatrix sp_im_;  ///< CSR target of sys_.im (same pattern)
+  CsrMatrix<Complex> sp_;  ///< CSR target of sys_
 
   /// Ordering of the assembled pattern; null until the first solveAt.
   std::shared_ptr<const SolverSymbolic> symbolic_;
@@ -129,10 +125,14 @@ class AcSession {
   std::size_t factorizations_ = 0;
 };
 
-/// Computes the DC operating point of `circuit` by dense Newton iteration
-/// on the full MNA stamp at t = 0 (capacitors open — their companion
-/// conductance is zero before begin(); inductors near-shorts; transient
-/// sources at their t = 0 value). The circuit must not have run a
+/// Computes the DC operating point of `circuit` by undamped Newton
+/// iteration on the full MNA stamp at t = 0 (capacitors open — their
+/// companion conductance is zero before begin(); inductors near-shorts;
+/// transient sources at their t = 0 value). Each iteration restamps the
+/// values into one CSR pattern, refactors it with a BandedLu<double>, which
+/// keeps its RCM analysis while the pattern holds, and refines the solve
+/// once with an extended-precision residual (the near-short inductors make
+/// the system ill-conditioned). The circuit must not have run a
 /// transient (element companion state must be pristine); the circuit is
 /// left untouched for a subsequent AcSession or transient run.
 /// \returns the unknown vector (suitable as AcOptions::x_dc).

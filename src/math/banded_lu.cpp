@@ -6,7 +6,8 @@
 
 namespace fdtdmm {
 
-std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a) {
+template <typename Scalar>
+std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<Scalar>& a) {
   if (!a.finalized())
     throw std::invalid_argument("reverseCuthillMcKee: matrix not finalized");
   const std::size_t n = a.dim();
@@ -63,54 +64,30 @@ std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a) {
   return order;
 }
 
+template std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<double>&);
+template std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<Complex>&);
+
 namespace {
 
-// The per-scalar inputs of BandedLu: one CSR matrix (real) or a re/im pair
-// on one pattern (complex). These overloads are the only code that tells
-// the two apart; all of them resolve at compile time.
-
-const SparseMatrix& patternOf(const SparseMatrix& a) { return a; }
-const SparseMatrix& patternOf(const ComplexCsr& a) { return a.re; }
-
-// Key of the symbolic cache: a complex pair's halves are versioned apart.
-std::array<std::uint64_t, 2> patternVersions(const SparseMatrix& a) {
-  return {a.patternVersion(), 0};
-}
-std::array<std::uint64_t, 2> patternVersions(const ComplexCsr& a) {
-  return {a.re.patternVersion(), a.im.patternVersion()};
-}
-
-void checkInput(const SparseMatrix& a) {
+template <typename Scalar>
+void checkInput(const CsrMatrix<Scalar>& a) {
   if (!a.finalized()) throw std::invalid_argument("BandedLu::factor: matrix not finalized");
   if (a.dim() == 0) throw std::invalid_argument("BandedLu::factor: empty matrix");
-}
-void checkInput(const ComplexCsr& a) {
-  checkInput(a.re);
-  checkInput(a.im);
-  if (a.re.dim() != a.im.dim() || a.re.rowPtr() != a.im.rowPtr() ||
-      a.re.colIdx() != a.im.colIdx())
-    throw std::invalid_argument("BandedLu::factor: real/imaginary patterns differ");
-}
-
-// CSR entry k as a band scalar.
-double csrEntry(const SparseMatrix& a, std::size_t k) { return a.values()[k]; }
-Complex csrEntry(const ComplexCsr& a, std::size_t k) {
-  return Complex(a.re.values()[k], a.im.values()[k]);
 }
 
 }  // namespace
 
 template <typename Scalar>
-void BandedLu<Scalar>::analyzeWithOrder(const Csr& a, std::vector<std::size_t> order) {
-  const SparseMatrix& p = patternOf(a);
-  n_ = p.dim();
+void BandedLu<Scalar>::analyzeWithOrder(const CsrMatrix<Scalar>& a,
+                                        std::vector<std::size_t> order) {
+  n_ = a.dim();
   order_ = std::move(order);
   pos_.assign(n_, 0);
   for (std::size_t k = 0; k < n_; ++k) pos_[order_[k]] = k;
 
   kl_ = ku_ = 0;
-  const auto& row_ptr = p.rowPtr();
-  const auto& col_idx = p.colIdx();
+  const auto& row_ptr = a.rowPtr();
+  const auto& col_idx = a.colIdx();
   for (std::size_t r = 0; r < n_; ++r) {
     const std::size_t i = pos_[r];
     for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
@@ -123,44 +100,43 @@ void BandedLu<Scalar>::analyzeWithOrder(const Csr& a, std::vector<std::size_t> o
   shift_ = kl_ + ku_;
   ab_.assign(ldab_ * n_, Scalar(0.0));
   piv_.assign(n_, 0);
-  analyzed_versions_ = patternVersions(a);
+  analyzed_version_ = a.patternVersion();
 }
 
 template <typename Scalar>
-void BandedLu<Scalar>::factor(const Csr& a) {
+void BandedLu<Scalar>::factor(const CsrMatrix<Scalar>& a) {
   checkInput(a);
   factored_ = false;
-  const SparseMatrix& p = patternOf(a);
-  if (p.dim() != n_ || patternVersions(a) != analyzed_versions_) {
-    analyzeWithOrder(a, reverseCuthillMcKee(p));
+  if (a.dim() != n_ || a.patternVersion() != analyzed_version_) {
+    analyzeWithOrder(a, reverseCuthillMcKee(a));
     ++orderings_computed_;
   }
   factorNumeric(a);
 }
 
 template <typename Scalar>
-void BandedLu<Scalar>::factorWithOrder(const Csr& a, const std::vector<std::size_t>& order) {
+void BandedLu<Scalar>::factorWithOrder(const CsrMatrix<Scalar>& a,
+                                       const std::vector<std::size_t>& order) {
   checkInput(a);
-  const SparseMatrix& p = patternOf(a);
-  if (order.size() != p.dim())
+  if (order.size() != a.dim())
     throw std::invalid_argument("BandedLu::factorWithOrder: ordering size mismatch");
   factored_ = false;
-  if (p.dim() != n_ || patternVersions(a) != analyzed_versions_ || order_ != order)
+  if (a.dim() != n_ || a.patternVersion() != analyzed_version_ || order_ != order)
     analyzeWithOrder(a, order);
   factorNumeric(a);
 }
 
 template <typename Scalar>
-void BandedLu<Scalar>::factorNumeric(const Csr& a) {
+void BandedLu<Scalar>::factorNumeric(const CsrMatrix<Scalar>& a) {
   // Scatter the permuted matrix into band storage.
   std::fill(ab_.begin(), ab_.end(), Scalar(0.0));
-  const SparseMatrix& p = patternOf(a);
-  const auto& row_ptr = p.rowPtr();
-  const auto& col_idx = p.colIdx();
+  const auto& row_ptr = a.rowPtr();
+  const auto& col_idx = a.colIdx();
+  const auto& values = a.values();
   for (std::size_t r = 0; r < n_; ++r) {
     const std::size_t i = pos_[r];
     for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-      at(i, pos_[col_idx[k]]) += csrEntry(a, k);
+      at(i, pos_[col_idx[k]]) += values[k];
   }
 
   // Health probes (minAbsPivot/pivotGrowth): the band holds exactly the

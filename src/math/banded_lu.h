@@ -19,45 +19,32 @@
 /// matrix's pattern-version stamp: refactoring a matrix with an unchanged
 /// pattern reuses it and performs no allocations.
 ///
-/// One class template serves both scalars. The AC system A(omega) = G +
-/// j*omega*B is assembled as two real CSR targets sharing one pattern (see
-/// circuit/elements.h AcStampSystem), so BandedLu<Complex> factors a
-/// ComplexCsr (re, im) pair rather than a native complex storage type — the
-/// CSR SparseMatrix stays the only sparse assembly substrate. Only the
-/// scatter of the CSR values into the band differs between the scalars;
-/// the ordering, elimination, substitutions and health probes are one code
-/// path. Because the symbolic stage is a pure function of the pattern, an
-/// ordering published through the SolverStateCache seeds factorWithOrder
-/// in either engine, and every frequency point of an AC sweep reuses one
-/// symbolic analysis (the AcSession economy, src/freq/ac_engine.h). A
-/// factorization itself is never shared between runs: each instance is
-/// owned by one session, which is why solve() may use internal scratch.
+/// One class template serves both scalars: BandedLu<double> factors the
+/// real CsrMatrix of the transient engine and the DC operating point,
+/// BandedLu<Complex> the complex CsrMatrix of the AC engine (A(omega) =
+/// G + j*omega*B, assembled through circuit/elements.h AcStampSystem).
+/// The ordering, band scatter, elimination, substitutions and health probes
+/// are one code path. Because the symbolic stage is a pure function of the
+/// pattern, an ordering published through the SolverStateCache seeds
+/// factorWithOrder in either engine, and every frequency point of an AC
+/// sweep reuses one symbolic analysis (the AcSession economy,
+/// src/freq/ac_engine.h). A factorization itself is never shared between
+/// runs: each instance is owned by one session, which is why solve() may
+/// use internal scratch.
 
-#include <array>
-#include <complex>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "math/sparse_matrix.h"
 
 namespace fdtdmm {
 
-using Complex = std::complex<double>;
-using ComplexVector = std::vector<Complex>;
-
-/// The CSR input of a complex factorization, A = re + j*im. Both matrices
-/// must be finalized with the SAME pattern (equal rowPtr/colIdx — the
-/// AcStampSystem writes both targets on every add, which guarantees it).
-struct ComplexCsr {
-  const SparseMatrix& re;
-  const SparseMatrix& im;
-};
-
 /// Reverse Cuthill-McKee ordering of a (structurally symmetrized) CSR
 /// pattern. Returns `order` with order[new_index] = old_index; handles
 /// disconnected components (each seeded at a minimum-degree vertex).
-std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a);
+/// Reads only the pattern, so it orders real and complex matrices alike.
+template <typename Scalar>
+std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<Scalar>& a);
 
 /// Banded LU factorization of a finalized CSR system over `Scalar` (double
 /// or Complex; both are instantiated in banded_lu.cpp). Factor once, solve
@@ -66,18 +53,13 @@ std::vector<std::size_t> reverseCuthillMcKee(const SparseMatrix& a);
 template <typename Scalar>
 class BandedLu {
  public:
-  /// What factor() reads: one SparseMatrix for real systems, a ComplexCsr
-  /// pair for complex ones.
-  using Csr = std::conditional_t<std::is_same_v<Scalar, double>, SparseMatrix, ComplexCsr>;
   using Vec = std::vector<Scalar>;
 
   /// Factors A. Re-runs the symbolic analysis only when A's pattern version
-  /// (both versions, for a complex pair) differs from the last factored
-  /// one. \throws std::invalid_argument if A is not finalized, has
-  /// dimension 0, or (complex) its real and imaginary patterns differ;
-  /// std::runtime_error if A is numerically singular (the factorization is
-  /// left empty).
-  void factor(const Csr& a);
+  /// differs from the last factored one. \throws std::invalid_argument if A
+  /// is not finalized or has dimension 0; std::runtime_error if A is
+  /// numerically singular (the factorization is left empty).
+  void factor(const CsrMatrix<Scalar>& a);
 
   /// Factors A like factor(), but seeds the symbolic stage with a
   /// precomputed fill-reducing ordering (order[new] = old) instead of
@@ -89,7 +71,7 @@ class BandedLu {
   ///         factor()'s errors). An ordering from a *different* pattern is
   ///         still a valid permutation (the result stays correct, merely
   ///         not band-optimal), but then the sharing key was wrong.
-  void factorWithOrder(const Csr& a, const std::vector<std::size_t>& order);
+  void factorWithOrder(const CsrMatrix<Scalar>& a, const std::vector<std::size_t>& order);
 
   /// RCM orderings this instance computed itself (factor() on a new
   /// pattern); factorWithOrder never adds to it.
@@ -131,8 +113,8 @@ class BandedLu {
   }
 
  private:
-  void analyzeWithOrder(const Csr& a, std::vector<std::size_t> order);
-  void factorNumeric(const Csr& a);
+  void analyzeWithOrder(const CsrMatrix<Scalar>& a, std::vector<std::size_t> order);
+  void factorNumeric(const CsrMatrix<Scalar>& a);
 
   Scalar& at(std::size_t i, std::size_t j) { return ab_[j * ldab_ + (i + shift_ - j)]; }
   Scalar atc(std::size_t i, std::size_t j) const { return ab_[j * ldab_ + (i + shift_ - j)]; }
@@ -141,9 +123,7 @@ class BandedLu {
   std::size_t kl_ = 0, ku_ = 0;
   std::size_t ldab_ = 0;   ///< band-storage column height = 2*kl + ku + 1
   std::size_t shift_ = 0;  ///< row offset in a storage column = kl + ku
-  /// Pattern versions of the last analysis (the imaginary half's second;
-  /// 0 for real systems).
-  std::array<std::uint64_t, 2> analyzed_versions_{};
+  std::uint64_t analyzed_version_ = 0;  ///< pattern version of the analysis
   std::size_t orderings_computed_ = 0;
   std::vector<std::size_t> order_;  ///< order_[new] = old
   std::vector<std::size_t> pos_;    ///< pos_[old] = new

@@ -9,14 +9,16 @@ namespace fdtdmm {
 
 namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
-}  // namespace
 
-std::uint64_t SparseMatrix::nextVersion() {
+// One counter for both scalars, so a version names one pattern process-wide.
+std::uint64_t nextVersion() {
   static std::atomic<std::uint64_t> counter{0};
   return ++counter;
 }
+}  // namespace
 
-void SparseMatrix::reset(std::size_t n) {
+template <typename Scalar>
+void CsrMatrix<Scalar>::reset(std::size_t n) {
   n_ = n;
   finalized_ = false;
   version_ = 0;
@@ -27,9 +29,10 @@ void SparseMatrix::reset(std::size_t n) {
   values_.clear();
 }
 
-void SparseMatrix::add(std::size_t r, std::size_t c, double v) {
+template <typename Scalar>
+void CsrMatrix<Scalar>::add(std::size_t r, std::size_t c, Scalar v) {
   if (r >= n_ || c >= n_)
-    throw std::out_of_range("SparseMatrix::add: index out of range");
+    throw std::out_of_range("CsrMatrix::add: index out of range");
   if (!finalized_) {
     building_.push_back({r, c, v});
     return;
@@ -42,7 +45,8 @@ void SparseMatrix::add(std::size_t r, std::size_t c, double v) {
   }
 }
 
-std::size_t SparseMatrix::find(std::size_t r, std::size_t c) const {
+template <typename Scalar>
+std::size_t CsrMatrix<Scalar>::find(std::size_t r, std::size_t c) const {
   const auto first = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
   const auto last = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
   const auto it = std::lower_bound(first, last, c);
@@ -50,7 +54,8 @@ std::size_t SparseMatrix::find(std::size_t r, std::size_t c) const {
   return static_cast<std::size_t>(it - col_idx_.begin());
 }
 
-void SparseMatrix::compile(std::vector<Triplet>& entries) {
+template <typename Scalar>
+void CsrMatrix<Scalar>::compile(std::vector<Triplet>& entries) {
   std::sort(entries.begin(), entries.end(), [](const Triplet& a, const Triplet& b) {
     return a.r != b.r ? a.r < b.r : a.c < b.c;
   });
@@ -62,7 +67,7 @@ void SparseMatrix::compile(std::vector<Triplet>& entries) {
   for (std::size_t k = 0; k < entries.size();) {
     const std::size_t r = entries[k].r;
     const std::size_t c = entries[k].c;
-    double sum = 0.0;
+    Scalar sum = 0.0;
     for (; k < entries.size() && entries[k].r == r && entries[k].c == c; ++k)
       sum += entries[k].v;
     row_ptr_[r + 1] += 1;
@@ -73,15 +78,17 @@ void SparseMatrix::compile(std::vector<Triplet>& entries) {
   version_ = nextVersion();
 }
 
-void SparseMatrix::finalize() {
-  if (finalized_) throw std::logic_error("SparseMatrix::finalize: already finalized");
+template <typename Scalar>
+void CsrMatrix<Scalar>::finalize() {
+  if (finalized_) throw std::logic_error("CsrMatrix::finalize: already finalized");
   compile(building_);
   building_.clear();
   building_.shrink_to_fit();
   finalized_ = true;
 }
 
-void SparseMatrix::mergeOverflow() {
+template <typename Scalar>
+void CsrMatrix<Scalar>::mergeOverflow() {
   if (overflow_.empty()) return;
   std::vector<Triplet> entries;
   entries.reserve(nonZeros() + overflow_.size());
@@ -93,19 +100,20 @@ void SparseMatrix::mergeOverflow() {
   compile(entries);
 }
 
-void SparseMatrix::adoptPatternOf(const SparseMatrix& other) {
+template <typename Scalar>
+void CsrMatrix<Scalar>::adoptPatternOf(const CsrMatrix& other) {
   if (!finalized_ || !other.finalized_)
-    throw std::logic_error("SparseMatrix::adoptPatternOf: both matrices must be finalized");
+    throw std::logic_error("CsrMatrix::adoptPatternOf: both matrices must be finalized");
   if (n_ != other.n_)
-    throw std::invalid_argument("SparseMatrix::adoptPatternOf: dimension mismatch");
+    throw std::invalid_argument("CsrMatrix::adoptPatternOf: dimension mismatch");
   if (version_ == other.version_) return;  // identical pattern already
-  std::vector<double> new_values(other.nonZeros(), 0.0);
+  std::vector<Scalar> new_values(other.nonZeros(), Scalar(0.0));
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       const std::size_t j = other.find(r, col_idx_[k]);
       if (j == kNpos)
         throw std::invalid_argument(
-            "SparseMatrix::adoptPatternOf: other pattern does not cover this one");
+            "CsrMatrix::adoptPatternOf: other pattern does not cover this one");
       new_values[j] = values_[k];
     }
   }
@@ -115,46 +123,39 @@ void SparseMatrix::adoptPatternOf(const SparseMatrix& other) {
   version_ = other.version_;
 }
 
-void SparseMatrix::setValuesFrom(const SparseMatrix& base) {
+template <typename Scalar>
+void CsrMatrix<Scalar>::setValuesFrom(const CsrMatrix& base) {
   if (!finalized_ || version_ != base.version_)
-    throw std::logic_error("SparseMatrix::setValuesFrom: pattern mismatch");
+    throw std::logic_error("CsrMatrix::setValuesFrom: pattern mismatch");
   std::copy(base.values_.begin(), base.values_.end(), values_.begin());
 }
 
-void SparseMatrix::clearValues() {
-  std::fill(values_.begin(), values_.end(), 0.0);
+template <typename Scalar>
+void CsrMatrix<Scalar>::clearValues() {
+  std::fill(values_.begin(), values_.end(), Scalar(0.0));
   overflow_.clear();
 }
 
-double SparseMatrix::at(std::size_t r, std::size_t c) const {
-  if (!finalized_) throw std::logic_error("SparseMatrix::at: not finalized");
+template <typename Scalar>
+Scalar CsrMatrix<Scalar>::at(std::size_t r, std::size_t c) const {
+  if (!finalized_) throw std::logic_error("CsrMatrix::at: not finalized");
   if (r >= n_ || c >= n_)
-    throw std::out_of_range("SparseMatrix::at: index out of range");
+    throw std::out_of_range("CsrMatrix::at: index out of range");
   const std::size_t k = find(r, c);
-  return k == kNpos ? 0.0 : values_[k];
+  return k == kNpos ? Scalar(0.0) : values_[k];
 }
 
-Vector SparseMatrix::multiply(const Vector& x) const {
-  if (!finalized_) throw std::logic_error("SparseMatrix::multiply: not finalized");
-  if (x.size() != n_)
-    throw std::invalid_argument("SparseMatrix::multiply: size mismatch");
-  Vector y(n_, 0.0);
-  for (std::size_t r = 0; r < n_; ++r) {
-    double sum = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      sum += values_[k] * x[col_idx_[k]];
-    y[r] = sum;
-  }
-  return y;
-}
-
-Matrix SparseMatrix::toDense() const {
-  if (!finalized_) throw std::logic_error("SparseMatrix::toDense: not finalized");
+template <>
+Matrix CsrMatrix<double>::toDense() const {
+  if (!finalized_) throw std::logic_error("CsrMatrix::toDense: not finalized");
   Matrix m(n_, n_);
   for (std::size_t r = 0; r < n_; ++r)
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
       m(r, col_idx_[k]) += values_[k];
   return m;
 }
+
+template class CsrMatrix<double>;
+template class CsrMatrix<Complex>;
 
 }  // namespace fdtdmm

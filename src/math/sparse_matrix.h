@@ -1,6 +1,7 @@
 #pragma once
 /// \file sparse_matrix.h
-/// Compressed-sparse-row stamp target for the MNA transient engine.
+/// Compressed-sparse-row stamp target of the MNA engines: real for the
+/// transient engine and the DC operating point, complex for the AC engine.
 ///
 /// Lifecycle (two-phase, mirroring the engine's static/dynamic stamp split):
 ///
@@ -17,11 +18,12 @@
 ///     growth therefore costs one recompile per new position set, after
 ///     which every iteration is allocation-free again.
 ///
-/// Pattern identity is tracked by a process-unique version stamp: two
-/// matrices with equal patternVersion() are guaranteed to share the same
-/// pattern (copies inherit the stamp; any pattern change takes a fresh
-/// one), which is what lets setValuesFrom() be a plain memcpy.
+/// Pattern identity is tracked by a process-unique version stamp, shared by
+/// both scalars: two matrices with equal patternVersion() are guaranteed to
+/// share the same pattern (copies inherit the stamp; any pattern change
+/// takes a fresh one), which is what lets setValuesFrom() be a plain memcpy.
 
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,15 +32,21 @@
 
 namespace fdtdmm {
 
-/// Square sparse matrix in CSR form with a COO building phase.
-class SparseMatrix {
+using Complex = std::complex<double>;
+using ComplexVector = std::vector<Complex>;
+
+/// Square sparse matrix over `Scalar` (double or Complex; both are
+/// instantiated in sparse_matrix.cpp) in CSR form with a COO building
+/// phase.
+template <typename Scalar>
+class CsrMatrix {
  public:
   /// Creates an empty (dimension-0, building) matrix; call reset().
-  SparseMatrix() = default;
+  CsrMatrix() = default;
 
   /// Starts a building phase for an n x n matrix (previous content
   /// discarded).
-  explicit SparseMatrix(std::size_t n) { reset(n); }
+  explicit CsrMatrix(std::size_t n) { reset(n); }
 
   void reset(std::size_t n);
 
@@ -48,7 +56,7 @@ class SparseMatrix {
   /// Building: appends a coordinate triplet. Finalized: adds v to the
   /// pattern entry (r, c), or buffers it as overflow when (r, c) is not in
   /// the pattern. \throws std::out_of_range if r or c >= dim().
-  void add(std::size_t r, std::size_t c, double v);
+  void add(std::size_t r, std::size_t c, Scalar v);
 
   /// Compiles the accumulated triplets to CSR and fixes the pattern.
   /// \throws std::logic_error if already finalized.
@@ -67,14 +75,15 @@ class SparseMatrix {
   /// the call both matrices carry the same version stamp.
   /// \throws std::invalid_argument on dimension mismatch or if `other` is
   ///         missing an entry of this pattern.
-  void adoptPatternOf(const SparseMatrix& other);
+  void adoptPatternOf(const CsrMatrix& other);
 
   /// Copies numeric values from `base`, which must share this matrix's
   /// pattern (equal patternVersion()). Allocation-free.
   /// \throws std::logic_error on a pattern mismatch.
-  void setValuesFrom(const SparseMatrix& base);
+  void setValuesFrom(const CsrMatrix& base);
 
-  /// Zeroes the numeric values, keeping the pattern.
+  /// Zeroes the numeric values (and drops any buffered overflow), keeping
+  /// the pattern.
   void clearValues();
 
   /// Pattern identity stamp (see file comment). 0 while building.
@@ -86,25 +95,21 @@ class SparseMatrix {
   // CSR access (finalized only; row r spans [row_ptr[r], row_ptr[r+1])).
   const std::vector<std::size_t>& rowPtr() const { return row_ptr_; }
   const std::vector<std::size_t>& colIdx() const { return col_idx_; }
-  const std::vector<double>& values() const { return values_; }
+  const std::vector<Scalar>& values() const { return values_; }
 
-  /// Entry lookup; 0.0 for positions outside the pattern (finalized only).
-  double at(std::size_t r, std::size_t c) const;
+  /// Entry lookup; 0 for positions outside the pattern (finalized only).
+  Scalar at(std::size_t r, std::size_t c) const;
 
-  /// y = A x (finalized only). \throws std::invalid_argument on size
-  /// mismatch.
-  Vector multiply(const Vector& x) const;
-
-  /// Dense copy, for tests and diagnostics (finalized only).
+  /// Dense copy, for tests and diagnostics (finalized only; real matrices
+  /// only).
   Matrix toDense() const;
 
  private:
   struct Triplet {
     std::size_t r, c;
-    double v;
+    Scalar v;
   };
 
-  static std::uint64_t nextVersion();
   void compile(std::vector<Triplet>& entries);
   /// Index into values_ for (r, c), or npos when absent.
   std::size_t find(std::size_t r, std::size_t c) const;
@@ -116,7 +121,16 @@ class SparseMatrix {
   std::vector<Triplet> overflow_;  ///< out-of-pattern adds (finalized phase)
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> col_idx_;
-  std::vector<double> values_;
+  std::vector<Scalar> values_;
 };
+
+/// The real system of the transient engine and the DC operating point.
+using SparseMatrix = CsrMatrix<double>;
+
+template <>
+Matrix CsrMatrix<double>::toDense() const;
+
+extern template class CsrMatrix<double>;
+extern template class CsrMatrix<Complex>;
 
 }  // namespace fdtdmm

@@ -27,6 +27,12 @@ void NumericalHealth::recordFactorization(double min_pivot, double growth) {
   ++factorizations;
 }
 
+void NumericalHealth::recordResidual(double relative_residual) {
+  collected = true;
+  ++residual_checks;
+  max_relative_residual = std::max(max_relative_residual, relative_residual);
+}
+
 void NumericalHealth::recordNewtonStep(const std::vector<double>& trajectory,
                                        NewtonOutcome outcome) {
   collected = true;
@@ -173,6 +179,33 @@ double matrixNorm1(const SparseMatrix& a) {
   for (double v : col_sum) norm = std::max(norm, v);
   return norm;
 }
+
+template <typename Scalar>
+double relativeResidual(const CsrMatrix<Scalar>& a, const std::vector<Scalar>& x,
+                        const std::vector<Scalar>& b) {
+  if (!a.finalized()) throw std::invalid_argument("relativeResidual: matrix not finalized");
+  const std::size_t n = a.dim();
+  if (x.size() != n || b.size() != n)
+    throw std::invalid_argument("relativeResidual: size mismatch");
+  double b_inf = 0.0;
+  for (const Scalar& v : b) b_inf = std::max(b_inf, std::abs(v));
+  double r_inf = 0.0;
+  const auto& row_ptr = a.rowPtr();
+  const auto& col_idx = a.colIdx();
+  const auto& values = a.values();
+  for (std::size_t r = 0; r < n; ++r) {
+    Scalar acc = -b[r];
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+      acc += values[k] * x[col_idx[k]];
+    r_inf = std::max(r_inf, std::abs(acc));
+  }
+  return r_inf / (b_inf > 0.0 ? b_inf : 1.0);
+}
+
+template double relativeResidual(const CsrMatrix<double>&, const std::vector<double>&,
+                                 const std::vector<double>&);
+template double relativeResidual(const CsrMatrix<Complex>&, const std::vector<Complex>&,
+                                 const std::vector<Complex>&);
 
 }  // namespace obs
 }  // namespace fdtdmm

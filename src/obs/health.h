@@ -123,6 +123,9 @@ struct NumericalHealth {
   /// pivotGrowth() of any of the four LU classes).
   void recordFactorization(double min_pivot, double growth);
 
+  /// Records one post-solve relative residual (see relativeResidual).
+  void recordResidual(double relative_residual);
+
   /// Records one Newton step's trajectory (|dx| per iteration) and its
   /// outcome; keeps the trajectory if it is the worst so far.
   void recordNewtonStep(const std::vector<double>& trajectory, NewtonOutcome outcome);
@@ -150,6 +153,15 @@ double matrixNorm1(const Matrix& a);
 
 /// ||A||_1 of a finalized CSR matrix.
 double matrixNorm1(const SparseMatrix& a);
+
+/// Relative residual ||A x - b||inf / ||b||inf of a solve against the
+/// finalized CSR matrix it solved (a zero b divides by 1), for the real
+/// transient and the complex AC systems alike. Row r accumulates -b[r],
+/// then a_rk * x_k in CSR order. \throws std::invalid_argument if A is not
+/// finalized or x, b do not have A's dimension.
+template <typename Scalar>
+double relativeResidual(const CsrMatrix<Scalar>& a, const std::vector<Scalar>& x,
+                        const std::vector<Scalar>& b);
 
 }  // namespace obs
 }  // namespace fdtdmm

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <stdexcept>
 
 #include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
@@ -15,6 +17,7 @@
 #include "dense_oracle.h"
 #include "engine/sweep_runner.h"
 #include "freq/ac_family.h"
+#include "freq/rational_fit.h"
 
 namespace fdtdmm {
 namespace {
@@ -45,6 +48,43 @@ TEST(AcEngine, RcLowPassMatchesClosedForm) {
   const ComplexVector x_ref = oracle::acDenseReference(circuit, f);
   EXPECT_LT(std::abs(acNodeV(x_ref, out) - h_ref), 1e-12);
   EXPECT_LT(oracle::relativeGap(x, x_ref), 1e-12);
+}
+
+// A non-finite frequency is an input error, not a NaN phasor: `f < 0` is
+// false for NaN, and the banded LU's exact-zero pivot test never fires on
+// NaN entries, so without the finiteness check an RC low-pass at f = NaN,
+// or an ideal line's e^{-j w Td} at f = +inf, returns NaN phasors and no
+// error.
+TEST(AcEngine, RejectsNonFiniteFrequency) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double r = 1e3, c = 1e-12, f = 2e8;
+  Circuit rc;
+  const int s = rc.addNode();
+  const int out = rc.addNode();
+  rc.addVoltageSource(s, Circuit::kGround, dark())->setAcValue(Complex(1.0, 0.0));
+  rc.addResistor(s, out, r);
+  rc.addCapacitor(out, Circuit::kGround, c);
+  AcSession rc_session(rc, AcOptions{});
+  EXPECT_THROW(rc_session.solveAt(kNan), std::invalid_argument);
+  EXPECT_THROW(rc_session.solveAt(kInf), std::invalid_argument);
+  EXPECT_THROW(rc_session.solveAt(-1.0), std::invalid_argument);
+  EXPECT_EQ(rc_session.factorizations(), 0u);
+  const Complex h_ref = 1.0 / Complex(1.0, 2.0 * kPi * f * r * c);
+  EXPECT_LT(std::abs(acNodeV(rc_session.solveAt(f), out) - h_ref), 1e-12);
+
+  Circuit line;
+  const int src = line.addNode();
+  const int near = line.addNode();
+  const int far = line.addNode();
+  line.addVoltageSource(src, Circuit::kGround, dark())->setAcValue(Complex(1.0, 0.0));
+  line.addResistor(src, near, 50.0);
+  line.addIdealLine(near, Circuit::kGround, far, Circuit::kGround, 50.0, 1e-9);
+  line.addResistor(far, Circuit::kGround, 50.0);
+  AcSession line_session(line, AcOptions{});
+  EXPECT_THROW(line_session.solveAt(kInf), std::invalid_argument);
+  EXPECT_THROW(line_session.solveAt(kNan), std::invalid_argument);
+  EXPECT_TRUE(std::isfinite(std::abs(acNodeV(line_session.solveAt(1e9), far))));
 }
 
 // The banded complex path against the dense reference on a lossy ladder
@@ -303,6 +343,48 @@ TEST(AcEngine, DcOperatingPointLinearFixtures) {
   // across (1k + 500) -> v_mid = 10/3.
   EXPECT_NEAR(x[static_cast<std::size_t>(mid - 1)], 10.0 / 3.0, 1e-6);
   EXPECT_NEAR(x[static_cast<std::size_t>(tail - 1)], 0.0, 1e-6);
+}
+
+// dcOperatingPoint at the ac_skin_sweep size: the 1200-segment skin
+// ladder of the "ac" family (line_r = 5 ohm/m, k_skin = 2e-4, 14405
+// unknowns) between 50-ohm terminations, driven by 1 V DC. Capacitors are
+// open and the inductors near-shorts, so the ports sit on the resistive
+// divider of the line's 0.5 ohm. Summing the ~1e10 S dt = 1 s inductor
+// companions into the diagonals rounds away up to eps * theta/L per node,
+// a spurious shunt that grows with the square of the segment count: the
+// stamped system itself sits 8.9e-9 (100 segments), 3.4e-8 (200) and
+// 1.47e-6 (1200) relative off the divider — the first two checked against
+// an 80-bit dense solve of the same stamps, and 3.4e-8 is also what the
+// dense DC Newton read at 200 segments. The tolerance is 2e-6. A dense
+// iterate at this size needs two n x n matrices (3.3 GB); the banded path
+// takes about 15 ms in a Release build.
+TEST(AcEngine, DcOperatingPointOfSkinLadderMatchesDivider) {
+  Circuit circuit;
+  const int p1 = circuit.addNode();
+  const int p2 = circuit.addNode();
+  const int s1 = circuit.addNode();
+  const int s2 = circuit.addNode();
+  circuit.addVoltageSource(s1, Circuit::kGround, [](double) { return 1.0; });
+  circuit.addResistor(s1, p1, 50.0);
+  circuit.addVoltageSource(s2, Circuit::kGround, [](double) { return 0.0; });
+  circuit.addResistor(s2, p2, 50.0);
+  RlgcParams line;
+  line.r = 5.0;
+  line.segments = 1200;
+  const SkinEffectFit fit = fitSkinEffect(line.r, 2e-4, 1e6, 1e10, 4);
+  line.l -= skinFitInductance(fit);
+  std::vector<SeriesRlBranch> branches;
+  for (const SkinBranch& b : fit.branches)
+    if (b.r > 0.0 && b.l > 0.0) branches.push_back({b.r, b.l});
+  buildRlgcLineSegments(circuit, p1, Circuit::kGround, p2, Circuit::kGround, line, branches);
+
+  const Vector x = dcOperatingPoint(circuit);
+  ASSERT_EQ(x.size(), 14405u);
+  const double r_line = line.r * line.length;
+  const double far = 50.0 / (100.0 + r_line);
+  const double near = (50.0 + r_line) / (100.0 + r_line);
+  EXPECT_NEAR(x[static_cast<std::size_t>(p2 - 1)], far, 2e-6 * far);
+  EXPECT_NEAR(x[static_cast<std::size_t>(p1 - 1)], near, 2e-6 * near);
 }
 
 TEST(AcEngine, NonlinearSmallSignalRunsAboutDcPoint) {

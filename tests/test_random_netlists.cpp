@@ -6,8 +6,9 @@
 // linear netlist — and every diode netlist whose diodes dirty at most
 // kMaxUpdateRank rows — must run on exactly one LU factorization. The linear
 // netlists also go through the AC engine (AcSession) against the dense AC
-// reference. Each case is a pure function of its seed (math/rng.h), so a
-// failure names a reproducible netlist.
+// reference, and the linear and diode netlists through dcOperatingPoint
+// against the dense DC reference. Each case is a pure function of its seed
+// (math/rng.h), so a failure names a reproducible netlist.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -263,6 +264,45 @@ TEST(RandomNetlists, DiodeNetlistsMatchDenseOracle) {
       EXPECT_GT(sp.lu_factorizations, 1) << what;
     }
   }
+}
+
+// dcOperatingPoint (CSR assembly, banded LU) against the dense DC Newton
+// reference on the 40 netlists of one kind: both agree within 1e-9
+// relative, or both throw. Returns how many converged.
+int expectDcAgreement(bool diodes) {
+  int converged = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::string what =
+        std::string(diodes ? "diode" : "linear") + " netlist seed " + std::to_string(seed);
+    Circuit a, b;
+    buildRandomNetlist(a, seed, diodes);
+    buildRandomNetlist(b, seed, diodes);
+    Vector x, ref;
+    bool threw = false, ref_threw = false;
+    try {
+      x = dcOperatingPoint(a);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    try {
+      ref = oracle::dcDenseReference(b);
+    } catch (const std::runtime_error&) {
+      ref_threw = true;
+    }
+    EXPECT_EQ(threw, ref_threw) << what;
+    if (threw || ref_threw) continue;
+    EXPECT_LE(oracle::relativeGap(x, ref), 1e-9) << what;
+    ++converged;
+  }
+  return converged;
+}
+
+TEST(RandomNetlists, LinearDcOperatingPointMatchesDenseReference) {
+  EXPECT_EQ(expectDcAgreement(false), 40);
+}
+
+TEST(RandomNetlists, DiodeDcOperatingPointMatchesDenseReference) {
+  EXPECT_EQ(expectDcAgreement(true), 40);
 }
 
 TEST(RandomNetlists, RlgcLaddersMatchDenseOracle) {

@@ -1,26 +1,53 @@
+// Unit tests of the CSR stamp target (math/sparse_matrix.h). The operations
+// both engines use run as one typed suite over the real (transient, DC) and
+// complex (AC) scalars; pattern growth and base/work re-alignment, which
+// only the transient engine uses, run on the real matrix.
 #include "math/sparse_matrix.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
+
+#include "obs/health.h"
 
 namespace fdtdmm {
 namespace {
 
-TEST(SparseMatrix, BuildFinalizeDedupesAndSorts) {
-  SparseMatrix m(3);
+// A test entry: `re` on real matrices, re + j*im on complex ones.
+template <typename Scalar>
+Scalar val(double re, double im) {
+  if constexpr (std::is_same_v<Scalar, Complex>) {
+    return Complex(re, im);
+  } else {
+    return re;
+  }
+}
+
+template <typename Scalar>
+class CsrMatrixTest : public ::testing::Test {};
+
+using Scalars = ::testing::Types<double, Complex>;
+TYPED_TEST_SUITE(CsrMatrixTest, Scalars);
+
+TYPED_TEST(CsrMatrixTest, BuildFinalizeDedupesAndSorts) {
+  using S = TypeParam;
+  CsrMatrix<S> m(3);
   EXPECT_FALSE(m.finalized());
-  m.add(0, 2, 1.0);
-  m.add(0, 0, 2.0);
-  m.add(0, 2, 0.5);  // duplicate position: summed at finalize
-  m.add(2, 1, -3.0);
+  m.add(0, 2, val<S>(1.0, -2.0));
+  m.add(0, 0, val<S>(2.0, 0.5));
+  m.add(0, 2, val<S>(0.5, 0.25));  // duplicate position: summed at finalize
+  m.add(2, 1, val<S>(-3.0, 1.0));
   m.finalize();
   EXPECT_TRUE(m.finalized());
   EXPECT_EQ(m.nonZeros(), 3u);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 2), 1.5);
-  EXPECT_DOUBLE_EQ(m.at(2, 1), -3.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);  // outside pattern
+  EXPECT_EQ(m.at(0, 0), val<S>(2.0, 0.5));
+  EXPECT_EQ(m.at(0, 2), val<S>(1.5, -1.75));
+  EXPECT_EQ(m.at(2, 1), val<S>(-3.0, 1.0));
+  EXPECT_EQ(m.at(1, 1), val<S>(0.0, 0.0));  // outside pattern
   // Column indices sorted per row.
   ASSERT_EQ(m.rowPtr().size(), 4u);
   EXPECT_EQ(m.colIdx()[0], 0u);
@@ -28,23 +55,99 @@ TEST(SparseMatrix, BuildFinalizeDedupesAndSorts) {
   EXPECT_GT(m.patternVersion(), 0u);
 }
 
-TEST(SparseMatrix, FinalizeTwiceAndRangeChecksThrow) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
+TYPED_TEST(CsrMatrixTest, FinalizeTwiceAndRangeChecksThrow) {
+  using S = TypeParam;
+  CsrMatrix<S> m(2);
+  EXPECT_THROW(m.add(0, 2, val<S>(1.0, 0.0)), std::out_of_range);
+  m.add(0, 0, val<S>(1.0, 1.0));
   m.finalize();
   EXPECT_THROW(m.finalize(), std::logic_error);
-  EXPECT_THROW(m.add(2, 0, 1.0), std::out_of_range);
+  EXPECT_THROW(m.add(2, 0, val<S>(1.0, 0.0)), std::out_of_range);
   EXPECT_THROW(m.at(0, 5), std::out_of_range);
 }
 
-TEST(SparseMatrix, FinalizedAddScattersInPlace) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 1.0);
+TYPED_TEST(CsrMatrixTest, FinalizedAddScattersInPlace) {
+  using S = TypeParam;
+  CsrMatrix<S> m(2);
+  m.add(0, 0, val<S>(1.0, -1.0));
+  m.add(1, 1, val<S>(1.0, 0.0));
   m.finalize();
-  m.add(0, 0, 2.5);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 3.5);
+  const auto v = m.patternVersion();
+  m.add(0, 0, val<S>(2.5, 0.5));
+  EXPECT_EQ(m.at(0, 0), val<S>(3.5, -0.5));
   EXPECT_FALSE(m.patternGrown());
+  EXPECT_EQ(m.patternVersion(), v);
+}
+
+TYPED_TEST(CsrMatrixTest, ClearValuesKeepsPattern) {
+  using S = TypeParam;
+  CsrMatrix<S> m(2);
+  m.add(0, 0, val<S>(1.0, 2.0));
+  m.add(1, 0, val<S>(2.0, -1.0));
+  m.finalize();
+  const auto v = m.patternVersion();
+  m.add(0, 1, val<S>(1.0, 0.0));  // buffered overflow, dropped by the clear
+  m.clearValues();
+  EXPECT_EQ(m.nonZeros(), 2u);
+  EXPECT_EQ(m.patternVersion(), v);
+  EXPECT_FALSE(m.patternGrown());
+  EXPECT_EQ(m.at(1, 0), val<S>(0.0, 0.0));
+}
+
+TEST(CsrMatrix, PatternVersionsAreUniqueAcrossScalars) {
+  // One version counter serves both scalars, so a version names one
+  // pattern process-wide.
+  SparseMatrix real(1);
+  CsrMatrix<Complex> complex(1);
+  real.add(0, 0, 1.0);
+  complex.add(0, 0, Complex(1.0, 0.0));
+  real.finalize();
+  complex.finalize();
+  EXPECT_GT(real.patternVersion(), 0u);
+  EXPECT_GT(complex.patternVersion(), 0u);
+  EXPECT_NE(real.patternVersion(), complex.patternVersion());
+}
+
+TYPED_TEST(CsrMatrixTest, RelativeResidualMatchesDenseArithmetic) {
+  // obs::relativeResidual, the post-solve probe of both engines, against
+  // ||A x - b||inf / ||b||inf computed entry by entry.
+  using S = TypeParam;
+  CsrMatrix<S> m(4);
+  m.add(0, 0, val<S>(2.0, 1.0));
+  m.add(0, 3, val<S>(-1.0, 0.0));
+  m.add(1, 1, val<S>(1.5, -0.5));
+  m.add(2, 1, val<S>(0.5, 0.0));
+  m.add(2, 2, val<S>(4.0, 2.0));
+  m.add(3, 0, val<S>(1.0, 0.0));
+  m.add(3, 3, val<S>(1.0, -1.0));
+  m.finalize();
+  const std::vector<S> x = {val<S>(1.0, 0.5), val<S>(2.0, 0.0), val<S>(3.0, -1.0),
+                            val<S>(4.0, 2.0)};
+  std::vector<S> b(4, val<S>(0.0, 0.0));
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c) b[r] += m.at(r, c) * x[c];
+  // Exact solution (small dyadic values: every product and sum is exact).
+  EXPECT_EQ(obs::relativeResidual(m, x, b), 0.0);
+
+  const S delta = val<S>(0.5, -0.25);
+  b[2] += delta;
+  double b_inf = 0.0;
+  for (const S& v : b) b_inf = std::max(b_inf, std::abs(v));
+  EXPECT_DOUBLE_EQ(obs::relativeResidual(m, x, b), std::abs(delta) / b_inf);
+
+  // A zero RHS reports the absolute residual.
+  const std::vector<S> zero(4, val<S>(0.0, 0.0));
+  double ax_inf = 0.0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    S acc = val<S>(0.0, 0.0);
+    for (std::size_t c = 0; c < 4; ++c) acc += m.at(r, c) * x[c];
+    ax_inf = std::max(ax_inf, std::abs(acc));
+  }
+  EXPECT_DOUBLE_EQ(obs::relativeResidual(m, x, zero), ax_inf);
+
+  EXPECT_THROW(obs::relativeResidual(m, std::vector<S>(3), b), std::invalid_argument);
+  CsrMatrix<S> building(4);
+  EXPECT_THROW(obs::relativeResidual(building, x, b), std::invalid_argument);
 }
 
 TEST(SparseMatrix, OverflowAndMergeGrowPattern) {
@@ -97,34 +200,15 @@ TEST(SparseMatrix, AdoptPatternAndSetValuesFrom) {
   EXPECT_THROW(base.adoptPatternOf(narrow), std::invalid_argument);
 }
 
-TEST(SparseMatrix, MultiplyMatchesDense) {
-  SparseMatrix m(4);
-  m.add(0, 0, 2.0);
-  m.add(0, 3, -1.0);
+TEST(SparseMatrix, ToDenseCopiesEveryEntry) {
+  SparseMatrix m(3);
+  m.add(0, 2, -1.0);
   m.add(1, 1, 1.5);
-  m.add(2, 1, 0.5);
-  m.add(2, 2, 4.0);
-  m.add(3, 0, 1.0);
-  m.add(3, 3, 1.0);
+  m.add(2, 0, 0.25);
   m.finalize();
-  const Vector x = {1.0, 2.0, 3.0, 4.0};
-  const Vector y = m.multiply(x);
-  const Vector yd = m.toDense() * x;
-  ASSERT_EQ(y.size(), yd.size());
-  for (std::size_t k = 0; k < y.size(); ++k) EXPECT_DOUBLE_EQ(y[k], yd[k]);
-  EXPECT_THROW(m.multiply(Vector(3, 0.0)), std::invalid_argument);
-}
-
-TEST(SparseMatrix, ClearValuesKeepsPattern) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(1, 0, 2.0);
-  m.finalize();
-  const auto v = m.patternVersion();
-  m.clearValues();
-  EXPECT_EQ(m.nonZeros(), 2u);
-  EXPECT_EQ(m.patternVersion(), v);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 0.0);
+  const Matrix d = m.toDense();
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(d(r, c), m.at(r, c));
 }
 
 }  // namespace
