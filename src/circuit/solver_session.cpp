@@ -59,22 +59,27 @@ void SolverSession::validateProbes(const std::vector<NodeProbe>& probes,
 }
 
 void SolverSession::assembleStatic(double* t_static, obs::RunTelemetry* tel) {
-  // One-time assembly of the static (topology + dt) part of the MNA matrix
-  // into a CSR base whose finalize() fixes the symbolic pattern.
+  // One-time assembly of the static (topology + dt) part of the MNA
+  // matrix. The checkout leaves base_sp_ finalized on the class pattern
+  // (compiled here, or by the class's first run) with zero values; the
+  // values pass below stamps into it in element order.
   obs::ScopedTimer stamp_static_timer(t_static);
   StampSystem base;
-  base_sp_.reset(n_unknowns_);
-  base.csr = &base_sp_;
-  base.b.assign(n_unknowns_, 0.0);
-  for (auto& e : circuit_.elements()) e->stampStatic(base, opt_.dt);
-  rejectStaticRhs(base.b);
-  base_sp_.finalize();
-
-  // Resolve the pattern's RCM ordering once for the whole run. With
-  // sharing, the first run of a structure class computes and publishes it
-  // and every other run checks it out.
-  symbolic_ = resolveSymbolic(opt_.sharing, base_sp_, tel);
+  const auto stamp = [&](SparseMatrix& target) {
+    base.csr = &target;
+    base.b.assign(n_unknowns_, 0.0);
+    for (auto& e : circuit_.elements()) e->stampStatic(base, opt_.dt);
+  };
+  symbolic_ = resolveSymbolic<double>(opt_.sharing, n_unknowns_, stamp, base_sp_, tel);
   order_ = &symbolic_->rcm_order;
+  stamp(base_sp_);
+  rejectStaticRhs(base.b);
+  // Only a wrong structure key on the same dimension misses entries: fold
+  // them into a private pattern and keep the checked-out ordering.
+  if (base_sp_.patternGrown()) {
+    base_sp_.mergeOverflow();
+    if (tel) ++tel->pattern_compiles;
+  }
 }
 
 void SolverSession::realignPattern(obs::RunTelemetry* tel) {
@@ -88,6 +93,7 @@ void SolverSession::realignPattern(obs::RunTelemetry* tel) {
   grown_order_ = reverseCuthillMcKee(work_sp_);
   order_ = &grown_order_;
   if (tel) {
+    ++tel->pattern_compiles;
     ++tel->rcm_orderings;
     ++tel->pattern_realignments;
   }

@@ -6,9 +6,11 @@
 /// RCM-ordered banded LU, see circuit/transient.h), with its state split
 /// along the two lifetimes of circuit/solver_state.h:
 ///
-///   - symbolic state      — the CSR base pattern and its RCM ordering,
-///                           computed once per run and used by every
-///                           factorization of that pattern;
+///   - symbolic state      — the compiled CSR base pattern and its RCM
+///                           ordering, checked out once per run (compiled
+///                           by the run itself unless its class shares
+///                           them) and used by every factorization of that
+///                           pattern;
 ///   - per-run numeric     — the assembled static base matrix and its
 ///     state                 BandedLu factorization (factored once, lazily),
 ///                           the low-rank update that solves dirtied
@@ -27,11 +29,13 @@
 /// correction would cancel.
 ///
 /// runTransient is a thin wrapper that constructs a session and runs it.
-/// With TransientOptions::sharing set, the session checks its ordering out
-/// of a SolverStateProvider: the first run of a structure class computes
-/// it from its own (identical) pattern and publishes it, every later run
-/// skips the RCM analysis entirely — its base factorization and its
-/// fallback refactorizations all use the checked-out ordering.
+/// With TransientOptions::sharing set, the session checks its pattern and
+/// ordering out of a SolverStateProvider: the first run of a structure
+/// class compiles them from its own (identical) stamps and publishes them,
+/// every later run adopts the pattern, stamps its static values straight
+/// into it and skips the compile and the RCM analysis entirely — its base
+/// factorization and its fallback refactorizations all use the
+/// checked-out ordering.
 
 #include <memory>
 #include <vector>
@@ -62,9 +66,9 @@ class SolverSession {
  private:
   void validateProbes(const std::vector<NodeProbe>& probes,
                       const std::vector<BranchProbe>& branch_probes) const;
-  /// One-time static assembly into the CSR base, then resolution of the
-  /// pattern's RCM ordering (resolveSymbolic: shared checkout,
-  /// build-and-publish, or private).
+  /// One-time static assembly: checks the base pattern and its RCM
+  /// ordering out (resolveSymbolic: shared checkout, build-and-publish, or
+  /// private), then stamps the static values into the adopted pattern.
   void assembleStatic(double* t_static, obs::RunTelemetry* tel);
   /// Widens the working pattern after a dynamic stamp hit a structurally
   /// new entry, keeps the base aligned, and re-orders the grown pattern.
@@ -92,7 +96,8 @@ class SolverSession {
 
   // --- symbolic piece: base pattern + ordering ---
   SparseMatrix base_sp_;  ///< finalized static base (pattern + values)
-  /// Ordering of the assembled pattern (checked out, built or private).
+  /// Pattern and ordering of the static base (checked out, built or
+  /// private).
   std::shared_ptr<const SolverSymbolic> symbolic_;
   std::vector<std::size_t> grown_order_;  ///< private re-order after growth
   /// The ordering every factorization uses: symbolic_'s while the pattern

@@ -11,47 +11,59 @@ SolverStateProvider::~SolverStateProvider() = default;
 
 template <typename Scalar>
 std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
-                                                      const CsrMatrix<Scalar>& pattern,
+                                                      std::size_t n,
+                                                      const PatternStamp<Scalar>& stamp,
+                                                      CsrMatrix<Scalar>& target,
                                                       obs::RunTelemetry* tel) {
-  const std::size_t n = pattern.dim();
-  const auto order = [&pattern, n] {
+  const auto compile = [&] {
+    target.reset(n);
+    stamp(target);
+    target.finalize();
+    if (tel) {
+      ++tel->pattern_compiles;
+      ++tel->rcm_orderings;
+    }
     auto s = std::make_shared<SolverSymbolic>();
-    s->n = n;
-    s->rcm_order = reverseCuthillMcKee(pattern);
+    s->pattern = target.pattern();
+    s->rcm_order = reverseCuthillMcKee(target);
     return s;
   };
-  // The ordering is a pure function of the pattern, so every run of a
-  // structure class computes the identical one — which is what makes the
-  // exactly-once provider contract safe, and the factorizations
-  // bit-identical whichever run built it.
+  // The pattern and its ordering are pure functions of the stamps, so
+  // every run of a structure class compiles the identical ones — which is
+  // what makes the exactly-once provider contract safe, and the
+  // factorizations bit-identical whichever run built them.
+  std::shared_ptr<const SolverSymbolic> sym;
   if (sharing.shareSymbolic()) {
     bool built = false;
-    auto sym = sharing.provider->symbolic(sharing.structure_key, [&] {
+    sym = sharing.provider->symbolic(sharing.structure_key, [&] {
       built = true;
-      return order();
+      return compile();
     });
-    if (sym && sym->n == n && sym->rcm_order.size() == n) {
+    if (sym && sym->pattern.n == n && sym->rcm_order.size() == n) {
       if (built) {
-        if (tel) {
-          ++tel->rcm_orderings;
-          ++tel->shared_symbolic_builds;
-        }
+        if (tel) ++tel->shared_symbolic_builds;
       } else {
         if (tel) ++tel->shared_symbolic_reuses;
         obs::traceInstant("shared_symbolic_reuse", "solver");
       }
-      return sym;
+    } else {
+      sym = nullptr;
     }
   }
-  if (tel) ++tel->rcm_orderings;
-  return order();
+  if (sym == nullptr) sym = compile();
+  target.adoptPattern(sym->pattern);
+  return sym;
 }
 
 template std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing&,
-                                                               const CsrMatrix<double>&,
+                                                               std::size_t,
+                                                               const PatternStamp<double>&,
+                                                               CsrMatrix<double>&,
                                                                obs::RunTelemetry*);
 template std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing&,
-                                                               const CsrMatrix<Complex>&,
+                                                               std::size_t,
+                                                               const PatternStamp<Complex>&,
+                                                               CsrMatrix<Complex>&,
                                                                obs::RunTelemetry*);
 
 }  // namespace fdtdmm

@@ -2,17 +2,19 @@
 /// \file solver_state.h
 /// Shareable solver state for cross-run symbolic reuse.
 ///
-/// The transient engine's solver state (circuit/solver_session.h; one
-/// sparse path: CSR assembly + RCM-ordered banded LU) has two lifetimes:
+/// The solver state of both MNA engines (circuit/solver_session.h and
+/// freq/ac_engine.h; one sparse path: CSR assembly + RCM-ordered banded
+/// LU) has two lifetimes:
 ///
-///   1. *symbolic* state — the CSR pattern's fill-reducing RCM ordering.
-///      A pure function of the matrix pattern, so every run whose circuit
-///      has the same structure computes the identical ordering. This is
-///      the one shareable piece.
-///   2. per-run numeric state — the factorization of the static base
-///      matrix, its low-rank update, the Newton/RHS workspaces and any
-///      fallback refactorization. Never shared: each run factors its own
-///      base once.
+///   1. *symbolic* state — the compiled CSR pattern of the system and its
+///      fill-reducing RCM ordering. Both are pure functions of the
+///      circuit's structure, so every run whose circuit has the same
+///      structure compiles the identical pattern and computes the identical
+///      ordering. This is the one shareable piece.
+///   2. per-run numeric state — the stamped values, the factorization of
+///      the static base matrix (AC: of each frequency point), its low-rank
+///      update, the Newton/RHS workspaces and any fallback
+///      refactorization. Never shared: each run factors its own base once.
 ///
 /// This header defines the immutable shared form of (1) plus the
 /// SolverStateProvider interface through which a session checks it out.
@@ -22,15 +24,28 @@
 /// with a keyed cache (engine/solver_state_cache.h); the circuit layer only
 /// sees this interface, so the dependency arrow keeps pointing upward.
 ///
+/// Every session, shared or not, runs the same checkout (resolveSymbolic):
+/// it adopts a compiled pattern into its target matrix and stamps its
+/// values straight into it, in element order. A session that checks its
+/// class out therefore builds no coordinate list, sorts nothing and orders
+/// nothing.
+///
 /// A structure key should only be shared between runs whose patterns are
 /// identical. Scenario families derive it from exactly the parameters that
 /// shape the static pattern (core/scenario.h, structureKey); an empty key
-/// opts out of sharing. Because the ordering is built by an ordinary run
-/// from its own pattern, checking it out never changes results —
-/// waveforms and metrics are byte-identical with sharing on or off. A
-/// wrong key can cost band width but never correctness: an ordering only
-/// permutes the unknowns, and any permutation factors the same system
-/// (resolveSymbolic also re-orders privately on a dimension mismatch).
+/// opts out of sharing. Because the pattern and the ordering are built by
+/// an ordinary run from its own stamps, and values are summed in element
+/// order either way, checking them out never changes results — waveforms
+/// and metrics are byte-identical with sharing on or off. A wrong key can
+/// cost time and band width but never correctness:
+///
+///   - on another dimension the checkout cannot fit, so the run compiles
+///     and orders its own pattern privately, exactly as a sharing-off run;
+///   - on the same dimension the run adopts the wrong pattern. Entries it
+///     lacks overflow on the value stamp and are folded into a private
+///     pattern (CsrMatrix::mergeOverflow), extra entries stay explicit
+///     zeros, and the run keeps the checked-out ordering: any permutation
+///     factors the same system.
 
 #include <cstdio>
 #include <functional>
@@ -44,11 +59,12 @@
 
 namespace fdtdmm {
 
-/// Immutable shared symbolic state of one structure class: the RCM
-/// ordering of the static base pattern (order[new] = old).
+/// Immutable shared symbolic state of one structure class: the compiled
+/// CSR pattern of the static base (AC: of the complex system) and its RCM
+/// ordering (order[new] = old).
 struct SolverSymbolic {
-  std::size_t n = 0;                   ///< matrix dimension the order permutes
-  std::vector<std::size_t> rcm_order;  ///< reverseCuthillMcKee(base pattern)
+  CsrPattern pattern;                  ///< the class pattern; pattern.n is its dimension
+  std::vector<std::size_t> rcm_order;  ///< reverseCuthillMcKee(pattern)
 };
 
 /// Exactly-once provider of shared solver state, keyed by the scenario
@@ -84,22 +100,33 @@ struct SolverSharing {
   bool shareSymbolic() const { return provider != nullptr && !structure_key.empty(); }
 };
 
+/// Stamps a session's structural entries into a building matrix.
+template <typename Scalar>
+using PatternStamp = std::function<void(CsrMatrix<Scalar>&)>;
+
 /// The symbolic checkout of both MNA engines (SolverSession and the AC
-/// engine's AcSession): resolves the RCM ordering a run factors its
-/// assembled `pattern` with. With symbolic sharing on, the ordering is
-/// checked out of sharing.provider under sharing.structure_key — built
-/// from `pattern` and published when this run is the first of its class.
-/// Otherwise, or when the checkout's dimension does not match `pattern`
-/// (the structure key lied or collided), the run orders privately, which
-/// degrades the sharing but never the result. Never returns null.
+/// engine's AcSession). With symbolic sharing on, the class state is
+/// checked out of sharing.provider under sharing.structure_key; when this
+/// run is the first of its class, `stamp` runs on a building matrix, which
+/// is compiled, ordered and published. Otherwise, or when the checkout's
+/// dimension is not `n` (the structure key lied or collided), the run
+/// compiles and orders privately, which degrades the sharing but never the
+/// result. Never returns null.
 ///
-/// Bookkeeping goes to `tel` when non-null: rcm_orderings counts an
-/// ordering computed here (the class's build or a private one), and
-/// shared_symbolic_builds / shared_symbolic_reuses count the checkout.
-/// Reads only the pattern of `pattern` (real or complex).
+/// Postcondition, in every case: `target` is finalized on the returned
+/// pattern with zero values. The caller then stamps its values into it in
+/// element order and folds any overflow (only a wrong key on the same
+/// dimension causes one; see the file comment).
+///
+/// Bookkeeping goes to `tel` when non-null: pattern_compiles and
+/// rcm_orderings count a compile and ordering performed here (the class's
+/// build or a private one), and shared_symbolic_builds /
+/// shared_symbolic_reuses count the checkout.
 template <typename Scalar>
 std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
-                                                      const CsrMatrix<Scalar>& pattern,
+                                                      std::size_t n,
+                                                      const PatternStamp<Scalar>& stamp,
+                                                      CsrMatrix<Scalar>& target,
                                                       obs::RunTelemetry* tel);
 
 /// Round-trip-exact double formatting for cache keys (a numeric structure

@@ -94,9 +94,11 @@ struct TransientOptions {
   obs::HealthOptions health;
   /// Optional cross-run solver-state sharing (see circuit/solver_state.h).
   /// Default-constructed (null provider) = no sharing. With a provider and
-  /// a non-empty structure key, the run checks its RCM ordering out of the
-  /// provider instead of computing it; results are bit-identical either
-  /// way when the key is honest (equal keys only for identical patterns).
+  /// a non-empty structure key, the run checks its compiled pattern and
+  /// RCM ordering out of the provider instead of computing them, and
+  /// stamps its static values into that pattern; results are bit-identical
+  /// either way when the key is honest (equal keys only for identical
+  /// patterns).
   /// The run always factors its own base matrix.
   SolverSharing sharing;
 };

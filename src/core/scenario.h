@@ -161,9 +161,10 @@ class Scenario {
   /// Solver-state sharing key (see circuit/solver_state.h). Two
   /// configurations of a family should return the same structureKey()
   /// only if their runs assemble identical sparse patterns (same unknown
-  /// count, same structural stamps): they then share one RCM ordering. A
-  /// wrong key costs band width, never correctness — an ordering is only
-  /// a permutation. The default — an empty key — opts the family out of
+  /// count, same structural stamps): they then share one compiled pattern
+  /// and its RCM ordering. A wrong key costs time and band width, never
+  /// correctness — missing entries are folded into a private pattern, and
+  /// an ordering is only a permutation. The default — an empty key — opts the family out of
   /// sharing; families opt in per configuration (e.g. only for engines
   /// that run on the MNA solvers).
   virtual std::string structureKey() const { return {}; }

@@ -3,9 +3,10 @@
 /// Thread-safe SolverStateProvider shared by all sweep workers: the
 /// ModelCache economics (identify once, simulate everywhere) applied to
 /// the solver itself. Corners whose scenarios report the same
-/// structureKey() share one symbolic analysis (the sparse pattern's RCM
-/// ordering), regardless of worker count; every corner factors its own
-/// base matrix.
+/// structureKey() share one symbolic analysis (the compiled sparse
+/// pattern and its RCM ordering), regardless of worker count; every corner
+/// stamps its own values into that pattern and factors its own base
+/// matrix.
 ///
 /// Exactly-once contract (per key): the first caller runs the builder
 /// under that key's entry mutex; concurrent callers with the same key

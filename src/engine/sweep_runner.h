@@ -35,10 +35,12 @@ struct SweepRunnerOptions {
   /// Retain each run's waveforms in its SweepRunRecord (memory-heavy for
   /// large sweeps; metrics are always computed).
   bool keep_waveforms = false;
-  /// Share the symbolic analysis (the RCM ordering) across corners with
-  /// equal scenario structure keys, through the runner's SolverStateCache.
-  /// Exported metrics are byte-identical on or off (an ordering is a pure
-  /// function of the pattern); off = every corner orders its own pattern.
+  /// Share the symbolic analysis (the compiled CSR pattern and its RCM
+  /// ordering) across corners with equal scenario structure keys, through
+  /// the runner's SolverStateCache. Exported metrics are byte-identical on
+  /// or off (both are pure functions of the stamps, and values are summed
+  /// in element order either way); off = every corner compiles and orders
+  /// its own pattern.
   /// Every corner factors its own base matrix either way.
   bool share_solver_state = true;
   /// Replay previously computed records for content-identical tasks from

@@ -79,6 +79,7 @@ std::string telemetryBody(const obs::RunTelemetry& t) {
   out += ", \"pattern_realignments\": " + std::to_string(t.pattern_realignments);
   out += ", \"shared_symbolic_builds\": " + std::to_string(t.shared_symbolic_builds);
   out += ", \"shared_symbolic_reuses\": " + std::to_string(t.shared_symbolic_reuses);
+  out += ", \"pattern_compiles\": " + std::to_string(t.pattern_compiles);
   out += ", \"rcm_orderings\": " + std::to_string(t.rcm_orderings);
   const obs::StructureSize& z = t.structure;
   out += ", \"structure\": {\"unknowns\": " + std::to_string(z.unknowns);
@@ -107,6 +108,9 @@ obs::Counters sweepCounters(const SweepResult& result) {
   c.add("solver_cache.symbolic_hits", result.solver_cache.symbolic_hits);
   c.add("solver_cache.symbolic_misses", result.solver_cache.symbolic_misses);
   c.add("solver_cache.inserts", result.solver_cache.inserts);
+  long long compiles = 0;
+  for (const SweepRunRecord& r : result.runs) compiles += r.telemetry.pattern_compiles;
+  c.add("solver.pattern_compiles", compiles);
   c.add("result_cache.hits", result.result_cache.hits);
   c.add("result_cache.misses", result.result_cache.misses);
   c.add("result_cache.inserts", result.result_cache.inserts);

@@ -40,7 +40,8 @@
 ///         "newton_iterations": N,
 ///         "max_newton_iterations": N, "steps": N, "transient_runs": N,
 ///         "pattern_realignments": N, "shared_symbolic_builds": N,
-///         "shared_symbolic_reuses": N, "rcm_orderings": N,
+///         "shared_symbolic_reuses": N, "pattern_compiles": N,
+///         "rcm_orderings": N,
 ///         "structure": { "unknowns": N, "nonzeros": N, "kl": N, "ku": N },
 ///         "health": { "collected": bool, "severity": "ok|warn|critical",
 ///                     "factorizations": N, "min_abs_pivot": ...,
@@ -90,6 +91,7 @@ namespace fdtdmm {
 ///   pool.busy           seconds workers spent running task bodies
 ///   model_cache.hits / .misses / .inserts / .preload (seconds)
 ///   solver_cache.symbolic_hits / .symbolic_misses / .inserts
+///   solver.pattern_compiles   CSR pattern compiles summed over corners
 ///   result_cache.hits / .misses / .inserts
 ///   health.warn_corners / health.critical_corners
 ///

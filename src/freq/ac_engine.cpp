@@ -44,34 +44,39 @@ AcSession::AcSession(Circuit& circuit, AcOptions opt)
     throw std::invalid_argument("AcSession: x_dc size does not match unknown count");
 }
 
-void AcSession::assemblePattern(double omega) {
-  // Build the CSR pattern with one stamping pass. The entry *positions* an
-  // element writes are frequency-independent (only values depend on omega
-  // — see the stampAc contract), so the pattern assembled here is valid
-  // for every later frequency; restampValues() scatters into it
-  // allocation-free.
-  sp_.reset(n_);
-  sys_.csr = &sp_;
+void AcSession::checkOut(double omega, obs::RunTelemetry* tel) {
+  // The entry *positions* an element writes are frequency-independent
+  // (only values depend on omega — see the stampAc contract), so the
+  // pattern compiled at this frequency serves every later one, and every
+  // corner of the structure class. The checkout compiles it here only
+  // when this session builds its class or runs unshared.
   sys_.b.assign(n_, Complex(0.0, 0.0));
-  for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
-  sp_.finalize();
-  // One ordering for every frequency point: checked out of the sharing
-  // provider, built and published, or private.
-  symbolic_ = resolveSymbolic(opt_.sharing, sp_, opt_.telemetry);
+  const PatternStamp<Complex> stamp = [&](CsrMatrix<Complex>& target) {
+    sys_.csr = &target;
+    for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
+  };
+  symbolic_ = resolveSymbolic(opt_.sharing, n_, stamp, sp_, tel);
+  sys_.csr = &sp_;
 }
 
-void AcSession::restampValues(double omega) {
+void AcSession::restampValues(double omega, obs::RunTelemetry* tel) {
   sp_.clearValues();
   sys_.b.assign(n_, Complex(0.0, 0.0));
   for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
+  // Only a wrong structure key on the same dimension misses entries: fold
+  // them into a private pattern once (the checked-out ordering stays) and
+  // restamp, so every entry is an element-order sum on every call.
+  if (sp_.patternGrown()) {
+    sp_.mergeOverflow();
+    if (tel) ++tel->pattern_compiles;
+    restampValues(omega, tel);
+  }
 }
 
 const ComplexVector& AcSession::solveAt(double f_hz) {
   if (!std::isfinite(f_hz) || f_hz < 0.0)
     throw std::invalid_argument("AcSession::solveAt: f must be finite and >= 0");
   const double omega = 2.0 * kPi * f_hz;
-  if (symbolic_ == nullptr) assemblePattern(omega);
-  restampValues(omega);
   obs::RunTelemetry* const tel = opt_.telemetry;
   const obs::HealthOptions* h_opt =
       opt_.health.collect
@@ -79,8 +84,14 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
           : (opt_.sharing.health && opt_.sharing.health->collect ? opt_.sharing.health
                                                                  : nullptr);
   obs::NumericalHealth* const health = tel && h_opt ? &tel->health : nullptr;
+  double* const t_stamp = tel ? &tel->phases.stamp_static_seconds : nullptr;
   double* const t_factor = tel ? &tel->phases.factor_seconds : nullptr;
   double* const t_solve = tel ? &tel->phases.solve_seconds : nullptr;
+  {
+    obs::ScopedTimer stamp_timer(t_stamp);
+    if (symbolic_ == nullptr) checkOut(omega, tel);
+    restampValues(omega, tel);
+  }
   // stampAc is const and state-free and the excitations reach only the
   // RHS, so the matrix restamped at the last factored omega is bitwise
   // the factored one: the forward and reverse S-parameter excitations of

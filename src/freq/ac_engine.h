@@ -5,20 +5,24 @@
 /// AcSession is the frequency-domain sibling of SolverSession
 /// (circuit/solver_session.h), with the same three-lifetime state split:
 ///
-///   - *symbolic* state — the sparse pattern of the complex MNA system and
-///     its RCM ordering. The pattern is a pure function of the circuit
-///     structure (every stampAc writes a frequency-independent entry set),
-///     so all frequency points of a session — and, via SolverSharing, all
-///     corners of one structure class — reuse ONE symbolic analysis. The
-///     ordering is resolved by the same checkout as the transient path
-///     (resolveSymbolic, circuit/solver_state.h), which also records it in
-///     the telemetry sink.
+///   - *symbolic* state — the compiled CSR pattern of the complex MNA
+///     system and its RCM ordering, checked out on the first solveAt() and
+///     kept for the session's lifetime. The pattern is a pure function of
+///     the circuit structure (every stampAc writes a frequency-independent
+///     entry set), so all frequency points of a session — and, via
+///     SolverSharing, all corners of one structure class — reuse ONE
+///     compile and ONE ordering. The checkout is the transient path's
+///     (resolveSymbolic, circuit/solver_state.h): a session that checks
+///     its class out adopts the pattern and stamps its values straight
+///     into it, compiling and ordering nothing, and the telemetry sink
+///     records which case ran.
 ///   - per-frequency numeric state — the complex values G + j*omega*B
 ///     (plus non-polynomial terms like the ideal line's e^{-j omega Td},
-///     which is why the session re-stamps *values* at every frequency
-///     instead of scaling a fixed B), factored privately per point by a
-///     BandedLu<Complex> (math/banded_lu.h).
-///   - the solution workspace x(omega).
+///     which is why the session re-stamps *values*, in element order, at
+///     every call instead of scaling a fixed B), factored privately per
+///     point by a BandedLu<Complex> (math/banded_lu.h) that lives as long
+///     as the session.
+///   - the solution workspace x(omega), valid until the next solveAt().
 ///
 /// Nonlinear circuits are handled the standard SPICE way: compute the DC
 /// operating point with dcOperatingPoint(), pass it as AcOptions::x_dc,
@@ -52,11 +56,12 @@ struct AcOptions {
   SolverSharing sharing;
 
   /// Optional telemetry sink, the TransientOptions convention: when
-  /// non-null every solveAt() accumulates its factor/solve wall time and
-  /// factorization count (+=, one sink may aggregate a whole frequency
-  /// grid), the session's symbolic checkout lands in rcm_orderings and
-  /// shared_symbolic_builds/_reuses, and structure records the factored
-  /// system's size. Null keeps solveAt clock-free.
+  /// non-null every solveAt() accumulates its assembly (the checkout plus
+  /// the value restamp, into stamp_static), factor and solve wall time and
+  /// its factorization count (+=, one sink may aggregate a whole frequency
+  /// grid), the session's symbolic checkout lands in pattern_compiles,
+  /// rcm_orderings and shared_symbolic_builds/_reuses, and structure
+  /// records the factored system's size. Null keeps solveAt clock-free.
   obs::RunTelemetry* telemetry = nullptr;
   /// Numerical-health collection (obs/health.h): with health.collect set
   /// (directly or via sharing.health, which per-option collect overrides)
@@ -70,11 +75,13 @@ struct AcOptions {
 };
 
 /// One frequency-domain analysis of one Circuit. Construction assigns the
-/// unknown layout and validates options; the first solveAt() assembles the
-/// complex CSR pattern and resolves its ordering, and every call re-stamps
-/// values and solves. A call factors only when its frequency differs from
-/// the last factored one: a repeat at the same frequency (a changed
-/// excitation) reuses the factorization, bit for bit.
+/// unknown layout and validates options; the first solveAt() checks the
+/// complex CSR pattern and its ordering out (compiling them only when the
+/// session builds its structure class or runs unshared), and every call
+/// re-stamps values into that pattern and solves. A call factors only
+/// when its frequency differs from the last factored one: a repeat at the
+/// same frequency (a changed excitation) reuses the factorization, bit for
+/// bit.
 ///
 /// solveAt() is repeatable at the same or different frequencies, and
 /// element AC excitations (VoltageSource/CurrentSource::setAcValue) may be
@@ -104,8 +111,11 @@ class AcSession {
   std::size_t factorizations() const { return factorizations_; }
 
  private:
-  void assemblePattern(double omega);
-  void restampValues(double omega);
+  /// Resolves sp_'s pattern and symbolic_ (resolveSymbolic), leaving sp_
+  /// finalized with zero values.
+  void checkOut(double omega, obs::RunTelemetry* tel);
+  /// Stamps A(omega) and b into sp_ and sys_.b, folding any overflow.
+  void restampValues(double omega, obs::RunTelemetry* tel);
 
   Circuit& circuit_;
   AcOptions opt_;
@@ -114,7 +124,7 @@ class AcSession {
   AcStampSystem sys_;
   CsrMatrix<Complex> sp_;  ///< CSR target of sys_
 
-  /// Ordering of the assembled pattern; null until the first solveAt.
+  /// Class pattern and ordering; null until the first solveAt.
   std::shared_ptr<const SolverSymbolic> symbolic_;
 
   BandedLu<Complex> lu_;

@@ -11,22 +11,38 @@ std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<Scalar>& a) {
   if (!a.finalized())
     throw std::invalid_argument("reverseCuthillMcKee: matrix not finalized");
   const std::size_t n = a.dim();
-  // Structurally symmetrized adjacency (pattern of A + A^T, no diagonal).
-  std::vector<std::vector<std::size_t>> adj(n);
+  // Structurally symmetrized adjacency (pattern of A + A^T, no diagonal) in
+  // one CSR array: count, fill, then sort and dedupe each row in place.
+  // Row v's neighbours are adj[adj_ptr[v] .. adj_end[v]).
   const auto& row_ptr = a.rowPtr();
   const auto& col_idx = a.colIdx();
+  std::vector<std::size_t> adj_ptr(n + 1, 0);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       const std::size_t c = col_idx[k];
       if (c == r) continue;
-      adj[r].push_back(c);
-      adj[c].push_back(r);
+      ++adj_ptr[r + 1];
+      ++adj_ptr[c + 1];
     }
   }
-  for (auto& nbrs : adj) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+  for (std::size_t r = 0; r < n; ++r) adj_ptr[r + 1] += adj_ptr[r];
+  std::vector<std::size_t> adj(adj_ptr[n]);
+  std::vector<std::size_t> adj_end(adj_ptr.begin(), adj_ptr.end() - 1);  // fill cursors
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const std::size_t c = col_idx[k];
+      if (c == r) continue;
+      adj[adj_end[r]++] = c;
+      adj[adj_end[c]++] = r;
+    }
   }
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(adj_ptr[r]);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(adj_end[r]);
+    std::sort(first, last);
+    adj_end[r] = static_cast<std::size_t>(std::unique(first, last) - adj.begin());
+  }
+  const auto degree = [&](std::size_t v) { return adj_end[v] - adj_ptr[v]; };
 
   std::vector<std::size_t> order;
   order.reserve(n);
@@ -34,7 +50,7 @@ std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<Scalar>& a) {
   std::vector<std::size_t> queue;
   std::size_t head = 0;
   auto degreeLess = [&](std::size_t u, std::size_t v) {
-    return adj[u].size() != adj[v].size() ? adj[u].size() < adj[v].size() : u < v;
+    return degree(u) != degree(v) ? degree(u) < degree(v) : u < v;
   };
   while (order.size() < n) {
     // Seed the next component at a minimum-degree unvisited vertex — a
@@ -50,7 +66,8 @@ std::vector<std::size_t> reverseCuthillMcKee(const CsrMatrix<Scalar>& a) {
       const std::size_t u = queue[head++];
       order.push_back(u);
       std::size_t first_new = queue.size();
-      for (std::size_t v : adj[u]) {
+      for (std::size_t k = adj_ptr[u]; k < adj_end[u]; ++k) {
+        const std::size_t v = adj[k];
         if (!visited[v]) {
           visited[v] = true;
           queue.push_back(v);
@@ -73,6 +90,23 @@ template <typename Scalar>
 void checkInput(const CsrMatrix<Scalar>& a) {
   if (!a.finalized()) throw std::invalid_argument("BandedLu::factor: matrix not finalized");
   if (a.dim() == 0) throw std::invalid_argument("BandedLu::factor: empty matrix");
+}
+
+// Entry magnitude of the pivot search and the health probes.
+double magnitude(double v) { return std::abs(v); }
+
+// |v| without glibc's hypot, which costs about as much as a complex
+// multiply-add of the elimination. While the larger part lies in
+// [1e-150, 1e150], re^2 + im^2 can neither overflow nor lose the larger
+// square to underflow, so the plain root is within about an ulp of
+// std::abs. It is 0 only for 0 (which takes std::abs, as do NaN and inf:
+// they fail the bounds).
+double magnitude(const Complex& v) {
+  const double re = std::abs(v.real());
+  const double im = std::abs(v.imag());
+  if (re <= 1e150 && im <= 1e150 && (re >= 1e-150 || im >= 1e-150))
+    return std::sqrt(re * re + im * im);
+  return std::abs(v);
 }
 
 }  // namespace
@@ -142,10 +176,12 @@ void BandedLu<Scalar>::factorNumeric(const CsrMatrix<Scalar>& a) {
   // Health probes (minAbsPivot/pivotGrowth): the band holds exactly the
   // permuted A right after the scatter, so one pass gives max|A|; the
   // pivot minimum rides the pivot search below and max|U| is scanned from
-  // the upper band afterwards. O(n * band) — free next to the O(n b^2)
-  // elimination.
+  // the upper band afterwards. That is O(n * band) magnitudes against the
+  // O(n kl (kl + ku)) multiply-adds of the elimination: at kl = ku = 2
+  // about as many, which is why a complex magnitude skips hypot
+  // (magnitude()).
   max_abs_a_ = 0.0;
-  for (const Scalar& v : ab_) max_abs_a_ = std::max(max_abs_a_, std::abs(v));
+  for (const Scalar& v : ab_) max_abs_a_ = std::max(max_abs_a_, magnitude(v));
   min_abs_pivot_ = 0.0;
   max_abs_u_ = 0.0;
 
@@ -156,9 +192,9 @@ void BandedLu<Scalar>::factorNumeric(const CsrMatrix<Scalar>& a) {
   for (std::size_t j = 0; j < n_; ++j) {
     const std::size_t i_max = std::min(n_ - 1, j + kl_);
     std::size_t ip = j;
-    double p_abs = std::abs(atc(j, j));
+    double p_abs = magnitude(atc(j, j));
     for (std::size_t i = j + 1; i <= i_max; ++i) {
-      const double v = std::abs(atc(i, j));
+      const double v = magnitude(atc(i, j));
       if (v > p_abs) {
         p_abs = v;
         ip = i;
@@ -182,7 +218,7 @@ void BandedLu<Scalar>::factorNumeric(const CsrMatrix<Scalar>& a) {
   for (std::size_t j = 0; j < n_; ++j) {
     const std::size_t i_min = j > kl_ + ku_ ? j - kl_ - ku_ : 0;
     for (std::size_t i = i_min; i <= j; ++i)
-      max_abs_u_ = std::max(max_abs_u_, std::abs(atc(i, j)));
+      max_abs_u_ = std::max(max_abs_u_, magnitude(atc(i, j)));
   }
   factored_ = true;
 }

@@ -104,9 +104,11 @@ class BandedLu {
   void solveTranspose(const Vec& b, Vec& x) const;
 
   /// Numerical-health probes of the last successful factorization (see
-  /// LuFactorization), magnitudes taken as std::abs of the entries:
-  /// smallest selected pivot magnitude and band element growth
-  /// max|U| / max|A|. Both 0 before the first factor().
+  /// LuFactorization), magnitudes taken as |entry| (std::abs, or for a
+  /// complex entry sqrt(re^2 + im^2) wherever that cannot overflow or
+  /// underflow — within about an ulp of std::abs): smallest selected pivot
+  /// magnitude and band element growth max|U| / max|A|. Both 0 before the
+  /// first factor().
   double minAbsPivot() const { return min_abs_pivot_; }
   double pivotGrowth() const {
     return max_abs_a_ > 0.0 ? max_abs_u_ / max_abs_a_ : 0.0;

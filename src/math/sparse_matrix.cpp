@@ -124,6 +124,28 @@ void CsrMatrix<Scalar>::adoptPatternOf(const CsrMatrix& other) {
 }
 
 template <typename Scalar>
+CsrPattern CsrMatrix<Scalar>::pattern() const {
+  if (!finalized_) throw std::logic_error("CsrMatrix::pattern: not finalized");
+  return {n_, row_ptr_, col_idx_, version_};
+}
+
+template <typename Scalar>
+void CsrMatrix<Scalar>::adoptPattern(const CsrPattern& p) {
+  if (p.version == 0 || p.row_ptr.size() != p.n + 1 || p.row_ptr.back() != p.col_idx.size())
+    throw std::invalid_argument("CsrMatrix::adoptPattern: not a compiled pattern");
+  building_.clear();
+  overflow_.clear();
+  if (!finalized_ || version_ != p.version) {
+    n_ = p.n;
+    row_ptr_ = p.row_ptr;
+    col_idx_ = p.col_idx;
+    version_ = p.version;
+    finalized_ = true;
+  }
+  values_.assign(col_idx_.size(), Scalar(0.0));
+}
+
+template <typename Scalar>
 void CsrMatrix<Scalar>::setValuesFrom(const CsrMatrix& base) {
   if (!finalized_ || version_ != base.version_)
     throw std::logic_error("CsrMatrix::setValuesFrom: pattern mismatch");

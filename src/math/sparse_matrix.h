@@ -18,10 +18,17 @@
 ///     growth therefore costs one recompile per new position set, after
 ///     which every iteration is allocation-free again.
 ///
+/// A matrix can also skip the building phase: adoptPattern() starts it
+/// finalized, with zero values, on a pattern another matrix compiled and
+/// exported with pattern(). That is how the sessions of one structure
+/// class share one compile (circuit/solver_state.h): each adopts the
+/// class pattern and stamps its values straight into it.
+///
 /// Pattern identity is tracked by a process-unique version stamp, shared by
 /// both scalars: two matrices with equal patternVersion() are guaranteed to
-/// share the same pattern (copies inherit the stamp; any pattern change
-/// takes a fresh one), which is what lets setValuesFrom() be a plain memcpy.
+/// share the same pattern (copies and adopters inherit the stamp; any
+/// pattern change takes a fresh one), which is what lets setValuesFrom() be
+/// a plain memcpy.
 
 #include <complex>
 #include <cstddef>
@@ -34,6 +41,16 @@ namespace fdtdmm {
 
 using Complex = std::complex<double>;
 using ComplexVector = std::vector<Complex>;
+
+/// A compiled CSR pattern without values: what pattern() exports and
+/// adoptPattern() starts a matrix on. Scalar-independent, so one version
+/// counter names it process-wide.
+struct CsrPattern {
+  std::size_t n = 0;
+  std::vector<std::size_t> row_ptr;  ///< n + 1 row offsets into col_idx
+  std::vector<std::size_t> col_idx;  ///< sorted column indices per row
+  std::uint64_t version = 0;         ///< patternVersion() of the exporter
+};
 
 /// Square sparse matrix over `Scalar` (double or Complex; both are
 /// instantiated in sparse_matrix.cpp) in CSR form with a COO building
@@ -76,6 +93,17 @@ class CsrMatrix {
   /// \throws std::invalid_argument on dimension mismatch or if `other` is
   ///         missing an entry of this pattern.
   void adoptPatternOf(const CsrMatrix& other);
+
+  /// The compiled pattern with its version stamp (finalized only).
+  /// \throws std::logic_error while building.
+  CsrPattern pattern() const;
+
+  /// Discards the current content and starts a finalized matrix on `p`:
+  /// zero values, no overflow, and p's version stamp, so the adopter and
+  /// the exporter still compare equal by patternVersion().
+  /// \throws std::invalid_argument if `p` is not a compiled pattern
+  ///         (version 0 or array sizes that do not fit n).
+  void adoptPattern(const CsrPattern& p);
 
   /// Copies numeric values from `base`, which must share this matrix's
   /// pattern (equal patternVersion()). Allocation-free.

@@ -23,6 +23,7 @@ void RunTelemetry::merge(const RunTelemetry& o) {
   pattern_realignments += o.pattern_realignments;
   shared_symbolic_builds += o.shared_symbolic_builds;
   shared_symbolic_reuses += o.shared_symbolic_reuses;
+  pattern_compiles += o.pattern_compiles;
   rcm_orderings += o.rcm_orderings;
   structure.mergeMax(o.structure);
   wall_seconds += o.wall_seconds;

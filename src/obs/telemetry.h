@@ -9,8 +9,11 @@
 /// Wall-clock seconds accumulated inside runTransient, split by phase:
 ///
 ///   - stamp_static   one-time static assembly of the MNA base matrix
-///                    (element stampStatic walk + CSR pattern finalize +
-///                    the pattern's RCM ordering, unless checked out)
+///                    (the symbolic checkout — pattern compile and RCM
+///                    ordering unless checked out — plus the element
+///                    stampStatic walk into the adopted pattern); on an AC
+///                    corner, the checkout plus every solveAt's value
+///                    restamp of G + j*omega*B and the RHS
 ///   - factor         LU factorizations: the base, plus the refactors of
 ///                    dirtied iterations the low-rank update declined
 ///                    (a change wider than kMaxUpdateRank rows, a singular
@@ -27,8 +30,9 @@
 ///
 /// ## RunTelemetry (one JSON object per corner)
 /// Aggregated over every transient the scenario ran (a clean/disturbed
-/// EMC pair merges two); an AC corner (freq/ac_engine.h) fills the factor
-/// and solve phases, the LU count, the symbolic counters and structure:
+/// EMC pair merges two); an AC corner (freq/ac_engine.h) fills the
+/// stamp_static, factor and solve phases, the LU count, the symbolic and
+/// compile counters and structure:
 ///
 ///   - phases                   TransientPhases above
 ///   - lu_factorizations        total LU count (== 1 per linear transient
@@ -49,13 +53,22 @@
 ///   - pattern_realignments     sparse-pattern overflow recompiles (a
 ///                              dynamic stamp hit a structurally-new
 ///                              entry; see circuit/transient.h)
-///   - shared_symbolic_builds   RCM orderings built and published to a
-///                              SolverStateProvider (circuit/solver_state.h)
-///   - shared_symbolic_reuses   RCM orderings checked out instead of built
+///   - shared_symbolic_builds   class patterns and orderings built and
+///                              published to a SolverStateProvider
+///                              (circuit/solver_state.h)
+///   - shared_symbolic_reuses   class patterns and orderings checked out
+///                              instead of built: such a session compiled
+///                              and ordered nothing
+///   - pattern_compiles         CSR pattern compiles the run performed: a
+///                              finalize (the class's build or a private
+///                              session) or an overflow merge (a wrong-key
+///                              fold or a pattern realignment); 0 for a
+///                              session that checked its class out under
+///                              an honest key
 ///   - rcm_orderings            RCM orderings the run computed itself (one
 ///                              per transient or AC session and per pattern
 ///                              growth; 0 for a session that checked its
-///                              ordering out)
+///                              class out)
 ///   - structure                StructureSize below, merged by max
 ///   - wall_seconds             scenario wall clock (set by the engine
 ///                              layer; the deliberately-unexported
@@ -131,6 +144,7 @@ struct RunTelemetry {
   long long pattern_realignments = 0;
   long long shared_symbolic_builds = 0;
   long long shared_symbolic_reuses = 0;
+  long long pattern_compiles = 0;
   long long rcm_orderings = 0;
   StructureSize structure;
   double wall_seconds = 0.0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -279,6 +280,52 @@ TYPED_TEST(BandedLuTest, SolveTransposeSolvesTheTransposedSystem) {
   EXPECT_LT(residual(s, x, b, /*transposed=*/true), 1e-12);
 }
 
+// Every entry of `a` times `scale`, on the same pattern.
+template <typename Scalar>
+CsrMatrix<Scalar> scaled(const CsrMatrix<Scalar>& a, double scale) {
+  CsrMatrix<Scalar> s(a.dim());
+  for (std::size_t r = 0; r < a.dim(); ++r)
+    for (std::size_t k = a.rowPtr()[r]; k < a.rowPtr()[r + 1]; ++k)
+      s.add(r, a.colIdx()[k], a.values()[k] * scale);
+  s.finalize();
+  return s;
+}
+
+// Magnitudes at the ends of the exponent range: at 2^-565 (about 1e-170)
+// every re^2 + im^2 underflows to 0, at 2^565 (about 1e170) it overflows,
+// so a magnitude taken as sqrt(std::norm(v)) reports the first system
+// singular and the second one's pivots infinite. Power-of-two scales
+// scale every entry exactly, so the solution is the unit one divided by
+// the scale and the smallest pivot the unit one times the scale, to
+// roundoff.
+TYPED_TEST(BandedLuTest, ExtremeScalesKeepPivotMagnitudes) {
+  using S = TypeParam;
+  const std::size_t n = 12;
+  const CsrMatrix<S> unit = tridiagonal<S>(n);
+  std::vector<S> b(n);
+  for (std::size_t k = 0; k < n; ++k)
+    b[k] = val<S>(1.0 - 0.1 * static_cast<double>(k), 0.25 * static_cast<double>(k % 3));
+  BandedLu<S> unit_lu;
+  unit_lu.factor(unit);
+  const std::vector<S> x_unit = unit_lu.solve(b);
+  const double pivot_unit = unit_lu.minAbsPivot();
+  ASSERT_GT(pivot_unit, 0.0);
+
+  for (const double scale : {std::ldexp(1.0, -565), std::ldexp(1.0, 565)}) {
+    const CsrMatrix<S> a = scaled(unit, scale);
+    BandedLu<S> lu;
+    ASSERT_NO_THROW(lu.factor(a)) << scale;
+    std::vector<S> x = lu.solve(b);
+    for (S& v : x) v *= scale;
+    EXPECT_LT(maxGap(x, x_unit), 1e-12) << scale;
+    const double expected = pivot_unit * scale;
+    EXPECT_NEAR(lu.minAbsPivot(), expected,
+                4.0 * std::numeric_limits<double>::epsilon() * expected)
+        << scale;
+    EXPECT_TRUE(std::isfinite(lu.pivotGrowth())) << scale;
+  }
+}
+
 TYPED_TEST(BandedLuTest, SingularMatrixThrows) {
   using S = TypeParam;
   CsrMatrix<S> s(2);
@@ -329,6 +376,29 @@ TEST(ComplexBandedLu, SolvesKnownTwoByTwoSystem) {
   BandedLu<Complex> lu;
   lu.factor(s);
   EXPECT_LT(maxGap(lu.solve(b), x_ref), 1e-13);
+}
+
+// A hand-checked ordering of two components. The symmetrized graph has
+// edges 0-3, 1-3 (from the one-sided entry (1, 3)) and 2-6, 4-6, 5-6, 4-7;
+// degrees are 1 1 1 2 2 1 3 1. Cuthill-McKee seeds each component at its
+// lowest-index minimum-degree vertex and enqueues new neighbours by
+// (degree, index): 0 3 1, then 2 6 | 5 4 (5 before 4 by degree) | 7.
+// The reverse is the ordering.
+TEST(ReverseCuthillMcKee, OrdersTwoComponentsByDegreeThenIndex) {
+  SparseMatrix a(8);
+  for (std::size_t i = 0; i < 8; ++i) a.add(i, i, 1.0);
+  a.add(0, 3, 1.0);
+  a.add(3, 0, 1.0);
+  a.add(1, 3, 1.0);
+  a.add(6, 2, 1.0);
+  a.add(6, 4, 1.0);
+  a.add(4, 6, 1.0);
+  a.add(5, 6, 1.0);
+  a.add(4, 7, 1.0);
+  a.add(7, 4, 1.0);
+  a.finalize();
+  const std::vector<std::size_t> expected = {7, 4, 5, 6, 2, 1, 3, 0};
+  EXPECT_EQ(reverseCuthillMcKee(a), expected);
 }
 
 TEST(ReverseCuthillMcKee, ProducesAPermutation) {

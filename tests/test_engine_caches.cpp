@@ -94,11 +94,11 @@ TEST(EngineCaches, SolverStateCacheDistinctKeysBuildConcurrently) {
       auto sym = cache.symbolic(key, [&] {
         ++builds;
         auto s = std::make_shared<SolverSymbolic>();
-        s->n = static_cast<std::size_t>(t % 4);
+        s->pattern.n = static_cast<std::size_t>(t % 4);
         return s;
       });
       ASSERT_NE(sym, nullptr);
-      EXPECT_EQ(sym->n, static_cast<std::size_t>(t % 4));
+      EXPECT_EQ(sym->pattern.n, static_cast<std::size_t>(t % 4));
     }
   });
   EXPECT_EQ(builds.load(), 4);

@@ -1,7 +1,8 @@
 // Tests for cross-corner solver-state sharing: a linear RHS-only sweep
 // factors once per corner on one shared RCM ordering, a checked-out
 // ordering serves every factorization of a run, a wrong structure key
-// never changes a result, the byte-identical-exports contract between
+// never changes a result (transient or AC), a corner that checks its class
+// out compiles no pattern, the byte-identical-exports contract between
 // sharing on and off, result-cache replay of repeated corners, the honesty
 // of the family structure keys, and the valid-name lists in the *FromName
 // error messages.
@@ -21,9 +22,11 @@
 #include "core/tline_family.h"
 #include "dense_oracle.h"
 #include "engine/sweep_runner.h"
+#include "freq/ac_engine.h"
 #include "math/low_rank_update.h"
 #include "signal/bit_pattern.h"
 #include "signal/linear_ports.h"
+#include "tiny_models.h"
 
 namespace fdtdmm {
 namespace {
@@ -170,16 +173,18 @@ TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
   }
 }
 
-// A linear ladder: a ramped source behind 50 ohm drives `segments` RLGC
-// sections into a 60 ohm load. `bridge` adds one capacitor between two
-// non-adjacent segment nodes: the same unknown count, a different pattern.
+// A linear ladder: a ramped source (1 V in AC) behind 50 ohm drives
+// `segments` RLGC sections into a 60 ohm load. `bridge` adds one capacitor
+// between two non-adjacent segment nodes: the same unknown count, a
+// different pattern.
 Circuit sourceDrivenLadder(std::size_t segments, bool bridge, int& far) {
   Circuit c;
   const int src = c.addNode();
   const int near = c.addNode();
   far = c.addNode();
   c.addVoltageSource(src, Circuit::kGround,
-                     [](double t) { return std::clamp(t / 0.2e-9, 0.0, 1.0); });
+                     [](double t) { return std::clamp(t / 0.2e-9, 0.0, 1.0); })
+      ->setAcValue(Complex(1.0, 0.0));
   c.addResistor(src, near, 50.0);
   RlgcParams p;
   p.segments = segments;
@@ -254,8 +259,96 @@ TEST(FactorizationSharing, WrongKeyOnSameDimensionStillMatchesTheOracle) {
   EXPECT_LE(oracle::maxAbsDiff(res.at("far"), ref.at("far")), oracle::kSparseTol);
 }
 
+// The AC engine's wrong key on the same unknown count: the session adopts
+// the other ladder's pattern, the bridge's entries overflow on the first
+// value stamp and fold into a private pattern once, and the checked-out
+// ordering factors the folded system — still the dense oracle's solution.
+// (Both are frequencies where a private session meets 1e-9 too: on this
+// lossless ladder it sits 1.5e-9 to 2.1e-9 from the oracle at 1e6, 1e7
+// and 7e8 Hz, and the wrong-key session exactly as far.)
+TEST(FactorizationSharing, AcWrongKeyOnSameDimensionFoldsTheOverflow) {
+  SolverStateCache cache;
+  AcOptions opt;
+  opt.sharing.provider = &cache;
+  opt.sharing.structure_key = "one-key-for-every-ladder";
+  obs::RunTelemetry first, second;
+  int far = 0;
+  Circuit a = sourceDrivenLadder(10, false, far);
+  opt.telemetry = &first;
+  AcSession(a, opt).solveAt(1e8);
+  EXPECT_EQ(first.shared_symbolic_builds, 1);
+  EXPECT_EQ(first.pattern_compiles, 1);
+
+  Circuit b = sourceDrivenLadder(10, true, far);
+  opt.telemetry = &second;
+  AcSession session(b, opt);
+  for (const double f : {1e8, 3e8}) {
+    const ComplexVector& x = session.solveAt(f);
+    EXPECT_LT(oracle::relativeGap(x, oracle::acDenseReference(b, f)), 1e-9) << f;
+  }
+  EXPECT_EQ(second.structure.unknowns, first.structure.unknowns);
+  EXPECT_GT(second.structure.nonzeros, first.structure.nonzeros);
+  EXPECT_EQ(second.shared_symbolic_reuses, 1);
+  EXPECT_EQ(second.rcm_orderings, 0);
+  EXPECT_EQ(second.pattern_compiles, 1);  // the one fold, not one per call
+  EXPECT_EQ(second.lu_factorizations, 2);
+}
+
+// Under honest keys a corner that checks its structure class out compiles
+// no pattern: it adopts the class pattern and stamps its values into it.
+// Value-only sweeps of every MNA family: each class compiles once.
+TEST(FactorizationSharing, ReuseCornersCompileNoPattern) {
+  SweepSpec crosstalk;
+  crosstalk.scenario = "crosstalk";
+  crosstalk.set("pattern", std::string("010"));
+  crosstalk.set("bit_time", 1e-9);
+  crosstalk.set("t_stop", 3e-9);
+  crosstalk.set("segments", 8.0);
+  crosstalk.axis("coupling", {0.05, 0.2});
+  crosstalk.driver = "tinydrv";
+  crosstalk.receiver = "tinyrcv";
+
+  SweepSpec tline;
+  tline.scenario = "tline";
+  tline.set("engine", std::string("spice-rbf"));
+  tline.set("t_stop", 2e-9);
+  tline.axis("zc", {80.0, 100.0, 120.0});
+  tline.driver = "tinydrv";
+  tline.receiver = "tinyrcv";
+
+  SweepSpec ac;
+  ac.scenario = "ac";
+  ac.set("segments", 16.0);
+  ac.axis("frequency", {1e6, 1e7, 1e8});
+
+  for (const SweepSpec& spec : {rhsOnlyEmcSpec(), crosstalk, tline, ac}) {
+    SweepRunnerOptions opt;
+    opt.workers = 2;
+    opt.model_cache = testmodels::tinyCache();
+    SweepRunner runner(opt);
+    const SweepResult result = runner.run(spec);
+    ASSERT_EQ(result.okCount(), result.runs.size()) << spec.scenario;
+    long long compiles = 0, reuse_corners = 0;
+    for (const SweepRunRecord& r : result.runs) {
+      const obs::RunTelemetry& t = r.telemetry;
+      compiles += t.pattern_compiles;
+      EXPECT_EQ(t.pattern_realignments, 0) << r.label;
+      EXPECT_EQ(t.pattern_compiles, t.shared_symbolic_builds) << r.label;
+      if (t.shared_symbolic_builds == 0) {
+        EXPECT_GT(t.shared_symbolic_reuses, 0) << r.label;
+        EXPECT_EQ(t.pattern_compiles, 0) << r.label;
+        ++reuse_corners;
+      }
+    }
+    EXPECT_EQ(compiles, static_cast<long long>(runner.solverCache()->structureClassCount()))
+        << spec.scenario;
+    EXPECT_GT(reuse_corners, 0) << spec.scenario;
+  }
+}
+
 // Sharing must never perturb a metric byte — on or off, any worker count,
-// linear (emc) and nonlinear (crosstalk) families alike.
+// linear (emc), nonlinear (crosstalk) and frequency-domain (ac) families
+// alike.
 TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
   auto runExports = [](const SweepSpec& spec, std::size_t workers, bool share) {
     SweepRunnerOptions opt;
@@ -287,7 +380,16 @@ TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
   crosstalk.set("segments", 8.0);
   crosstalk.axis("coupling", {0.05, 0.2});
 
-  for (const SweepSpec& spec : {rhsOnlyEmcSpec(), crosstalk}) {
+  // A lossy skin-effect ladder: series-R nodes and R||L skin branches in
+  // every segment, the shape of the ac_skin_sweep workload.
+  SweepSpec ac;
+  ac.scenario = "ac";
+  ac.set("segments", 24.0);
+  ac.set("line_r", 5.0);
+  ac.set("k_skin", 2e-4);
+  ac.axis("frequency", {1e6, 3e7, 2e8, 1e9});
+
+  for (const SweepSpec& spec : {rhsOnlyEmcSpec(), crosstalk, ac}) {
     const Exports off = runExports(spec, 1, false);
     for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
       const Exports on = runExports(spec, workers, true);

@@ -120,6 +120,7 @@ TEST(RunTelemetry, MergeIsFieldWise) {
   a.max_newton_iterations = 3;
   a.steps = 100;
   a.transient_runs = 1;
+  a.pattern_compiles = 1;
   a.wall_seconds = 0.5;
 
   RunTelemetry b;
@@ -130,6 +131,7 @@ TEST(RunTelemetry, MergeIsFieldWise) {
   b.steps = 50;
   b.transient_runs = 1;
   b.pattern_realignments = 2;
+  b.pattern_compiles = 2;
   b.wall_seconds = 0.25;
 
   a.merge(b);
@@ -141,6 +143,7 @@ TEST(RunTelemetry, MergeIsFieldWise) {
   EXPECT_EQ(a.steps, 150);
   EXPECT_EQ(a.transient_runs, 2);
   EXPECT_EQ(a.pattern_realignments, 2);
+  EXPECT_EQ(a.pattern_compiles, 3);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 0.75);
 }
 

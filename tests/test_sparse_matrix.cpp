@@ -94,6 +94,68 @@ TYPED_TEST(CsrMatrixTest, ClearValuesKeepsPattern) {
   EXPECT_EQ(m.at(1, 0), val<S>(0.0, 0.0));
 }
 
+TYPED_TEST(CsrMatrixTest, AdoptedPatternStartsFinalizedWithZeroValues) {
+  // The symbolic checkout's round trip: one matrix compiles and exports its
+  // pattern, another adopts it and stamps values straight into it.
+  using S = TypeParam;
+  CsrMatrix<S> src(3);
+  src.add(0, 0, val<S>(1.0, 1.0));
+  src.add(0, 2, val<S>(2.0, 0.0));
+  src.add(1, 1, val<S>(3.0, -1.0));
+  src.add(2, 0, val<S>(-1.0, 0.5));
+  src.finalize();
+  const CsrPattern p = src.pattern();
+  EXPECT_EQ(p.n, 3u);
+  EXPECT_EQ(p.version, src.patternVersion());
+  EXPECT_EQ(p.row_ptr, src.rowPtr());
+  EXPECT_EQ(p.col_idx, src.colIdx());
+
+  CsrMatrix<S> m(1);
+  m.add(0, 0, val<S>(5.0, 0.0));  // building content is discarded
+  m.adoptPattern(p);
+  EXPECT_TRUE(m.finalized());
+  EXPECT_EQ(m.dim(), 3u);
+  EXPECT_EQ(m.patternVersion(), p.version);
+  EXPECT_EQ(m.rowPtr(), src.rowPtr());
+  EXPECT_EQ(m.colIdx(), src.colIdx());
+  for (const S& v : m.values()) EXPECT_EQ(v, val<S>(0.0, 0.0));
+
+  // In-pattern adds scatter; equal versions allow the value copy.
+  m.add(0, 2, val<S>(1.5, -0.5));
+  EXPECT_EQ(m.at(0, 2), val<S>(1.5, -0.5));
+  EXPECT_FALSE(m.patternGrown());
+  m.setValuesFrom(src);
+  EXPECT_EQ(m.at(1, 1), val<S>(3.0, -1.0));
+
+  // Re-adopting the pattern a matrix already holds zeroes its values.
+  CsrMatrix<S> same = src;
+  same.adoptPattern(p);
+  EXPECT_EQ(same.patternVersion(), p.version);
+  EXPECT_EQ(same.nonZeros(), 4u);
+  EXPECT_EQ(same.at(0, 0), val<S>(0.0, 0.0));
+
+  // An out-of-pattern add overflows; the merge takes a fresh version and
+  // leaves the exporter untouched.
+  m.add(2, 2, val<S>(4.0, 0.0));
+  EXPECT_TRUE(m.patternGrown());
+  EXPECT_EQ(m.patternVersion(), p.version);
+  m.mergeOverflow();
+  EXPECT_FALSE(m.patternGrown());
+  EXPECT_NE(m.patternVersion(), p.version);
+  EXPECT_EQ(m.nonZeros(), 5u);
+  EXPECT_EQ(m.at(2, 2), val<S>(4.0, 0.0));
+  EXPECT_EQ(m.at(1, 1), val<S>(3.0, -1.0));
+  EXPECT_EQ(src.nonZeros(), 4u);
+  EXPECT_EQ(src.patternVersion(), p.version);
+
+  CsrMatrix<S> building(2);
+  EXPECT_THROW(building.pattern(), std::logic_error);
+  EXPECT_THROW(building.adoptPattern(CsrPattern{}), std::invalid_argument);
+  CsrPattern torn = p;
+  torn.col_idx.pop_back();
+  EXPECT_THROW(building.adoptPattern(torn), std::invalid_argument);
+}
+
 TEST(CsrMatrix, PatternVersionsAreUniqueAcrossScalars) {
   // One version counter serves both scalars, so a version names one
   // pattern process-wide.

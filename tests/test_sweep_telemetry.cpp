@@ -204,6 +204,7 @@ TEST(SweepTelemetry, EmcSweepTelemetryAndJsonExport) {
   // class: both corners factor on one shared RCM ordering.
   EXPECT_EQ(totals.lu_factorizations, 2);
   EXPECT_EQ(totals.rcm_orderings, 1);
+  EXPECT_EQ(totals.pattern_compiles, 1);
   EXPECT_EQ(result.solver_cache.symbolic_misses, 1);
   EXPECT_EQ(result.solver_cache.symbolic_hits, 1);
   // Both corners are content-distinct: no result-cache replays.
@@ -343,6 +344,10 @@ TEST(SweepTelemetry, HealthAndHistogramsFlowIntoTelemetryJson) {
   EXPECT_EQ(counters.count("corners.failed"), 0);
   EXPECT_EQ(counters.count("solver_cache.symbolic_misses"),
             result.solver_cache.symbolic_misses);
+  long long compiles = 0;
+  for (const SweepRunRecord& r : result.runs) compiles += r.telemetry.pattern_compiles;
+  EXPECT_EQ(counters.count("solver.pattern_compiles"), compiles);
+  EXPECT_GT(compiles, 0);
   EXPECT_EQ(counters.count("result_cache.inserts"), result.result_cache.inserts);
   EXPECT_EQ(counters.count("pool.tasks"), result.pool.submitted);
   EXPECT_EQ(counters.count("health.warn_corners"), 0);
@@ -403,6 +408,7 @@ TEST(SweepTelemetry, SchemaDocumentNamesEveryRunTelemetryKey) {
        it != std::sregex_iterator(); ++it)
     keys.insert((*it)[1]);
   EXPECT_GT(keys.size(), 20u);
+  EXPECT_EQ(keys.count("pattern_compiles"), 1u);
   for (const std::string& key : keys)
     EXPECT_NE(doc.find("`" + key + "`"), std::string::npos) << key;
 }
