@@ -129,11 +129,10 @@ std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& shari
                                                       CsrMatrix<Scalar>& target,
                                                       obs::RunTelemetry* tel);
 
-/// Round-trip-exact double formatting for cache keys (a numeric structure
-/// parameter, or the result cache's content keys in
-/// engine/result_cache.h). Two different values must never collapse to
-/// one key: %g's 6 significant digits would merge e.g. 50.0 and 50.0000001
-/// (silently replaying the wrong corner); %.17g round-trips every double.
+/// Round-trip-exact double formatting for the numeric parameters of a
+/// structure key. Two different values must never collapse to one key:
+/// %g's 6 significant digits would merge e.g. 50.0 and 50.0000001 (two
+/// skin fits sharing one pattern); %.17g round-trips every double.
 inline std::string solverKeyNum(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);

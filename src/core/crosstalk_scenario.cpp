@@ -38,11 +38,6 @@ void validateCrosstalkScenario(const CrosstalkScenario& cfg) {
 }
 
 TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
-                                   std::shared_ptr<const RbfDriverModel> driver) {
-  return runCrosstalkScenario(cfg, std::move(driver), SolverSharing{});
-}
-
-TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
                                    std::shared_ptr<const RbfDriverModel> driver,
                                    const SolverSharing& sharing) {
   validateCrosstalkScenario(cfg);
@@ -195,12 +190,6 @@ std::unique_ptr<Scenario> CrosstalkFamily::clone() const {
   return std::make_unique<CrosstalkFamily>(*this);
 }
 
-TaskWaveforms CrosstalkFamily::run(
-    std::shared_ptr<const RbfDriverModel> driver,
-    std::shared_ptr<const RbfReceiverModel> /*receiver*/) const {
-  return runCrosstalkScenario(cfg_, std::move(driver));
-}
-
 TaskWaveforms CrosstalkFamily::run(std::shared_ptr<const RbfDriverModel> driver,
                                    std::shared_ptr<const RbfReceiverModel> /*receiver*/,
                                    const SolverSharing& sharing) const {
@@ -210,9 +199,12 @@ TaskWaveforms CrosstalkFamily::run(std::shared_ptr<const RbfDriverModel> driver,
 // pattern/bit_time/t_stop stay out of the key (RHS/run-length only), and so
 // do the element values; the coupling>0 flags are structural because
 // zero-coupling configurations stamp no mutual elements at all
-// (buildCoupledRlgcLines skips them).
+// (buildCoupledRlgcLines skips them), and so is line_r > 0, which splits
+// each series R around its inductor (two extra nodes per segment and
+// line). line_g only adds shunt resistors on the capacitors' entries.
 std::string CrosstalkFamily::structureKey() const {
   return "crosstalk|segments=" + std::to_string(cfg_.line.segments) +
+         "|r=" + (cfg_.line.r > 0.0 ? "1" : "0") +
          "|cm=" + (cfg_.coupling > 0.0 ? "1" : "0") +
          "|lm=" + (cfg_.coupling_l > 0.0 ? "1" : "0");
 }

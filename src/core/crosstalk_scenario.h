@@ -24,6 +24,7 @@
 #include <string>
 
 #include "circuit/rlgc_line.h"
+#include "circuit/solver_state.h"
 #include "core/scenario.h"
 
 namespace fdtdmm {
@@ -51,18 +52,14 @@ struct CrosstalkScenario {
 void validateCrosstalkScenario(const CrosstalkScenario& cfg);
 
 /// Runs the coupled-line structure on the MNA transient engine with the
-/// waveform mapping documented above. Deterministic for fixed inputs
-/// (wall_seconds aside). The receiver model is unused (may be null).
+/// waveform mapping documented above, threading `sharing` into the
+/// TransientOptions (circuit/solver_state.h). Deterministic for fixed
+/// inputs (wall_seconds aside), and bit-identical for any `sharing` under
+/// an honest key. The receiver model is unused (may be null).
 /// \throws std::invalid_argument on a null driver model or invalid options.
 TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
-                                   std::shared_ptr<const RbfDriverModel> driver);
-
-/// Sharing-aware variant: threads `sharing` into the TransientOptions (see
-/// circuit/solver_state.h). Bit-identical waveforms either way for honest
-/// keys.
-TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
                                    std::shared_ptr<const RbfDriverModel> driver,
-                                   const SolverSharing& sharing);
+                                   const SolverSharing& sharing = {});
 
 /// Registry adapter ("crosstalk"). Parameters: pattern, bit_time, t_stop,
 /// dt, line_r, line_l, line_g, line_c, line_length, segments, coupling,
@@ -86,8 +83,6 @@ class CrosstalkFamily final : public Scenario {
   /// analysis that orders each corner's base factorization.
   std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
-  TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
-                    std::shared_ptr<const RbfReceiverModel> receiver) const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,
                     const SolverSharing& sharing) const override;

@@ -93,7 +93,8 @@ std::unique_ptr<Scenario> PcbFamily::clone() const {
 }
 
 TaskWaveforms PcbFamily::run(std::shared_ptr<const RbfDriverModel> driver,
-                             std::shared_ptr<const RbfReceiverModel> receiver) const {
+                             std::shared_ptr<const RbfReceiverModel> receiver,
+                             const SolverSharing& /*sharing*/) const {
   PcbRun pr = runPcbScenario(cfg_, std::move(driver), std::move(receiver));
   TaskWaveforms out;
   out.v_near = std::move(pr.v_near);

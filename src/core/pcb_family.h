@@ -33,8 +33,11 @@ class PcbFamily final : public Scenario {
   double tStop() const override { return cfg_.t_stop; }
   bool needsReceiver() const override { return true; }
   std::unique_ptr<Scenario> clone() const override;
+  /// Runs on the 3D FDTD engine, which has no MNA solver state: `sharing`
+  /// is ignored.
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
-                    std::shared_ptr<const RbfReceiverModel> receiver) const override;
+                    std::shared_ptr<const RbfReceiverModel> receiver,
+                    const SolverSharing& sharing) const override;
 
   const PcbScenario& config() const { return cfg_; }
 

@@ -15,8 +15,9 @@
 ///
 /// Determinism contract: a Scenario's run() must be a pure function of its
 /// parameters and the supplied models (wall_seconds aside) — bit-identical
-/// waveforms on every call — because the sweep engine promises worker-
-/// count-independent exported metrics on top of it.
+/// waveforms on every call, whatever SolverSharing it is handed — because
+/// the sweep engine promises worker-count-independent exported metrics on
+/// top of it.
 
 #include <cstddef>
 #include <functional>
@@ -173,24 +174,16 @@ class Scenario {
   virtual std::unique_ptr<Scenario> clone() const = 0;
 
   /// Runs the workload with already-resolved models. `receiver` may be null
-  /// when needsReceiver() is false.
+  /// when needsReceiver() is false. A family that returns a structure key
+  /// threads `sharing` into its solver options, so structurally identical
+  /// sweep corners reuse one symbolic analysis; other families ignore it.
+  /// The waveforms are bit-identical for any `sharing` under an honest key
+  /// (a default SolverSharing shares nothing).
   /// \throws std::invalid_argument on null required models or invalid
   ///         configuration.
   virtual TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
-                            std::shared_ptr<const RbfReceiverModel> receiver) const = 0;
-
-  /// Sharing-aware run: like run(), but the family threads `sharing` into
-  /// its TransientOptions so structurally identical sweep corners can reuse
-  /// one symbolic analysis. The default ignores `sharing` and delegates to
-  /// run() — correct (if reuse-free) for every family; families that emit
-  /// a non-empty key override this too.
-  /// Bit-identical-results contract: for honest keys, run(d, r) and
-  /// run(d, r, sharing) produce identical waveforms.
-  virtual TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                             std::shared_ptr<const RbfReceiverModel> receiver,
-                            const SolverSharing& /*sharing*/) const {
-    return run(std::move(driver), std::move(receiver));
-  }
+                            const SolverSharing& sharing) const = 0;
 
   /// Descriptor lookup by name; nullptr when absent.
   const ParamDescriptor* findParam(const std::string& name) const;

@@ -6,14 +6,6 @@ namespace fdtdmm {
 
 TaskWaveforms runSimulationTask(const SimulationTask& task,
                                 std::shared_ptr<const RbfDriverModel> driver,
-                                std::shared_ptr<const RbfReceiverModel> receiver) {
-  if (!task.scenario)
-    throw std::invalid_argument("runSimulationTask: task has no scenario");
-  return task.scenario->run(std::move(driver), std::move(receiver));
-}
-
-TaskWaveforms runSimulationTask(const SimulationTask& task,
-                                std::shared_ptr<const RbfDriverModel> driver,
                                 std::shared_ptr<const RbfReceiverModel> receiver,
                                 const SolverSharing& sharing) {
   if (!task.scenario)

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "circuit/solver_state.h"
 #include "core/scenario.h"
 
 namespace fdtdmm {
@@ -27,23 +28,18 @@ struct SimulationTask {
   std::string receiver = "default";  ///< model-cache component name
 };
 
-/// Runs the task's scenario with already-resolved models. Deterministic for
-/// fixed inputs (wall_seconds aside): the same task with the same models
-/// produces bit-identical waveforms on every call, which is what lets the
-/// sweep engine promise thread-count-independent results.
+/// Runs the task's scenario with already-resolved models, forwarding
+/// `sharing` so the solver can check symbolic state out of a
+/// SolverStateProvider. Deterministic for fixed inputs (wall_seconds
+/// aside): the same task with the same models produces bit-identical
+/// waveforms on every call, and for any `sharing` under an honest key,
+/// which is what lets the sweep engine promise thread-count-independent
+/// results.
 /// \throws std::invalid_argument on a task without a scenario, null
 ///         required models, or invalid scenario options.
 TaskWaveforms runSimulationTask(const SimulationTask& task,
                                 std::shared_ptr<const RbfDriverModel> driver,
-                                std::shared_ptr<const RbfReceiverModel> receiver);
-
-/// Sharing-aware variant: forwards `sharing` to the scenario's three-arg
-/// run() so the transient engine can check solver state out of a
-/// SolverStateProvider. Same determinism contract — for honest keys the
-/// waveforms are bit-identical with the two-arg overload.
-TaskWaveforms runSimulationTask(const SimulationTask& task,
-                                std::shared_ptr<const RbfDriverModel> driver,
                                 std::shared_ptr<const RbfReceiverModel> receiver,
-                                const SolverSharing& sharing);
+                                const SolverSharing& sharing = {});
 
 }  // namespace fdtdmm

@@ -136,20 +136,13 @@ std::unique_ptr<Scenario> TlineFamily::clone() const {
 }
 
 TaskWaveforms TlineFamily::run(std::shared_ptr<const RbfDriverModel> driver,
-                               std::shared_ptr<const RbfReceiverModel> receiver) const {
-  return run(std::move(driver), std::move(receiver), SolverSharing{});
-}
-
-TaskWaveforms TlineFamily::run(std::shared_ptr<const RbfDriverModel> driver,
                                std::shared_ptr<const RbfReceiverModel> receiver,
                                const SolverSharing& sharing) const {
   EngineRun er;
   switch (engine_) {
     case TlineEngine::kSpiceRbf:
-      // 2e-12 is the engine's fixed default step (runSpiceRbfTline's dt
-      // parameter).
-      er = runSpiceRbfTline(cfg_, std::move(driver), std::move(receiver), 2e-12,
-                            sharing);
+      er = runSpiceRbfTline(cfg_, std::move(driver), std::move(receiver),
+                            kSpiceRbfDt, sharing);
       break;
     case TlineEngine::kFdtd1d:
       er = runFdtd1dTline(cfg_, std::move(driver), std::move(receiver));

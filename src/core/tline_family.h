@@ -53,8 +53,6 @@ class TlineFamily final : public Scenario {
   std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
-                    std::shared_ptr<const RbfReceiverModel> receiver) const override;
-  TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,
                     const SolverSharing& sharing) const override;
 

@@ -89,14 +89,6 @@ EngineRun runSpiceTransistorTline(const TlineScenario& cfg,
 EngineRun runSpiceRbfTline(const TlineScenario& cfg,
                            std::shared_ptr<const RbfDriverModel> driver,
                            std::shared_ptr<const RbfReceiverModel> receiver,
-                           double dt) {
-  return runSpiceRbfTline(cfg, std::move(driver), std::move(receiver), dt,
-                          SolverSharing{});
-}
-
-EngineRun runSpiceRbfTline(const TlineScenario& cfg,
-                           std::shared_ptr<const RbfDriverModel> driver,
-                           std::shared_ptr<const RbfReceiverModel> receiver,
                            double dt, const SolverSharing& sharing) {
   validateTlineScenario(cfg);
   if (!driver) throw std::invalid_argument("runSpiceRbfTline: null driver model");

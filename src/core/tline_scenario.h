@@ -13,14 +13,13 @@
 
 #include <memory>
 
+#include "circuit/solver_state.h"
 #include "core/model_factory.h"
 #include "obs/telemetry.h"
 #include "signal/bit_pattern.h"
 #include "signal/waveform.h"
 
 namespace fdtdmm {
-
-struct SolverSharing;
 
 /// Far-end termination selector (Fig. 4 vs Fig. 5).
 enum class FarEndLoad { kLinearRc, kReceiver };
@@ -69,19 +68,16 @@ EngineRun runSpiceTransistorTline(const TlineScenario& cfg,
                                   const CmosReceiverParams& receiver,
                                   double dt = 2e-12);
 
-/// Engine (ii): SPICE with RBF macromodels.
-EngineRun runSpiceRbfTline(const TlineScenario& cfg,
-                           std::shared_ptr<const RbfDriverModel> driver,
-                           std::shared_ptr<const RbfReceiverModel> receiver,
-                           double dt = 2e-12);
+/// Engine (ii)'s default time step [s].
+inline constexpr double kSpiceRbfDt = 2e-12;
 
-/// Sharing-aware variant of engine (ii): threads `sharing` into the
-/// TransientOptions (see circuit/solver_state.h). Bit-identical waveforms
-/// either way for honest keys.
+/// Engine (ii): SPICE with RBF macromodels, threading `sharing` into the
+/// TransientOptions (circuit/solver_state.h). Bit-identical waveforms for
+/// any `sharing` under an honest key.
 EngineRun runSpiceRbfTline(const TlineScenario& cfg,
                            std::shared_ptr<const RbfDriverModel> driver,
                            std::shared_ptr<const RbfReceiverModel> receiver,
-                           double dt, const SolverSharing& sharing);
+                           double dt = kSpiceRbfDt, const SolverSharing& sharing = {});
 
 /// Engine (iii): 1D FDTD with RBF macromodels.
 EngineRun runFdtd1dTline(const TlineScenario& cfg,

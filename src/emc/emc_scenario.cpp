@@ -60,12 +60,6 @@ TraceGeometry emcTraceGeometry(const EmcScenario& cfg) {
 
 TaskWaveforms runEmcScenario(const EmcScenario& cfg,
                              std::shared_ptr<const RbfDriverModel> driver,
-                             std::shared_ptr<const RbfReceiverModel> receiver) {
-  return runEmcScenario(cfg, std::move(driver), std::move(receiver), SolverSharing{});
-}
-
-TaskWaveforms runEmcScenario(const EmcScenario& cfg,
-                             std::shared_ptr<const RbfDriverModel> driver,
                              std::shared_ptr<const RbfReceiverModel> receiver,
                              const SolverSharing& sharing) {
   validateEmcScenario(cfg);
@@ -260,12 +254,6 @@ std::unique_ptr<Scenario> EmcFamily::clone() const {
   return std::make_unique<EmcFamily>(*this);
 }
 
-TaskWaveforms EmcFamily::run(
-    std::shared_ptr<const RbfDriverModel> driver,
-    std::shared_ptr<const RbfReceiverModel> receiver) const {
-  return runEmcScenario(cfg_, std::move(driver), std::move(receiver));
-}
-
 TaskWaveforms EmcFamily::run(std::shared_ptr<const RbfDriverModel> driver,
                              std::shared_ptr<const RbfReceiverModel> receiver,
                              const SolverSharing& sharing) const {
@@ -278,10 +266,14 @@ TaskWaveforms EmcFamily::run(std::shared_ptr<const RbfDriverModel> driver,
 // RHS sources or run length, never through the static pattern (the
 // field-coupled ladder uses the same Inductor/Capacitor static stamps as
 // the plain one; RBF ports stamp only structural zeros, and the drive/
-// termination choice is in the key). The amp>0 flag is still kept —
-// structurally conservative, and it costs one extra class.
+// termination choice is in the key). line_r > 0 is structural: the ladder
+// splits each series R around its inductor, two extra nodes per segment.
+// line_g is not: its shunt resistor lands on the capacitor's entries. The
+// amp>0 flag is still kept — structurally conservative, and it costs one
+// extra class.
 std::string EmcFamily::structureKey() const {
   return "emc|segments=" + std::to_string(cfg_.line.segments) +
+         "|r=" + (cfg_.line.r > 0.0 ? "1" : "0") +
          "|drive=" + cfg_.drive + "|term=" + cfg_.termination +
          "|cfar=" + (cfg_.c_far > 0.0 ? "1" : "0") +
          "|field=" + (cfg_.amplitude > 0.0 ? "1" : "0");

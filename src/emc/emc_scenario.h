@@ -27,6 +27,7 @@
 #include <string>
 
 #include "circuit/rlgc_line.h"
+#include "circuit/solver_state.h"
 #include "core/scenario.h"
 #include "emc/trace_geometry.h"
 
@@ -73,22 +74,17 @@ struct EmcScenario {
 void validateEmcScenario(const EmcScenario& cfg);
 
 /// Runs the field-coupled line on the MNA transient engine with the
-/// waveform mapping documented above. Deterministic for fixed inputs
-/// (wall_seconds aside). `driver` may be null when drive == "none",
-/// `receiver` when termination == "resistive".
+/// waveform mapping documented above, threading `sharing` into the
+/// TransientOptions (circuit/solver_state.h). Deterministic for fixed
+/// inputs (wall_seconds aside), and bit-identical for any `sharing` under
+/// an honest key. `driver` may be null when drive == "none", `receiver`
+/// when termination == "resistive".
 /// \throws std::invalid_argument on a missing required model or invalid
 ///         options.
 TaskWaveforms runEmcScenario(const EmcScenario& cfg,
                              std::shared_ptr<const RbfDriverModel> driver,
-                             std::shared_ptr<const RbfReceiverModel> receiver);
-
-/// Sharing-aware variant: threads `sharing` into the TransientOptions (see
-/// circuit/solver_state.h). Bit-identical waveforms either way for honest
-/// keys.
-TaskWaveforms runEmcScenario(const EmcScenario& cfg,
-                             std::shared_ptr<const RbfDriverModel> driver,
                              std::shared_ptr<const RbfReceiverModel> receiver,
-                             const SolverSharing& sharing);
+                             const SolverSharing& sharing = {});
 
 /// The trace geometry a configuration routes (exposed so the FDTD
 /// cross-validation reference meshes the same physical trace).
@@ -122,8 +118,6 @@ class EmcFamily final : public Scenario {
   /// them.
   std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
-  TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
-                    std::shared_ptr<const RbfReceiverModel> receiver) const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,
                     const SolverSharing& sharing) const override;

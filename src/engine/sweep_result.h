@@ -53,7 +53,6 @@
 
 #include "core/sim_task.h"
 #include "engine/model_cache.h"
-#include "engine/result_cache.h"
 #include "engine/solver_state_cache.h"
 #include "engine/thread_pool.h"
 #include "obs/health.h"
@@ -102,23 +101,24 @@ struct SweepResult {
   double wall_seconds = 0.0;  ///< whole-sweep wall clock (informational)
   /// Pool utilization over this sweep's task batch (queue high-water,
   /// per-worker counts, queue wait). Zero-initialized when the sweep did
-  /// not run through runSweep.
+  /// not run through a SweepRunner.
   ThreadPoolStats pool;
   /// ModelCache effectiveness delta over this sweep (hits/misses/inserts
   /// attributable to it, including preload).
   ModelCacheStats model_cache;
   /// SolverStateCache effectiveness delta over this sweep (symbolic
-  /// sharing; zero when sharing is disabled or no family opted in).
-  /// symbolic_misses is the number of structure classes this sweep
-  /// ordered.
+  /// sharing; zero when no family opted in). symbolic_misses is the
+  /// number of structure classes this sweep ordered.
   SolverStateCacheStats solver_cache;
-  /// ResultCache effectiveness delta over this sweep (zero when result
-  /// reuse is disabled or waveforms were requested).
-  ResultCacheStats result_cache;
+  /// Always zero: no sweep layer replays finished corners.
+  /// perfbench/sweep_bench.cpp still reads `hits`; the member goes with the
+  /// next benchmark change.
+  struct ReplayStats {
+    long long hits = 0;
+  } result_cache;
   /// Sweep-level latency distributions (per-corner wall/phase times, Newton
   /// iteration counts, pool queue wait), merged across workers after the
-  /// sweep drains. Empty when SweepRunnerOptions::collect_histograms is
-  /// off. Keys: corner_wall_seconds, corner_solve_seconds,
+  /// sweep drains. Keys: corner_wall_seconds, corner_solve_seconds,
   /// corner_factor_seconds, corner_rhs_stamp_seconds,
   /// corner_newton_iterations, pool.queue_wait_seconds.
   std::map<std::string, obs::Histogram> histograms;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <future>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -18,9 +19,6 @@ namespace fdtdmm {
 
 SweepRunner::SweepRunner(SweepRunnerOptions opt) : opt_(std::move(opt)) {
   if (!opt_.model_cache) opt_.model_cache = std::make_shared<ModelCache>();
-  if (!opt_.solver_cache)
-    opt_.solver_cache = std::make_shared<SolverStateCache>();
-  if (!opt_.result_cache) opt_.result_cache = std::make_shared<ResultCache>();
 }
 
 SweepResult SweepRunner::run(const SweepSpec& spec) { return run(spec.expand()); }
@@ -51,96 +49,28 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   // are cumulative over the cache's lifetime, so snapshot before/after to
   // attribute only this sweep's activity to its telemetry.
   const ModelCacheStats cache_before = opt_.model_cache->stats();
-  const SolverStateCacheStats solver_before = opt_.solver_cache->stats();
-  const ResultCacheStats results_before = opt_.result_cache->stats();
+  const SolverStateCacheStats solver_before = solver_cache_.stats();
   opt_.model_cache->preload(tasks);
 
   SweepResult result;
   result.workers = workers;
   result.runs.resize(tasks.size());
 
-  // Per-task execution plan: the final sharing key (scenario key + the
-  // model names the runner resolved — conservative: model identity can
-  // never silently collide two classes) and the result-cache key.
-  struct TaskPlan {
-    std::size_t slot = 0;  ///< index into tasks / result.runs
-    SolverSharing sharing;
-    std::string result_key;
-    bool done = false;  ///< answered by the result cache pre-pass
-  };
-  const bool use_results =
-      opt_.reuse_results && !opt_.keep_waveforms;  // cached records carry no waves
-  std::vector<TaskPlan> plans(tasks.size());
+  // Per-task sharing: the scenario's structure key plus the model names the
+  // runner resolved (conservative: model identity can never silently
+  // collide two classes). An empty key leaves the corner unshared.
+  std::vector<SolverSharing> sharing(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const SimulationTask& task = tasks[i];
-    TaskPlan& plan = plans[i];
-    plan.slot = i;
     // Health collection rides the sharing struct into every corner's
     // solver session (independent of whether solver *state* is shared).
-    if (opt_.health.collect) plan.sharing.health = &opt_.health;
-    if (opt_.share_solver_state) {
-      std::string structure = task.scenario->structureKey();
-      if (!structure.empty()) {
-        if (task.scenario->needsDriver()) structure += "|drv=" + task.driver;
-        if (task.scenario->needsReceiver()) structure += "|rcv=" + task.receiver;
-        plan.sharing.provider = opt_.solver_cache.get();
-        plan.sharing.structure_key = std::move(structure);
-      }
-    }
-    if (use_results) plan.result_key = resultCacheKey(task, opt_.eye);
-  }
-
-  // Live progress surface. The stats hook runs at emission time (under the
-  // reporter's throttle) and fills the rate fields the reporter cannot know
-  // itself: worker utilization from the pool's busy-seconds counter and
-  // cache hit rates from the same before/after deltas the telemetry export
-  // uses. `pool_ptr` is null until the pool exists (replay-pre-pass
-  // emissions simply omit utilization).
-  ThreadPool* pool_ptr = nullptr;
-  obs::ProgressReporter progress(
-      opt_.progress, tasks.size(),
-      [&pool_ptr, workers, use_results, this,
-       &solver_before](obs::ProgressSnapshot& s) {
-        if (pool_ptr != nullptr && s.elapsed_seconds > 0.0) {
-          const ThreadPoolStats ps = pool_ptr->stats();
-          s.worker_utilization =
-              std::min(1.0, ps.busy_seconds /
-                                (static_cast<double>(workers) * s.elapsed_seconds));
-        }
-        const SolverStateCacheStats sc = opt_.solver_cache->stats();
-        const long long hits = sc.symbolic_hits - solver_before.symbolic_hits;
-        const long long misses = sc.symbolic_misses - solver_before.symbolic_misses;
-        if (hits + misses > 0)
-          s.solver_cache_hit_rate =
-              static_cast<double>(hits) / static_cast<double>(hits + misses);
-        if (use_results && s.total > 0)
-          s.result_cache_hit_rate =
-              static_cast<double>(s.replayed) / static_cast<double>(s.total);
-      });
-
-  // Result-cache pre-pass, serial: a corner already computed (this sweep
-  // has a content-identical predecessor, or a shared cache across sweeps)
-  // is replayed under the asking task's index without touching the pool.
-  if (use_results) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (auto hit = opt_.result_cache->find(plans[i].result_key)) {
-        SweepRunRecord rec = *hit;
-        rec.index = tasks[i].index;
-        rec.label = tasks[i].label;
-        // A replayed corner did no solver work in THIS sweep: zero its
-        // telemetry/wall clock so the sweep totals (LU counts, phase
-        // times) describe only work actually performed. The replay itself
-        // is visible as a result_cache hit.
-        rec.telemetry = obs::RunTelemetry{};
-        rec.wall_seconds = 0.0;
-        result.runs[i] = std::move(rec);
-        plans[i].done = true;
-        // Replays did no numerical work in this sweep, so they carry no
-        // health grade (kOk keeps the stream consistent with
-        // healthSummary(), which only counts collected corners).
-        progress.taskReplayed(obs::HealthSeverity::kOk);
-      }
-    }
+    if (opt_.health.collect) sharing[i].health = &opt_.health;
+    std::string structure = task.scenario->structureKey();
+    if (structure.empty()) continue;
+    if (task.scenario->needsDriver()) structure += "|drv=" + task.driver;
+    if (task.scenario->needsReceiver()) structure += "|rcv=" + task.receiver;
+    sharing[i].provider = &solver_cache_;
+    sharing[i].structure_key = std::move(structure);
   }
 
   // Submission order groups structurally identical corners together
@@ -149,33 +79,53 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   // so they block briefly on the in-flight build instead of much later.
   // Collection below is by slot, so this permutation never reaches the
   // exported order.
-  std::vector<std::size_t> order;
-  order.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    if (!plans[i].done) order.push_back(i);
+  std::vector<std::size_t> order(tasks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const SolverSharing& sa = plans[a].sharing;
-    const SolverSharing& sb = plans[b].sharing;
+    const SolverSharing& sa = sharing[a];
+    const SolverSharing& sb = sharing[b];
     const bool ea = sa.provider == nullptr;
     const bool eb = sb.provider == nullptr;
     if (ea != eb) return eb;  // shareable corners first
     return sa.structure_key < sb.structure_key;
   });
 
+  // Live progress surface. The stats hook runs at emission time (under the
+  // reporter's throttle) and fills the rates the reporter cannot know
+  // itself: worker utilization from the pool's busy-seconds counter and
+  // the solver-cache hit rate from the same before/after delta the
+  // telemetry export uses. The reporter is declared before the pool so it
+  // outlives every task; `pool_ptr` is set once the pool exists.
+  ThreadPool* pool_ptr = nullptr;
+  obs::ProgressReporter progress(
+      opt_.progress, tasks.size(),
+      [&pool_ptr, workers, this, &solver_before](obs::ProgressSnapshot& s) {
+        if (pool_ptr != nullptr && s.elapsed_seconds > 0.0) {
+          const ThreadPoolStats ps = pool_ptr->stats();
+          s.worker_utilization =
+              std::min(1.0, ps.busy_seconds /
+                                (static_cast<double>(workers) * s.elapsed_seconds));
+        }
+        const SolverStateCacheStats sc = solver_cache_.stats();
+        const long long hits = sc.symbolic_hits - solver_before.symbolic_hits;
+        const long long misses = sc.symbolic_misses - solver_before.symbolic_misses;
+        if (hits + misses > 0)
+          s.solver_cache_hit_rate =
+              static_cast<double>(hits) / static_cast<double>(hits + misses);
+      });
+
   // The histogram registry outlives the pool (declared first, destroyed
   // last): workers record into it until the last future resolves.
   obs::HistogramRegistry hist;
-  obs::HistogramRegistry* hist_ptr = opt_.collect_histograms ? &hist : nullptr;
-
   ThreadPool pool(workers);
   pool_ptr = &pool;
-  if (hist_ptr != nullptr) pool.setQueueWaitRecorder(hist_ptr);
+  pool.setQueueWaitRecorder(&hist);
   std::vector<std::future<SweepRunRecord>> futures;
   futures.reserve(order.size());
   for (std::size_t slot : order) {
     const SimulationTask& task = tasks[slot];
-    const SolverSharing& sharing = plans[slot].sharing;
-    futures.push_back(pool.submit([this, &task, &sharing, hist_ptr,
+    const SolverSharing& task_sharing = sharing[slot];
+    futures.push_back(pool.submit([this, &task, &task_sharing, &hist,
                                    &progress]() -> SweepRunRecord {
       // One span per corner, on the worker's thread: in the trace viewer
       // the per-thread tracks show exactly how the pool packed the sweep.
@@ -189,7 +139,7 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
         auto receiver = task.scenario->needsReceiver()
                             ? opt_.model_cache->receiver(task.receiver)
                             : nullptr;
-        TaskWaveforms waves = runSimulationTask(task, driver, receiver, sharing);
+        TaskWaveforms waves = runSimulationTask(task, driver, receiver, task_sharing);
         const BitPattern pattern(task.scenario->pattern(),
                                  task.scenario->bitTime());
         rec.metrics = computeRunMetrics(waves, pattern, opt_.eye);
@@ -199,15 +149,13 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
         rec.telemetry.wall_seconds = waves.wall_seconds;
         if (opt_.keep_waveforms) rec.waves = std::move(waves);
         rec.ok = true;
-        if (hist_ptr != nullptr) {
-          const obs::TransientPhases& ph = rec.telemetry.phases;
-          hist_ptr->record("corner_wall_seconds", rec.wall_seconds);
-          hist_ptr->record("corner_factor_seconds", ph.factor_seconds);
-          hist_ptr->record("corner_rhs_stamp_seconds", ph.rhs_stamp_seconds);
-          hist_ptr->record("corner_solve_seconds", ph.solve_seconds);
-          hist_ptr->record("corner_newton_iterations",
-                           static_cast<double>(rec.telemetry.newton_iterations));
-        }
+        const obs::TransientPhases& ph = rec.telemetry.phases;
+        hist.record("corner_wall_seconds", rec.wall_seconds);
+        hist.record("corner_factor_seconds", ph.factor_seconds);
+        hist.record("corner_rhs_stamp_seconds", ph.rhs_stamp_seconds);
+        hist.record("corner_solve_seconds", ph.solve_seconds);
+        hist.record("corner_newton_iterations",
+                    static_cast<double>(rec.telemetry.newton_iterations));
       } catch (const std::exception& e) {
         rec.ok = false;
         rec.error = e.what();
@@ -223,17 +171,11 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   for (std::size_t k = 0; k < futures.size(); ++k)
     result.runs[order[k]] = futures[k].get();
 
-  // Publish freshly computed records for later content-identical corners.
-  if (use_results) {
-    for (std::size_t slot : order)
-      opt_.result_cache->put(plans[slot].result_key, result.runs[slot]);
-  }
-
   // Every future has been collected, so the pool counters are final for
   // this batch even though the pool itself is still alive.
   result.pool = pool.stats();
   pool.setQueueWaitRecorder(nullptr);
-  if (hist_ptr != nullptr) result.histograms = hist_ptr->snapshot();
+  result.histograms = hist.snapshot();
   progress.finish();
   const ModelCacheStats cache_after = opt_.model_cache->stats();
   result.model_cache.hits = cache_after.hits - cache_before.hits;
@@ -241,15 +183,11 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   result.model_cache.inserts = cache_after.inserts - cache_before.inserts;
   result.model_cache.preload_seconds =
       cache_after.preload_seconds - cache_before.preload_seconds;
-  const SolverStateCacheStats solver_after = opt_.solver_cache->stats();
+  const SolverStateCacheStats solver_after = solver_cache_.stats();
   result.solver_cache.symbolic_hits = solver_after.symbolic_hits - solver_before.symbolic_hits;
   result.solver_cache.symbolic_misses =
       solver_after.symbolic_misses - solver_before.symbolic_misses;
   result.solver_cache.inserts = solver_after.inserts - solver_before.inserts;
-  const ResultCacheStats results_after = opt_.result_cache->stats();
-  result.result_cache.hits = results_after.hits - results_before.hits;
-  result.result_cache.misses = results_after.misses - results_before.misses;
-  result.result_cache.inserts = results_after.inserts - results_before.inserts;
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -10,14 +10,17 @@
 ///   - a task that throws is recorded as ok=false with the exception text
 ///     in its slot — one bad corner never aborts the sweep;
 ///   - with identical tasks and models, the exported metrics are
-///     byte-identical for any worker count (see sweep_result.h).
+///     byte-identical for any worker count (see sweep_result.h);
+///   - corners whose scenarios report the same structure key (and resolve
+///     the same model names) share one symbolic analysis through the
+///     runner's SolverStateCache, and their metrics are byte-identical to
+///     running each task alone with a default SolverSharing.
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "engine/model_cache.h"
-#include "engine/result_cache.h"
 #include "engine/solver_state_cache.h"
 #include "engine/sweep_result.h"
 #include "engine/sweep_spec.h"
@@ -27,27 +30,14 @@
 
 namespace fdtdmm {
 
-/// The runner's complete configuration: execution knobs and the (optional)
-/// shared cache instances in one struct with named, defaulted fields.
+/// The runner's complete configuration: execution knobs and the optional
+/// shared model cache in one struct with named, defaulted fields.
 struct SweepRunnerOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   std::size_t workers = 0;
   /// Retain each run's waveforms in its SweepRunRecord (memory-heavy for
   /// large sweeps; metrics are always computed).
   bool keep_waveforms = false;
-  /// Share the symbolic analysis (the compiled CSR pattern and its RCM
-  /// ordering) across corners with equal scenario structure keys, through
-  /// the runner's SolverStateCache. Exported metrics are byte-identical on
-  /// or off (both are pure functions of the stamps, and values are summed
-  /// in element order either way); off = every corner compiles and orders
-  /// its own pattern.
-  /// Every corner factors its own base matrix either way.
-  bool share_solver_state = true;
-  /// Replay previously computed records for content-identical tasks from
-  /// the runner's ResultCache instead of re-running them. Automatically
-  /// bypassed when keep_waveforms is set (cached records carry no
-  /// waveforms). Metrics are byte-identical on or off.
-  bool reuse_results = true;
   /// Eye-measurement window for the per-run metrics.
   EyeOptions eye;
   /// Numerical-health collection for every corner (obs/health.h; off by
@@ -58,22 +48,14 @@ struct SweepRunnerOptions {
   /// byte-identical on or off.
   obs::HealthOptions health;
   /// Live progress stream (obs/progress.h; off by default). Corners report
-  /// as they finish; the runner fills worker utilization and cache hit
-  /// rates into each snapshot.
+  /// as they finish; the runner fills worker utilization and the
+  /// solver-cache hit rate into each snapshot.
   obs::ProgressOptions progress;
-  /// Collect per-corner latency histograms (wall/phase times, Newton
-  /// iteration counts, pool queue wait) into SweepResult::histograms. On
-  /// by default — a handful of log-bucket increments per corner,
-  /// invisible next to a transient solve. Metric exports are unaffected.
-  bool collect_histograms = true;
-  /// Shared cache instances. Null means "fresh private instance" (a fresh
+  /// Shared model cache. Null means "fresh private instance" (a fresh
   /// ModelCache can still resolve the built-in "default" models). Passing
-  /// shared instances lets several sweeps (e.g. an amplitude sweep and its
-  /// clean-reference sweep) reuse each other's identified models,
-  /// orderings, and finished corners.
+  /// one instance lets several sweeps (e.g. an amplitude sweep and its
+  /// clean-reference sweep) reuse each other's identified models.
   std::shared_ptr<ModelCache> model_cache;
-  std::shared_ptr<SolverStateCache> solver_cache;
-  std::shared_ptr<ResultCache> result_cache;
 };
 
 class SweepRunner {
@@ -90,17 +72,16 @@ class SweepRunner {
   /// must be unambiguous.
   SweepResult run(const std::vector<SimulationTask>& tasks);
 
-  /// The caches actually in use (never null after construction).
+  /// The model cache in use (never null after construction).
   const std::shared_ptr<ModelCache>& cache() const { return opt_.model_cache; }
-  const std::shared_ptr<SolverStateCache>& solverCache() const {
-    return opt_.solver_cache;
-  }
-  const std::shared_ptr<ResultCache>& resultCache() const {
-    return opt_.result_cache;
-  }
+  /// The runner's own solver-state cache: every corner whose scenario
+  /// returns a structure key checks its class out of it, across all of
+  /// this runner's sweeps.
+  const SolverStateCache& solverCache() const { return solver_cache_; }
 
  private:
-  SweepRunnerOptions opt_;  ///< caches filled in by the constructor
+  SweepRunnerOptions opt_;  ///< model_cache filled in by the constructor
+  SolverStateCache solver_cache_;
 };
 
 }  // namespace fdtdmm

@@ -49,12 +49,11 @@
 ///     spans exactly this joint set).
 ///   - i.i.d. sampling draws fresh values for every deterministic corner;
 ///     common_random_numbers reuses ONE draw sequence across all corners so
-///     paired corner comparisons cancel sampling noise (and the result
-///     cache can replay corners whose non-stochastic parameters coincide).
+///     paired corner comparisons cancel sampling noise.
 ///   - Sampling is inverse-CDF (exactly one uniform per draw), which is
 ///     what makes Latin-hypercube stratification exact per parameter.
-///   - Task labels get a " | <axis>#<draw>@<seed>" tag so exported rows,
-///     ResultCache keys, and ensemble grouping can identify samples.
+///   - Task labels get a " | <axis>#<draw>@<seed>" tag so exported rows
+///     and ensemble grouping can identify samples.
 ///   - Out-of-range draws fail expansion with the family's descriptor
 ///     message — bound normal perturbations of a bounded parameter with
 ///     truncatedNormalParam instead of relying on luck.

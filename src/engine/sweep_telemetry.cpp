@@ -98,7 +98,6 @@ obs::Counters sweepCounters(const SweepResult& result) {
   const std::size_t ok = result.okCount();
   c.add("corners.ok", static_cast<long long>(ok));
   c.add("corners.failed", static_cast<long long>(result.runs.size() - ok));
-  c.add("corners.replayed", result.result_cache.hits);
   c.addSeconds("pool.tasks", result.pool.queue_wait_seconds, result.pool.submitted);
   c.addSeconds("pool.busy", result.pool.busy_seconds, 0);
   c.add("model_cache.hits", result.model_cache.hits);
@@ -111,9 +110,6 @@ obs::Counters sweepCounters(const SweepResult& result) {
   long long compiles = 0;
   for (const SweepRunRecord& r : result.runs) compiles += r.telemetry.pattern_compiles;
   c.add("solver.pattern_compiles", compiles);
-  c.add("result_cache.hits", result.result_cache.hits);
-  c.add("result_cache.misses", result.result_cache.misses);
-  c.add("result_cache.inserts", result.result_cache.inserts);
   c.add("health.warn_corners", static_cast<long long>(hs.warn_corners));
   c.add("health.critical_corners", static_cast<long long>(hs.critical_corners));
   return c;
@@ -147,11 +143,6 @@ std::string sweepTelemetryJson(const SweepResult& result) {
   out += "  \"solver_cache\": {\"symbolic_hits\": " + std::to_string(sc.symbolic_hits);
   out += ", \"symbolic_misses\": " + std::to_string(sc.symbolic_misses);
   out += ", \"inserts\": " + std::to_string(sc.inserts) + "},\n";
-
-  const ResultCacheStats& rc = result.result_cache;
-  out += "  \"result_cache\": {\"hits\": " + std::to_string(rc.hits);
-  out += ", \"misses\": " + std::to_string(rc.misses);
-  out += ", \"inserts\": " + std::to_string(rc.inserts) + "},\n";
 
   const SweepResult::HealthSummary hs = result.healthSummary();
   const auto corner_index = [](std::size_t i) {

@@ -18,7 +18,6 @@
 ///                      "preload_seconds": ... },
 ///     "solver_cache": { "symbolic_hits": N, "symbolic_misses": N,
 ///                       "inserts": N },
-///     "result_cache": { "hits": N, "misses": N, "inserts": N },
 ///     "health_summary": { "collected_corners": N, "warn_corners": N,
 ///                         "critical_corners": N, "severity": "ok",
 ///                         "worst_residual_corner": N, "worst_residual": ...,
@@ -59,14 +58,12 @@
 ///   - "totals" carries the same "health" object with every corner's record
 ///     merged; the "health_summary" roll-up (SweepResult::healthSummary)
 ///     adds the worst-corner pointers (-1 when nothing was collected);
-///   - "histograms" is {} when SweepRunnerOptions::collect_histograms is
-///     off; "health" objects are all-zero with "collected": false when
-///     health collection is off;
+///   - "health" objects are all-zero with "collected": false when health
+///     collection is off;
 ///   - field meanings are documented once, in obs/telemetry.h (corners),
 ///     obs/health.h (health), obs/histogram.h (histograms),
-///     engine/thread_pool.h (pool), engine/model_cache.h (model_cache),
-///     engine/solver_state_cache.h (solver_cache) and
-///     engine/result_cache.h (result_cache);
+///     engine/thread_pool.h (pool), engine/model_cache.h (model_cache)
+///     and engine/solver_state_cache.h (solver_cache);
 ///   - numbers use printf %.9g like the metric exports, but no determinism
 ///     is promised: every timing here is wall clock by design. Non-finite
 ///     values (a singular system's infinite condition estimate) are
@@ -86,13 +83,12 @@ namespace fdtdmm {
 /// Counters slots shared by the telemetry JSON ("counters"), the bench
 /// telemetryJson summaries, and the examples' stats footers:
 ///
-///   corners.ok / corners.failed / corners.replayed   (counts)
+///   corners.ok / corners.failed   (counts)
 ///   pool.tasks          count = submitted, seconds = queue wait
 ///   pool.busy           seconds workers spent running task bodies
 ///   model_cache.hits / .misses / .inserts / .preload (seconds)
 ///   solver_cache.symbolic_hits / .symbolic_misses / .inserts
 ///   solver.pattern_compiles   CSR pattern compiles summed over corners
-///   result_cache.hits / .misses / .inserts
 ///   health.warn_corners / health.critical_corners
 ///
 /// Render with obs::countersJson for the one true footer format.

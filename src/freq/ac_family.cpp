@@ -60,10 +60,6 @@ static void resolveSkin(const AcScenario& cfg, RlgcParams& line,
     if (b.r > 0.0 && b.l > 0.0) branches.push_back({b.r, b.l});
 }
 
-TaskWaveforms runAcScenario(const AcScenario& cfg) {
-  return runAcScenario(cfg, SolverSharing{});
-}
-
 TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing) {
   validateAcScenario(cfg);
   const auto start = std::chrono::steady_clock::now();
@@ -231,11 +227,6 @@ std::string AcFamily::structureKey() const {
            "|sb=" + solverKeyNum(static_cast<double>(cfg_.skin_branches));
   }
   return key;
-}
-
-TaskWaveforms AcFamily::run(std::shared_ptr<const RbfDriverModel>,
-                            std::shared_ptr<const RbfReceiverModel>) const {
-  return runAcScenario(cfg_);
 }
 
 TaskWaveforms AcFamily::run(std::shared_ptr<const RbfDriverModel>,

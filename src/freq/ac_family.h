@@ -36,6 +36,7 @@
 #include <string>
 
 #include "circuit/rlgc_line.h"
+#include "circuit/solver_state.h"
 #include "core/scenario.h"
 
 namespace fdtdmm {
@@ -59,14 +60,12 @@ struct AcScenario {
 ///         — the fit needs a DC resistance).
 void validateAcScenario(const AcScenario& cfg);
 
-/// Runs one frequency point with the waveform mapping documented above.
-/// Deterministic for fixed inputs (wall_seconds aside).
-TaskWaveforms runAcScenario(const AcScenario& cfg);
-
-/// Sharing-aware variant: threads `sharing` into AcOptions so frequency
-/// corners of one structure class reuse a single symbolic analysis.
-/// Bit-identical results either way for honest keys.
-TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing);
+/// Runs one frequency point with the waveform mapping documented above,
+/// threading `sharing` into AcOptions so frequency corners of one
+/// structure class reuse a single symbolic analysis. Deterministic for
+/// fixed inputs (wall_seconds aside), and bit-identical for any `sharing`
+/// under an honest key.
+TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing = {});
 
 /// Registry adapter ("ac"). Parameters: frequency, z0, line_r, line_l,
 /// line_g, line_c, line_length, segments, k_skin, skin_fmin, skin_fmax,
@@ -95,8 +94,6 @@ class AcFamily final : public Scenario {
   /// sharing economy targets. Every frequency factors its own matrix.
   std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
-  TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
-                    std::shared_ptr<const RbfReceiverModel> receiver) const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,
                     const SolverSharing& sharing) const override;

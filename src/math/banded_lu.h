@@ -103,8 +103,8 @@ class BandedLu {
   /// Same aliasing/threading contract as solve().
   void solveTranspose(const Vec& b, Vec& x) const;
 
-  /// Numerical-health probes of the last successful factorization (see
-  /// LuFactorization), magnitudes taken as |entry| (std::abs, or for a
+  /// Numerical-health probes of the last successful factorization
+  /// (obs/health.h), magnitudes taken as |entry| (std::abs, or for a
   /// complex entry sqrt(re^2 + im^2) wherever that cannot overflow or
   /// underflow — within about an ulp of std::abs): smallest selected pivot
   /// magnitude and band element growth max|U| / max|A|. Both 0 before the

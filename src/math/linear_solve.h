@@ -1,18 +1,19 @@
 #pragma once
 /// \file linear_solve.h
-/// Direct linear solvers: LU with partial pivoting for square systems
-/// (MNA Jacobians) and Householder-QR least squares (RBF weight fitting).
+/// Direct linear solvers: dense LU with partial pivoting for square
+/// systems and Householder-QR least squares (RBF weight fitting, the
+/// skin-effect fit). Both MNA engines factor with BandedLu
+/// (math/banded_lu.h); the dense LU is the reference the test oracles
+/// solve with.
 
 #include "math/matrix.h"
 
 namespace fdtdmm {
 
 /// LU factorization with partial pivoting of a square matrix.
-/// Factor once, solve many right-hand sides. The transient MNA engine keeps
-/// two of these alive across the whole run (base matrix + dirtied working
-/// matrix) and re-factors in place, so `factor` and the two-argument `solve`
-/// reuse their internal storage and perform no allocations after the first
-/// call at a given dimension.
+/// Factor once, solve many right-hand sides. Re-factoring works in place:
+/// `factor` and the two-argument `solve` reuse their internal storage and
+/// perform no allocations after the first call at a given dimension.
 class LuFactorization {
  public:
   /// Creates an empty factorization; call factor() before solve().

@@ -36,13 +36,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
 Vector Matrix::operator*(const Vector& x) const {
   if (x.size() != cols_) throw std::invalid_argument("Matrix*Vector: size mismatch");
   Vector y(rows_, 0.0);
@@ -87,22 +80,10 @@ Matrix& Matrix::operator*=(double s) {
   return *this;
 }
 
-double Matrix::maxAbs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 double norm2(const Vector& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
   return std::sqrt(acc);
-}
-
-double normInf(const Vector& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::abs(x));
-  return m;
 }
 
 double dot(const Vector& a, const Vector& b) {
@@ -110,13 +91,6 @@ double dot(const Vector& a, const Vector& b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
-}
-
-Vector axpy(const Vector& a, double s, const Vector& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("axpy: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
 }
 
 }  // namespace fdtdmm

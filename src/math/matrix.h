@@ -44,9 +44,6 @@ class Matrix {
   /// Returns the identity matrix of dimension n.
   static Matrix identity(std::size_t n);
 
-  /// Returns the transpose of this matrix.
-  Matrix transposed() const;
-
   /// Matrix-vector product. \throws std::invalid_argument on size mismatch.
   Vector operator*(const Vector& x) const;
 
@@ -57,9 +54,6 @@ class Matrix {
   Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s);
 
-  /// Maximum absolute entry (infinity norm of the flattened matrix).
-  double maxAbs() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -69,13 +63,7 @@ class Matrix {
 /// Euclidean norm of a vector.
 double norm2(const Vector& v);
 
-/// Infinity norm of a vector.
-double normInf(const Vector& v);
-
 /// Dot product. \throws std::invalid_argument on size mismatch.
 double dot(const Vector& a, const Vector& b);
-
-/// a + s*b elementwise. \throws std::invalid_argument on size mismatch.
-Vector axpy(const Vector& a, double s, const Vector& b);
 
 }  // namespace fdtdmm

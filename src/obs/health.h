@@ -13,8 +13,8 @@
 ///
 ///   1. Was the factorization stable?  min |pivot| and the element-growth
 ///      factor max|U|/max|A| are tracked (always, they are free next to
-///      the factorization) by LuFactorization and BandedLu (real and
-///      complex) and copied here after every factorization —
+///      the factorization) by BandedLu (real and complex) and copied here
+///      after every factorization —
 ///      including factorizations *checked out* of the shared-state cache,
 ///      whose stats were recorded by the corner that built them.
 ///   2. How conditioned was the system?  A Hager-style 1-norm condition
@@ -141,7 +141,7 @@ void gradeHealth(NumericalHealth& h, const HealthThresholds& t);
 
 /// Hager's 1-norm estimator of ||A^-1||_1 using only solves against an
 /// existing factorization: `solve` must compute A x = b, `solveT`
-/// A^T x = b (e.g. LuFactorization::solve / solveTranspose). At most 5
+/// A^T x = b (e.g. BandedLu::solve / solveTranspose). At most 5
 /// forward+transpose solve pairs; the estimate is a provable lower bound
 /// on ||A^-1||_1 and in practice within a small factor of it. Multiply by
 /// onesNormDense/onesNormSparse of A to estimate kappa_1(A).

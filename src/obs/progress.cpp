@@ -44,7 +44,6 @@ std::string formatProgressLine(const ProgressSnapshot& s) {
   }
   appendPercent(out, "util", s.worker_utilization);
   appendPercent(out, "solver-cache", s.solver_cache_hit_rate);
-  appendPercent(out, "result-cache", s.result_cache_hit_rate);
   std::snprintf(buf, sizeof buf, " | health %lld warn / %lld critical",
                 s.health_warn, s.health_critical);
   out += buf;
@@ -66,26 +65,13 @@ ProgressReporter::ProgressReporter(const ProgressOptions& opt, std::size_t total
   start_seconds_ = nowSeconds();
 }
 
-void ProgressReporter::noteSeverity(HealthSeverity severity) {
-  if (severity == HealthSeverity::kWarn) ++health_warn_;
-  if (severity == HealthSeverity::kCritical) ++health_critical_;
-}
-
 void ProgressReporter::taskDone(bool ok, HealthSeverity severity) {
   if (!opt_.enabled) return;
   std::lock_guard<std::mutex> lk(mu_);
   ++done_;
   if (!ok) ++failed_;
-  noteSeverity(severity);
-  maybeEmit(false);
-}
-
-void ProgressReporter::taskReplayed(HealthSeverity severity) {
-  if (!opt_.enabled) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  ++done_;
-  ++replayed_;
-  noteSeverity(severity);
+  if (severity == HealthSeverity::kWarn) ++health_warn_;
+  if (severity == HealthSeverity::kCritical) ++health_critical_;
   maybeEmit(false);
 }
 
@@ -117,7 +103,6 @@ void ProgressReporter::maybeEmit(bool force) {
   s.done = done_;
   s.total = total_;
   s.failed = failed_;
-  s.replayed = replayed_;
   s.elapsed_seconds = elapsed;
   s.corners_per_second = ema_rate_ > 0.0 ? ema_rate_ : 0.0;
   if (ema_rate_ > 0.0 && total_ >= done_)

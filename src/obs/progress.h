@@ -7,8 +7,8 @@
 /// is the *during* surface — worker threads report each completed corner,
 /// and at most once per min_interval_seconds (plus one guaranteed final
 /// emission) a ProgressSnapshot goes to a sink: corners done/total,
-/// EMA-smoothed corners/s and ETA, worker utilization, solver-/result-cache
-/// hit rates, and running health warn/critical counts (obs/health.h).
+/// EMA-smoothed corners/s and ETA, worker utilization, the solver-cache
+/// hit rate, and running health warn/critical counts (obs/health.h).
 ///
 /// The default sink prints `# progress: ...` lines to stderr — on stderr so
 /// piping an example's stdout (metrics, telemetry) stays clean, and in the
@@ -16,7 +16,7 @@
 /// callback is the streaming hook for ROADMAP's sweep-server: the same
 /// snapshots, forwarded to clients instead of a TTY.
 ///
-/// Thread-safe: taskDone/taskReplayed may be called from any worker thread;
+/// Thread-safe: taskDone may be called from any worker thread;
 /// the sink runs under the reporter's mutex (keep sinks cheap — the default
 /// one is a single fprintf). Disabled reporters (ProgressOptions::enabled
 /// false) cost one branch per call.
@@ -32,19 +32,17 @@ namespace fdtdmm {
 namespace obs {
 
 /// One progress emission. Rates that the runner could not supply (no
-/// stats hook installed, or a cache is not in use) are negative and
-/// omitted from the formatted line.
+/// stats hook installed, or no corner has looked the solver cache up yet)
+/// are negative and omitted from the formatted line.
 struct ProgressSnapshot {
-  std::size_t done = 0;   ///< corners finished (ok + failed + replayed)
+  std::size_t done = 0;   ///< corners finished (ok + failed)
   std::size_t total = 0;
   std::size_t failed = 0;
-  std::size_t replayed = 0;  ///< served from the result cache
   double elapsed_seconds = 0.0;
   double corners_per_second = 0.0;  ///< EMA-smoothed completion rate
   double eta_seconds = -1.0;        ///< remaining / rate; <0 if unknown
   double worker_utilization = -1.0;     ///< busy / (workers * elapsed), 0..1
   double solver_cache_hit_rate = -1.0;  ///< symbolic hits / lookups
-  double result_cache_hit_rate = -1.0;  ///< replays / corners submitted
   long long health_warn = 0;      ///< corners graded warn so far
   long long health_critical = 0;  ///< corners graded critical so far
   bool final = false;             ///< true for the finish() emission
@@ -67,8 +65,8 @@ struct ProgressOptions {
 std::string formatProgressLine(const ProgressSnapshot& s);
 
 /// The reporter; see the file comment. Constructed by SweepRunner with the
-/// task total and a stats hook that fills utilization/cache-hit fields
-/// from ThreadPool::stats() and the cache counters at emission time.
+/// task total and a stats hook that fills the utilization and cache-hit
+/// fields from ThreadPool::stats() and the cache counters at emission time.
 class ProgressReporter {
  public:
   using StatsFn = std::function<void(ProgressSnapshot&)>;
@@ -82,14 +80,10 @@ class ProgressReporter {
   /// graded severity. May emit (throttled).
   void taskDone(bool ok, HealthSeverity severity);
 
-  /// Reports one corner served from the result cache (replay pre-pass).
-  void taskReplayed(HealthSeverity severity);
-
   /// Emits the final unthrottled snapshot (flagged final). Idempotent.
   void finish();
 
  private:
-  void noteSeverity(HealthSeverity severity);
   void maybeEmit(bool force);
 
   ProgressOptions opt_;
@@ -98,7 +92,6 @@ class ProgressReporter {
   std::size_t total_ = 0;
   std::size_t done_ = 0;
   std::size_t failed_ = 0;
-  std::size_t replayed_ = 0;
   long long health_warn_ = 0;
   long long health_critical_ = 0;
   double start_seconds_ = 0.0;      ///< steady-clock origin

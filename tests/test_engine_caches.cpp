@@ -1,10 +1,10 @@
-// Concurrency hammering for the engine's three shared caches. The sweep
+// Concurrency hammering for the engine's two shared caches. The sweep
 // engine's economics rest on exactly-once semantics under contention: many
-// workers asking for the same model / solver state / finished record must
-// trigger exactly one identification / factorization / insert, with no
-// torn statistics. These tests throw a thread barrage at each cache and
-// assert the counters add up exactly. They are also the designated prey of
-// the CI ThreadSanitizer job.
+// workers asking for the same model / solver state must trigger exactly
+// one identification / symbolic build, with no torn statistics. These
+// tests throw a thread barrage at each cache and assert the counters add
+// up exactly. They are also the designated prey of the CI ThreadSanitizer
+// job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "engine/model_cache.h"
-#include "engine/result_cache.h"
 #include "engine/solver_state_cache.h"
-#include "engine/sweep_result.h"
 
 namespace fdtdmm {
 namespace {
@@ -125,33 +123,6 @@ TEST(EngineCaches, SolverStateCacheThrowingBuilderPublishesNothing) {
   EXPECT_EQ(stats.symbolic_misses, 2);  // the failed attempt counts as a miss
   EXPECT_EQ(stats.inserts, 1);
   EXPECT_EQ(cache.structureClassCount(), 1u);
-}
-
-TEST(EngineCaches, ResultCacheConcurrentPutInsertsOnce) {
-  ResultCache cache;
-  SweepRunRecord rec;
-  rec.ok = true;
-  rec.label = "corner";
-  hammer(kThreads, [&](int t) {
-    for (int i = 0; i < kLookupsPerThread; ++i) {
-      cache.put("key", rec);
-      (void)cache.find("key");
-    }
-    (void)t;
-  });
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts, 1);  // first wins, every later put is a no-op
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<long long>(kThreads) * kLookupsPerThread);
-  auto hit = cache.find("key");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->label, "corner");
-  // Failed records are never cached.
-  SweepRunRecord bad;
-  bad.ok = false;
-  cache.put("other", bad);
-  EXPECT_EQ(cache.find("other"), nullptr);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // factors once per corner on one shared RCM ordering, a checked-out
 // ordering serves every factorization of a run, a wrong structure key
 // never changes a result (transient or AC), a corner that checks its class
-// out compiles no pattern, the byte-identical-exports contract between
-// sharing on and off, result-cache replay of repeated corners, the honesty
-// of the family structure keys, and the valid-name lists in the *FromName
-// error messages.
+// out compiles no pattern, the byte-identical-exports contract between a
+// sharing runner and tasks run alone, a repeated sweep recomputing every
+// corner, the honesty of the family structure keys, and the valid-name
+// lists in the *FromName error messages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "math/low_rank_update.h"
 #include "signal/bit_pattern.h"
 #include "signal/linear_ports.h"
+#include "sweep_reference.h"
 #include "tiny_models.h"
 
 namespace fdtdmm {
@@ -89,7 +90,7 @@ TEST(FactorizationSharing, LinearSweepFactorsOncePerCornerOnOneOrdering) {
 
     // One class: amplitude/theta are RHS-only (6 corners, 1 analysis).
     EXPECT_EQ(totalLu(result), 6) << workers;
-    EXPECT_EQ(runner.solverCache()->structureClassCount(), 1u) << workers;
+    EXPECT_EQ(runner.solverCache().structureClassCount(), 1u) << workers;
     EXPECT_EQ(result.solver_cache.symbolic_misses, 1) << workers;
     EXPECT_EQ(result.solver_cache.symbolic_hits, 5) << workers;
 
@@ -340,32 +341,17 @@ TEST(FactorizationSharing, ReuseCornersCompileNoPattern) {
         ++reuse_corners;
       }
     }
-    EXPECT_EQ(compiles, static_cast<long long>(runner.solverCache()->structureClassCount()))
+    EXPECT_EQ(compiles, static_cast<long long>(runner.solverCache().structureClassCount()))
         << spec.scenario;
     EXPECT_GT(reuse_corners, 0) << spec.scenario;
   }
 }
 
-// Sharing must never perturb a metric byte — on or off, any worker count,
-// linear (emc), nonlinear (crosstalk) and frequency-domain (ac) families
-// alike.
+// Sharing must never perturb a metric byte: the runner's exports, at any
+// worker count, equal those of running every task alone with a default
+// SolverSharing — linear (emc), nonlinear (crosstalk) and frequency-domain
+// (ac) families alike.
 TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
-  auto runExports = [](const SweepSpec& spec, std::size_t workers, bool share) {
-    SweepRunnerOptions opt;
-    opt.workers = workers;
-    opt.share_solver_state = share;
-    opt.reuse_results = share;  // exercise both caches together
-    SweepRunner runner(opt);
-    const SweepResult result = runner.run(spec);
-    EXPECT_EQ(result.okCount(), result.runs.size());
-    if (!share) {
-      // Sharing off: every corner orders privately, caches stay cold.
-      EXPECT_EQ(result.solver_cache.symbolic_hits, 0);
-      EXPECT_EQ(result.solver_cache.symbolic_misses, 0);
-      EXPECT_EQ(result.result_cache.inserts, 0);
-    }
-    return exportMetrics(result);
-  };
   auto stripHeader = [](const std::string& json) {
     const std::size_t runs = json.find("\"runs\"");
     EXPECT_NE(runs, std::string::npos);
@@ -390,9 +376,16 @@ TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
   ac.axis("frequency", {1e6, 3e7, 2e8, 1e9});
 
   for (const SweepSpec& spec : {rhsOnlyEmcSpec(), crosstalk, ac}) {
-    const Exports off = runExports(spec, 1, false);
+    ModelCache models;
+    const Exports off = exportMetrics(testmodels::sharingFreeSweep(spec.expand(), models));
     for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      const Exports on = runExports(spec, workers, true);
+      SweepRunnerOptions opt;
+      opt.workers = workers;
+      SweepRunner runner(opt);
+      const SweepResult result = runner.run(spec);
+      EXPECT_EQ(result.okCount(), result.runs.size());
+      EXPECT_GT(result.solver_cache.symbolic_hits, 0) << spec.scenario;
+      const Exports on = exportMetrics(result);
       EXPECT_EQ(on.csv, off.csv) << spec.scenario << " workers=" << workers;
       EXPECT_EQ(stripHeader(on.json), stripHeader(off.json))
           << spec.scenario << " workers=" << workers;
@@ -400,10 +393,10 @@ TEST(FactorizationSharing, MetricsByteIdenticalSharingOnOrOff) {
   }
 }
 
-// Re-running the same sweep through the same runner replays every corner
-// from the result cache: zero transients, zero factorizations, identical
-// exported bytes.
-TEST(FactorizationSharing, RepeatedSweepReplaysFromResultCache) {
+// A second run of the same runner recomputes every corner: no layer
+// replays a finished record. Its one structure class comes out of the
+// runner's solver-state cache, and the exported bytes repeat.
+TEST(FactorizationSharing, RepeatedSweepRecomputesEveryCorner) {
   const SweepSpec spec = rhsOnlyEmcSpec();
   SweepRunnerOptions opt;
   opt.workers = 2;
@@ -411,34 +404,66 @@ TEST(FactorizationSharing, RepeatedSweepReplaysFromResultCache) {
 
   const SweepResult first = runner.run(spec);
   ASSERT_EQ(first.okCount(), first.runs.size());
-  EXPECT_EQ(first.result_cache.hits, 0);
-  EXPECT_EQ(first.result_cache.inserts, 6);
+  EXPECT_EQ(first.solver_cache.symbolic_misses, 1);
 
   const SweepResult second = runner.run(spec);
   ASSERT_EQ(second.okCount(), second.runs.size());
-  EXPECT_EQ(second.result_cache.hits, 6);
-  EXPECT_EQ(second.result_cache.inserts, 0);
-  // No corner ran: no factorizations, no solver-cache traffic.
-  EXPECT_EQ(totalLu(second), 0);
   EXPECT_EQ(second.solver_cache.symbolic_misses, 0);
-  EXPECT_EQ(second.solver_cache.symbolic_hits, 0);
-  for (const SweepRunRecord& r : second.runs) EXPECT_EQ(r.telemetry.steps, 0);
+  EXPECT_EQ(second.solver_cache.symbolic_hits, 6);
+  for (const SweepRunRecord& r : second.runs) {
+    EXPECT_GT(r.telemetry.steps, 0) << r.label;
+    EXPECT_EQ(r.telemetry.lu_factorizations, 1) << r.label;
+    EXPECT_EQ(r.telemetry.shared_symbolic_reuses, 1) << r.label;
+    EXPECT_EQ(r.telemetry.pattern_compiles, 0) << r.label;
+  }
 
   const Exports a = exportMetrics(first);
   const Exports b = exportMetrics(second);
   EXPECT_EQ(a.csv, b.csv);
   EXPECT_EQ(a.json, b.json);
+}
 
-  // keep_waveforms bypasses the cache (cached records carry no waves).
-  SweepRunnerOptions wopt;
-  wopt.workers = 1;
-  wopt.keep_waveforms = true;
-  wopt.result_cache = runner.resultCache();
-  SweepRunner wrunner(wopt);
-  const SweepResult waved = wrunner.run(spec);
-  ASSERT_EQ(waved.okCount(), waved.runs.size());
-  EXPECT_EQ(waved.result_cache.hits, 0);
-  for (const SweepRunRecord& r : waved.runs) EXPECT_GT(r.waves.v_far.size(), 0u);
+// line_r > 0 adds two ladder nodes per segment (the R/2 split around each
+// inductor), so a sweep over line_r {0, 5, 5} is two structure classes:
+// no corner compiles a private pattern, and the second r = 5 corner checks
+// its class out.
+TEST(FactorizationSharing, LineResistanceSplitsTheStructureClass) {
+  SweepSpec emc;
+  emc.scenario = "emc";
+  emc.set("drive", std::string("none"));
+  emc.set("t_stop", 3e-9);
+  emc.set("segments", 16.0);
+  emc.set("pulse_t0", 1e-9);
+  emc.axis("line_r", {0.0, 5.0, 5.0});
+
+  SweepSpec crosstalk;
+  crosstalk.scenario = "crosstalk";
+  crosstalk.set("pattern", std::string("010"));
+  crosstalk.set("bit_time", 1e-9);
+  crosstalk.set("t_stop", 3e-9);
+  crosstalk.set("segments", 8.0);
+  crosstalk.axis("line_r", {0.0, 5.0, 5.0});
+  crosstalk.driver = "tinydrv";
+  crosstalk.receiver = "tinyrcv";
+
+  for (const SweepSpec& spec : {emc, crosstalk}) {
+    SweepRunnerOptions opt;
+    opt.workers = 1;  // corners 1 and 2 run in index order
+    opt.model_cache = testmodels::tinyCache();
+    SweepRunner runner(opt);
+    const SweepResult result = runner.run(spec);
+    ASSERT_EQ(result.okCount(), 3u) << spec.scenario;
+    EXPECT_EQ(result.solver_cache.symbolic_misses, 2) << spec.scenario;
+    EXPECT_EQ(runner.solverCache().structureClassCount(), 2u) << spec.scenario;
+    for (const SweepRunRecord& r : result.runs)
+      EXPECT_EQ(r.telemetry.pattern_compiles, r.telemetry.shared_symbolic_builds)
+          << r.label;
+    const obs::RunTelemetry& lossless = result.runs[0].telemetry;
+    const obs::RunTelemetry& reuse = result.runs[2].telemetry;
+    EXPECT_LT(lossless.structure.unknowns, reuse.structure.unknowns) << spec.scenario;
+    EXPECT_EQ(reuse.shared_symbolic_reuses, 1) << spec.scenario;
+    EXPECT_EQ(reuse.pattern_compiles, 0) << spec.scenario;
+  }
 }
 
 // Key honesty: RHS-only parameters and element values must stay out of
@@ -469,6 +494,14 @@ TEST(FactorizationSharing, EmcKeyTracksStructureOnly) {
   auto quiet = ScenarioRegistry::global().create("emc");
   quiet->set("amplitude", 0.0);
   EXPECT_NE(quiet->structureKey(), structure);
+
+  // line_r > 0 splits each series R around its inductor: structural.
+  // line_g's shunt resistors land on the capacitors' entries: not.
+  auto lossy = ScenarioRegistry::global().create("emc");
+  lossy->set("line_g", 1e-3);
+  EXPECT_EQ(lossy->structureKey(), structure);
+  lossy->set("line_r", 5.0);
+  EXPECT_NE(lossy->structureKey(), structure);
 }
 
 TEST(FactorizationSharing, TlineKeysOnlyForTheMnaEngine) {
@@ -499,6 +532,14 @@ TEST(FactorizationSharing, CrosstalkKeyTracksCouplingPresence) {
   // coupling=0 skips the mutual stamps entirely — structural.
   scenario->set("coupling", 0.0);
   EXPECT_NE(scenario->structureKey(), structure);
+
+  // line_r > 0 splits each series R around its inductor: structural.
+  // line_g's shunt resistors land on the capacitors' entries: not.
+  auto lossy = ScenarioRegistry::global().create("crosstalk");
+  lossy->set("line_g", 1e-3);
+  EXPECT_EQ(lossy->structureKey(), structure);
+  lossy->set("line_r", 5.0);
+  EXPECT_NE(lossy->structureKey(), structure);
 }
 
 template <typename Fn>

@@ -1,14 +1,10 @@
-// Tests for axis-general lumped ports, current probes, and field-slice
-// export: the same physical strip-line problem built along each Cartesian
-// orientation must produce the same waveforms.
+// Tests for axis-general lumped ports and current probes: the same
+// physical strip-line problem built along each Cartesian orientation must
+// produce the same waveforms.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 
-#include "fdtd/snapshot.h"
 #include "fdtd/solver.h"
 #include "signal/linear_ports.h"
 
@@ -177,28 +173,6 @@ TEST(VoltageProbe, AxisGeneralSpans) {
   VoltageProbeSpec bad = vx;
   bad.k1 = 11;
   EXPECT_THROW(solver.addVoltageProbe(bad), std::invalid_argument);
-}
-
-TEST(Snapshot, WritesSliceCsv) {
-  GridSpec s;
-  s.nx = 6;
-  s.ny = 5;
-  s.nz = 4;
-  Grid3 g(s);
-  g.bake();
-  g.ez(3, 2, 2) = 7.5;
-  const std::string path = testing::TempDir() + "slice_test.csv";
-  writeFieldSliceCsv(g, Axis::kZ, SlicePlane::kXY, 2, path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string all((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("7.5"), std::string::npos);
-  // Header + nx+1 rows.
-  const auto rows = static_cast<std::size_t>(std::count(all.begin(), all.end(), '\n'));
-  EXPECT_EQ(rows, 1u + 7u);
-  std::filesystem::remove(path);
-  EXPECT_THROW(writeFieldSliceCsv(g, Axis::kZ, SlicePlane::kXY, 9, path),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the stochastic (Monte Carlo) sweep subsystem: seeded
 // distribution axes (sweep_spec.h), the determinism/reproducibility
-// contract (same seed => bit-identical exports at any worker count or
-// sharing mode), Latin-hypercube stratification, common random numbers,
-// solver-state sharing across an illumination ensemble, and the ensemble
-// statistics layer (ensemble_stats.h).
+// contract (same seed => bit-identical exports at any worker count, equal
+// to every task run alone), Latin-hypercube stratification, common random
+// numbers, solver-state sharing across an illumination ensemble, and the
+// ensemble statistics layer (ensemble_stats.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,12 +11,14 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "engine/ensemble_stats.h"
 #include "engine/sweep_runner.h"
 #include "json_lint.h"
+#include "sweep_reference.h"
 #include "tiny_models.h"
 
 namespace fdtdmm {
@@ -145,8 +147,12 @@ TEST(McSweep, SameSeedReproducesDrawsDifferentSeedChangesThem) {
   EXPECT_TRUE(any_differs) << "seed 43 reproduced seed 42's draws";
 }
 
+// The runner's exports at 1 and 4 workers equal those of running every
+// task alone with a default SolverSharing. The MNA engine makes the ten
+// RC-load corners one structure class, so the runner really shares.
 TEST(McSweep, ExportsAreByteIdenticalAcrossWorkersAndSharing) {
   SweepSpec spec = tinyTlineSpec();
+  spec.set("engine", std::string("spice-rbf"));
   spec.axis("zc", {100.0, 131.0});
   StochasticAxis mc;
   mc.name = "mc";
@@ -157,36 +163,32 @@ TEST(McSweep, ExportsAreByteIdenticalAcrossWorkersAndSharing) {
   spec.stochasticAxis(mc);
 
   const std::string dir = testing::TempDir();
-  std::string ref_csv, ref_json;
+  auto exportsOf = [&dir](const SweepResult& result) {
+    const std::string csv_path = dir + "mc_repro.csv";
+    const std::string json_path = dir + "mc_repro.json";
+    writeSweepCsv(result, csv_path);
+    writeSweepJson(result, json_path);
+    const std::string csv = slurp(csv_path);
+    // The JSON header records the worker count by schema; the run
+    // records must match byte for byte, so compare from "runs" on.
+    const std::string json = slurp(json_path);
+    std::filesystem::remove(csv_path);
+    std::filesystem::remove(json_path);
+    return std::make_pair(csv, json.substr(json.find("\"runs\"")));
+  };
+
+  const auto ref = exportsOf(testmodels::sharingFreeSweep(spec.expand(), *tinyCache()));
   for (std::size_t workers : {1u, 4u}) {
-    for (bool share : {true, false}) {
-      SweepRunnerOptions opt;
-      opt.workers = workers;
-      opt.share_solver_state = share;
-      opt.model_cache = tinyCache();
-      SweepRunner runner(opt);
-      const SweepResult result = runner.run(spec);
-      ASSERT_EQ(result.okCount(), result.runs.size());
-      const std::string csv_path = dir + "mc_repro.csv";
-      const std::string json_path = dir + "mc_repro.json";
-      writeSweepCsv(result, csv_path);
-      writeSweepJson(result, json_path);
-      const std::string csv = slurp(csv_path);
-      // The JSON header records the worker count by schema; the run
-      // records must match byte for byte, so compare from "runs" on.
-      std::string json = slurp(json_path);
-      json = json.substr(json.find("\"runs\""));
-      std::filesystem::remove(csv_path);
-      std::filesystem::remove(json_path);
-      if (ref_csv.empty()) {
-        ref_csv = csv;
-        ref_json = json;
-      } else {
-        EXPECT_EQ(csv, ref_csv) << "workers=" << workers << " share=" << share;
-        EXPECT_EQ(json, ref_json)
-            << "workers=" << workers << " share=" << share;
-      }
-    }
+    SweepRunnerOptions opt;
+    opt.workers = workers;
+    opt.model_cache = tinyCache();
+    SweepRunner runner(opt);
+    const SweepResult result = runner.run(spec);
+    ASSERT_EQ(result.okCount(), result.runs.size());
+    EXPECT_EQ(result.solver_cache.symbolic_misses, 1) << "workers=" << workers;
+    const auto got = exportsOf(result);
+    EXPECT_EQ(got.first, ref.first) << "workers=" << workers;
+    EXPECT_EQ(got.second, ref.second) << "workers=" << workers;
   }
 }
 

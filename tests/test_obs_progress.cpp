@@ -1,5 +1,5 @@
 // Tests for the live sweep progress surface (obs/progress.h): throttling,
-// the guaranteed final emission, counting of done/failed/replayed corners
+// the guaranteed final emission, counting of done/failed corners
 // and health severities, the stats hook, and the formatted line contract
 // (`# progress: ...`, negative rates omitted) that the CI smoke run greps
 // out of a real example's stderr.
@@ -34,7 +34,7 @@ TEST(Progress, DisabledReporterNeverEmits) {
   ProgressReporter rep(opt, 10);
   EXPECT_FALSE(rep.enabled());
   rep.taskDone(true, HealthSeverity::kOk);
-  rep.taskReplayed(HealthSeverity::kCritical);
+  rep.taskDone(false, HealthSeverity::kCritical);
   rep.finish();
   EXPECT_TRUE(cap.snaps.empty());
 }
@@ -82,21 +82,18 @@ TEST(Progress, FinishIsIdempotent) {
   EXPECT_TRUE(cap.snaps.back().final);
 }
 
-TEST(Progress, CountsReplaysFailuresAndSeverities) {
+TEST(Progress, CountsFailuresAndSeverities) {
   CaptureSink cap;
-  ProgressReporter rep(cap.options(0.0), 6);
-  rep.taskReplayed(HealthSeverity::kOk);
-  rep.taskReplayed(HealthSeverity::kWarn);
+  ProgressReporter rep(cap.options(0.0), 4);
   rep.taskDone(true, HealthSeverity::kOk);
   rep.taskDone(true, HealthSeverity::kWarn);
   rep.taskDone(false, HealthSeverity::kCritical);
   rep.taskDone(true, HealthSeverity::kOk);
   rep.finish();
   const ProgressSnapshot& last = cap.snaps.back();
-  EXPECT_EQ(last.done, 6u);
-  EXPECT_EQ(last.replayed, 2u);
+  EXPECT_EQ(last.done, 4u);
   EXPECT_EQ(last.failed, 1u);
-  EXPECT_EQ(last.health_warn, 2);
+  EXPECT_EQ(last.health_warn, 1);
   EXPECT_EQ(last.health_critical, 1);
 }
 
@@ -122,14 +119,12 @@ TEST(Progress, StatsHookFillsRatesAtEmissionTime) {
   ProgressReporter rep(cap.options(0.0), 2, [](ProgressSnapshot& s) {
     s.worker_utilization = 0.75;
     s.solver_cache_hit_rate = 0.5;
-    s.result_cache_hit_rate = 0.25;
   });
   rep.taskDone(true, HealthSeverity::kOk);
   rep.finish();
   for (const ProgressSnapshot& s : cap.snaps) {
     EXPECT_DOUBLE_EQ(s.worker_utilization, 0.75);
     EXPECT_DOUBLE_EQ(s.solver_cache_hit_rate, 0.5);
-    EXPECT_DOUBLE_EQ(s.result_cache_hit_rate, 0.25);
   }
 }
 
@@ -178,16 +173,14 @@ TEST(Progress, FormatLineFinalAndRatesAndFailures) {
   s.failed = 3;
   s.elapsed_seconds = 9.25;
   s.worker_utilization = 0.87;
-  s.solver_cache_hit_rate = 1.0;
-  s.result_cache_hit_rate = 0.0;
+  s.solver_cache_hit_rate = 0.0;
   s.final = true;
   const std::string line = formatProgressLine(s);
   EXPECT_EQ(line.rfind("# progress: 114/114 corners (100.0%)", 0), 0u) << line;
   EXPECT_NE(line.find("done in 9.2s"), std::string::npos) << line;
   EXPECT_NE(line.find("util 87%"), std::string::npos) << line;
-  EXPECT_NE(line.find("solver-cache 100%"), std::string::npos) << line;
   // A known-zero rate is information, not absence: it must be printed.
-  EXPECT_NE(line.find("result-cache 0%"), std::string::npos) << line;
+  EXPECT_NE(line.find("solver-cache 0%"), std::string::npos) << line;
   EXPECT_NE(line.find("3 failed"), std::string::npos) << line;
   EXPECT_EQ(line.find("eta"), std::string::npos) << line;  // final: no eta
 }

@@ -72,7 +72,8 @@ class SynthFamily final : public Scenario {
     return std::make_unique<SynthFamily>(*this);
   }
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel>,
-                    std::shared_ptr<const RbfReceiverModel>) const override {
+                    std::shared_ptr<const RbfReceiverModel>,
+                    const SolverSharing&) const override {
     TaskWaveforms out;
     const double a = cfg_.amplitude, tau = cfg_.tau;
     out.v_far = sampleFunction(
