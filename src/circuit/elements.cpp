@@ -10,6 +10,49 @@ void Element::stampAc(AcStampSystem&, double, const Vector&) const {
   throw std::logic_error(name() + ": AC analysis not supported");
 }
 
+void Element::evalPorts(const double*, double, double*, double*) {
+  throw std::logic_error(name() + ": element has no port law");
+}
+
+void Element::addPortConductance(StampSystem& sys, const TerminalPair& p,
+                                 const TerminalPair& q, double g) {
+  addAnode(sys, p.pos, q.pos, g);
+  addAnode(sys, p.pos, q.neg, -g);
+  addAnode(sys, p.neg, q.pos, -g);
+  addAnode(sys, p.neg, q.neg, g);
+}
+
+void Element::reservePortStencil(StampSystem& sys) const {
+  for (const TerminalPair& p : ports_) {
+    for (const TerminalPair& q : ports_) addPortConductance(sys, p, q, 0.0);
+  }
+}
+
+void Element::stampPortLinearization(StampSystem& sys, const double* v, const double* i,
+                                     const double* g) const {
+  // i(v*) ~ i + g (v* - v): the conductance g between the ports and the
+  // residual current i - g v driven through each port.
+  const std::size_t k = ports_.size();
+  for (std::size_t p = 0; p < k; ++p) {
+    double residual = i[p];
+    for (std::size_t q = 0; q < k; ++q) {
+      addPortConductance(sys, ports_[p], ports_[q], g[p * k + q]);
+      residual -= g[p * k + q] * v[q];
+    }
+    stampCurrentSource(sys.b, ports_[p].pos, ports_[p].neg, residual);
+  }
+}
+
+void Element::stampLinearized(StampSystem& sys, const Vector& x, double t_new, double dt) {
+  stampRhs(sys.b, t_new, dt);
+  const std::size_t k = ports_.size();
+  if (k == 0) return;
+  Vector v(k), i(k), g(k * k);
+  for (std::size_t p = 0; p < k; ++p) v[p] = nodeV(x, ports_[p].pos) - nodeV(x, ports_[p].neg);
+  evalPorts(v.data(), t_new, i.data(), g.data());
+  stampPortLinearization(sys, v.data(), i.data(), g.data());
+}
+
 // ---------------------------------------------------------------- Resistor
 
 Resistor::Resistor(int n1, int n2, double r) : n1_(n1), n2_(n2), g_(1.0 / r) {
@@ -51,9 +94,9 @@ void Capacitor::stampStatic(StampSystem& sys, double) {
   stampConductance(sys, n1_, n2_, geq_);
 }
 
-void Capacitor::stampDynamic(StampSystem& sys, const Vector&, double, double) {
+void Capacitor::stampRhs(Vector& b, double, double) {
   // Equivalent source pushing geq*v_prev + kThetaFeedback*i_prev from n2 to n1.
-  stampCurrentSource(sys, n1_, n2_, -(geq_ * v_prev_ + kThetaFeedback * i_prev_));
+  stampCurrentSource(b, n1_, n2_, -(geq_ * v_prev_ + kThetaFeedback * i_prev_));
 }
 
 void Capacitor::endStep(const Vector& x, double, double) {
@@ -107,11 +150,11 @@ void Inductor::stampStatic(StampSystem& sys, double dt) {
   addA(sys, n2_, ib, -1.0);
 }
 
-void Inductor::stampDynamic(StampSystem& sys, const Vector&, double t_new, double dt) {
+void Inductor::stampRhs(Vector& b, double t_new, double dt) {
   const double hp = (1.0 - kTheta) * dt / l_;
   double rhs = i_prev_ + hp * v_prev_;
   if (emf_) rhs += kTheta * dt / l_ * emfAt(t_new);
-  sys.b[branch_offset_] += rhs;
+  b[branch_offset_] += rhs;
 }
 
 void Inductor::endStep(const Vector& x, double t_new, double) {
@@ -174,11 +217,10 @@ void CoupledInductors::stampStatic(StampSystem& sys, double dt) {
   addA(sys, b2_, ib2, -1.0);
 }
 
-void CoupledInductors::stampDynamic(StampSystem& sys, const Vector&, double,
-                                    double dt) {
+void CoupledInductors::stampRhs(Vector& b, double, double dt) {
   const double hp = (1.0 - kTheta) * dt;
-  sys.b[branch_offset_] += i1_prev_ + hp * (g11_ * v1_prev_ + g12_ * v2_prev_);
-  sys.b[branch_offset_ + 1] += i2_prev_ + hp * (g12_ * v1_prev_ + g22_ * v2_prev_);
+  b[branch_offset_] += i1_prev_ + hp * (g11_ * v1_prev_ + g12_ * v2_prev_);
+  b[branch_offset_ + 1] += i2_prev_ + hp * (g12_ * v1_prev_ + g22_ * v2_prev_);
 }
 
 void CoupledInductors::endStep(const Vector& x, double, double) {
@@ -224,8 +266,8 @@ void VoltageSource::stampStatic(StampSystem& sys, double) {
   addA(sys, n2_, ib, -1.0);
 }
 
-void VoltageSource::stampDynamic(StampSystem& sys, const Vector&, double t_new, double) {
-  sys.b[branch_offset_] += vs_(t_new);
+void VoltageSource::stampRhs(Vector& b, double t_new, double) {
+  b[branch_offset_] += vs_(t_new);
 }
 
 void VoltageSource::stampAc(AcStampSystem& sys, double, const Vector&) const {
@@ -245,17 +287,19 @@ CurrentSource::CurrentSource(int n1, int n2, TimeFn is)
   if (!is_) throw std::invalid_argument("CurrentSource: empty source function");
 }
 
-void CurrentSource::stampDynamic(StampSystem& sys, const Vector&, double t_new, double) {
-  stampCurrentSource(sys, n2_, n1_, is_(t_new));
+void CurrentSource::stampRhs(Vector& b, double t_new, double) {
+  stampCurrentSource(b, n2_, n1_, is_(t_new));
 }
 
 void CurrentSource::stampAc(AcStampSystem& sys, double, const Vector&) const {
-  stampCurrentSource(sys, n2_, n1_, ac_);
+  stampCurrentSource(sys.b, n2_, n1_, ac_);
 }
 
 // ------------------------------------------------------------------- Diode
 
-Diode::Diode(int anode, int cathode, const DiodeParams& p) : na_(anode), nc_(cathode), p_(p) {}
+Diode::Diode(int anode, int cathode, const DiodeParams& p) : na_(anode), nc_(cathode), p_(p) {
+  ports_ = {{anode, cathode}};
+}
 
 double Diode::evalCurrent(double v, const DiodeParams& p, double& g) {
   const double nvt = p.n * p.vt;
@@ -276,13 +320,8 @@ double Diode::evalCurrent(double v, const DiodeParams& p, double& g) {
   return i;
 }
 
-void Diode::stampDynamic(StampSystem& sys, const Vector& x, double, double) {
-  const double v = nodeV(x, na_) - nodeV(x, nc_);
-  double g = 0.0;
-  const double i = evalCurrent(v, p_, g);
-  // Linearization: i(v*) ~ i0 + g (v - v0) = g v + (i0 - g v0).
-  stampConductance(sys, na_, nc_, g);
-  stampCurrentSource(sys, na_, nc_, i - g * v);
+void Diode::evalPorts(const double* v, double, double* i, double* g) {
+  i[0] = evalCurrent(v[0], p_, g[0]);
 }
 
 void Diode::stampAc(AcStampSystem& sys, double, const Vector& x_dc) const {
@@ -296,7 +335,9 @@ void Diode::stampAc(AcStampSystem& sys, double, const Vector& x_dc) const {
 // ------------------------------------------------------------------ Mosfet
 
 Mosfet::Mosfet(int drain, int gate, int source, const MosfetParams& p)
-    : nd_(drain), ng_(gate), ns_(source), p_(p) {}
+    : nd_(drain), ng_(gate), ns_(source), p_(p) {
+  ports_ = {{gate, source}, {drain, source}};
+}
 
 double Mosfet::evalIds(double vgs, double vds, const MosfetParams& p,
                        double& gm, double& gds) {
@@ -324,38 +365,32 @@ double Mosfet::evalIds(double vgs, double vds, const MosfetParams& p,
   return i;
 }
 
-void Mosfet::stampDynamic(StampSystem& sys, const Vector& x, double, double) {
+void Mosfet::evalPorts(const double* v, double, double* i, double* g) {
   // Work in the "effective NMOS" frame; PMOS flips all port voltages and
   // the current direction. Symmetric drain/source handling: if the
-  // effective vds is negative, swap drain and source.
+  // effective vds is negative, the drain terminal is the effective source,
+  // so vgs_eff = vg - vd = vgs - vds and vds_eff = -vds.
   const double sgn = (p_.type == MosfetParams::Type::kNmos) ? 1.0 : -1.0;
-  int d = nd_, s = ns_;
-  double vds = sgn * (nodeV(x, d) - nodeV(x, s));
-  if (vds < 0.0) {
-    std::swap(d, s);
-    vds = -vds;
-  }
-  const double vgs = sgn * (nodeV(x, ng_) - nodeV(x, s));
-
+  const bool swapped = sgn * v[1] < 0.0;
+  const double vgs = sgn * (swapped ? v[0] - v[1] : v[0]);
+  const double vds = swapped ? -sgn * v[1] : sgn * v[1];
   double gm = 0.0, gds = 0.0;
-  const double i = evalIds(vgs, vds, p_, gm, gds);
+  const double ids = evalIds(vgs, vds, p_, gm, gds);
 
-  // Real current into the drain node is I_D = sgn * ids(vgs_eff, vds_eff).
-  // Linearizing and mapping the effective-frame voltages back through sgn:
-  //   I_D = gm (vg - vs) + gds (vd - vs) + sgn * (ids0 - gm vgs - gds vds)
-  // The conductance stamps see sgn twice (voltage map and current map) and
-  // are therefore identical for NMOS and PMOS; the residual source flips.
-  stampConductance(sys, d, s, gds);
-  addAnode(sys, d, ng_, +gm);
-  addAnode(sys, d, s, -gm);
-  addAnode(sys, s, ng_, -gm);
-  addAnode(sys, s, s, +gm);
-  const double ieq = i - gm * vgs - gds * vds;
-  stampCurrentSource(sys, d, s, sgn * ieq);
+  // No gate current. The drain-to-source current is sgn * ids, negated
+  // when swapped; mapped back through sgn (which the conductances see
+  // twice, voltage map and current map) its partial derivatives are
+  // (gm, gds), or (-gm, gm + gds) when swapped.
+  i[0] = 0.0;
+  g[0] = 0.0;
+  g[1] = 0.0;
+  i[1] = swapped ? -sgn * ids : sgn * ids;
+  g[2] = swapped ? -gm : gm;
+  g[3] = swapped ? gm + gds : gds;
 }
 
 void Mosfet::stampAc(AcStampSystem& sys, double, const Vector& x_dc) const {
-  // Same effective-NMOS frame as stampDynamic, but only the small-signal
+  // Same effective-NMOS frame as evalPorts, but only the small-signal
   // conductances survive (no residual source at AC).
   const double sgn = (p_.type == MosfetParams::Type::kNmos) ? 1.0 : -1.0;
   int d = nd_, s = ns_;
@@ -428,9 +463,9 @@ void IdealLine::stampStatic(StampSystem& sys, double) {
   addA(sys, p2m_, i2, -1.0);
 }
 
-void IdealLine::stampDynamic(StampSystem& sys, const Vector&, double, double) {
-  sys.b[branch_offset_] += v1h_;
-  sys.b[branch_offset_ + 1] += v2h_;
+void IdealLine::stampRhs(Vector& b, double, double) {
+  b[branch_offset_] += v1h_;
+  b[branch_offset_ + 1] += v2h_;
 }
 
 void IdealLine::stampAc(AcStampSystem& sys, double omega, const Vector&) const {
@@ -478,20 +513,13 @@ void IdealLine::endStep(const Vector& x, double t_new, double) {
 BehavioralPort::BehavioralPort(int n1, int n2, PortModelPtr model)
     : n1_(n1), n2_(n2), model_(std::move(model)) {
   if (!model_) throw std::invalid_argument("BehavioralPort: null model");
+  ports_ = {{n1, n2}};
 }
 
 void BehavioralPort::begin(double dt) { model_->prepare(dt); }
 
-void BehavioralPort::stampStatic(StampSystem& sys, double) {
-  stampConductance(sys, n1_, n2_, 0.0);
-}
-
-void BehavioralPort::stampDynamic(StampSystem& sys, const Vector& x, double t_new, double) {
-  const double v = nodeV(x, n1_) - nodeV(x, n2_);
-  double g = 0.0;
-  const double i = model_->current(v, t_new, g);
-  stampConductance(sys, n1_, n2_, g);
-  stampCurrentSource(sys, n1_, n2_, i - g * v);
+void BehavioralPort::evalPorts(const double* v, double t_new, double* i, double* g) {
+  i[0] = model_->current(v[0], t_new, g[0]);
 }
 
 void BehavioralPort::endStep(const Vector& x, double t_new, double) {

@@ -1,18 +1,22 @@
 #pragma once
 /// \file elements.h
 /// Circuit element hierarchy of the MNA engines (transient, DC operating
-/// point and, through stampAc, the AC engine). Each element
-/// splits its linearized MNA contribution into a *static* part (matrix
-/// entries that depend only on topology and the fixed time step: R/C/L
-/// companion conductances, source/branch incidence rows, line
-/// characteristic rows) and a *dynamic* part (everything that changes per
-/// Newton iteration: RHS history/source terms and the Jacobian entries of
-/// nonlinear devices). The transient engine assembles the static part once
-/// per run, factors it once, and re-stamps only the dynamic part inside the
-/// Newton loop. When a dynamic stamp touches the matrix it solves on the
-/// same factorization plus a low-rank correction for the changed rows, and
-/// re-factors only when the change is too wide for that (see
-/// circuit/transient.h).
+/// point and, through stampAc, the AC engine). Each element splits its
+/// MNA contribution three ways:
+///
+///  - stampStatic: matrix entries that depend only on topology and the
+///    fixed time step (R/C/L companion conductances, source and branch
+///    incidence rows, line characteristic rows). Assembled once per run.
+///  - stampRhs: the right-hand-side terms of one time point that do not
+///    depend on the iterate (sources, companion history, series EMFs, line
+///    reflections). Stamped once per time point; it receives only b, so it
+///    cannot write the matrix.
+///  - a port law, for nonlinear elements only: the element declares k
+///    terminal pairs (ports()) and evalPorts returns the k port currents
+///    and the k x k conductance at given port voltages. The engine reserves
+///    every port stencil in the static pattern and runs Newton on the port
+///    equations alone (see circuit/transient.h), so a linear element never
+///    takes part in an iteration and a nonlinear one only through its law.
 
 #include <complex>
 #include <deque>
@@ -38,19 +42,9 @@ template <typename Scalar>
 struct MnaSystem {
   CsrMatrix<Scalar>* csr = nullptr;  ///< CSR target, set by the engine
   std::vector<Scalar> b;
-  /// Set by add() whenever a matrix entry is written. The transient engine
-  /// clears it before the dynamic stamping pass of each Newton iteration
-  /// and corrects or re-factors its base factorization only if it comes
-  /// back dirty; custom elements must route all matrix writes through add()
-  /// (directly or via the Element stamp helpers) so the dirty check sees
-  /// them.
-  bool matrix_dirty = false;
 
   /// Adds v to matrix entry (row, col).
-  void add(std::size_t row, std::size_t col, Scalar v) {
-    csr->add(row, col, v);
-    matrix_dirty = true;
-  }
+  void add(std::size_t row, std::size_t col, Scalar v) { csr->add(row, col, v); }
 };
 
 /// The transient engine's real system.
@@ -62,6 +56,13 @@ using AcStampSystem = MnaSystem<Complex>;
 
 /// Source waveform type shared with the signal module.
 using TimeFn = std::function<double(double t)>;
+
+/// One port of a port law: the port voltage is v(pos) - v(neg), and the
+/// port current flows from pos through the element to neg.
+struct TerminalPair {
+  int pos = 0;
+  int neg = 0;
+};
 
 /// Base class of all circuit elements.
 class Element {
@@ -83,18 +84,44 @@ class Element {
 
   /// Stamps the time-invariant matrix entries. Called once per run, after
   /// begin(). Contract: may only write matrix entries (sys.add) — the RHS
-  /// is rebuilt from zero every Newton iteration, so static contributions
-  /// to sys.b would be silently lost (the engine rejects them with
+  /// is rebuilt from zero every time point, so static contributions to
+  /// sys.b would be silently lost (the engine rejects them with
   /// std::logic_error).
   virtual void stampStatic(StampSystem& /*sys*/, double /*dt*/) {}
 
-  /// Stamps the per-iteration contributions about iterate x: RHS source and
-  /// companion-history terms, plus — for nonlinear devices — the Jacobian
-  /// matrix entries of the linearization. Matrix writes must go through the
-  /// stamp helpers (or set sys.matrix_dirty), so the engine knows the cached
-  /// factorization of the static matrix is stale.
-  virtual void stampDynamic(StampSystem& /*sys*/, const Vector& /*x*/,
-                            double /*t_new*/, double /*dt*/) {}
+  /// Adds this time point's right-hand-side terms at t_new into b: sources,
+  /// companion history, series EMFs, line reflections. Called once per time
+  /// point (after beginStep), never per Newton iteration, so the terms must
+  /// not depend on the iterate.
+  virtual void stampRhs(Vector& /*b*/, double /*t_new*/, double /*dt*/) {}
+
+  /// The port law's terminal pairs; empty for linear elements. Fixed at
+  /// construction, so the engine reserves every port stencil — all
+  /// (node of port p, node of port q) entries — in the static pattern.
+  const std::vector<TerminalPair>& ports() const { return ports_; }
+
+  /// The port law at port voltages v (one per port, in ports() order):
+  /// writes the port currents into i and the conductance di_p/dv_q into
+  /// g[p * k + q] (k = ports().size()). Called any number of times per time
+  /// point with trial voltages, so it must not change observable state
+  /// (endStep commits). The default throws std::logic_error: only elements
+  /// that declare ports have a law.
+  virtual void evalPorts(const double* v, double t_new, double* i, double* g);
+
+  /// Reserves the port stencil as structural zeros (the static assembly
+  /// calls it right after stampStatic).
+  void reservePortStencil(StampSystem& sys) const;
+
+  /// Stamps the port law linearized about port voltages v, where it drew
+  /// currents i with conductance g (evalPorts' layout): g into the port
+  /// stencil and the residual current i - g v into sys.b.
+  void stampPortLinearization(StampSystem& sys, const double* v, const double* i,
+                              const double* g) const;
+
+  /// One iteration of a full-restamp Newton solve about iterate x (the DC
+  /// operating point, the test oracles): stampRhs, then the port law
+  /// evaluated at x's port voltages and linearized there.
+  void stampLinearized(StampSystem& sys, const Vector& x, double t_new, double dt);
 
   /// Commits the accepted solution of this step.
   virtual void endStep(const Vector& /*x*/, double /*t_new*/, double /*dt*/) {}
@@ -102,12 +129,12 @@ class Element {
   /// Stamps this element's small-signal frequency-domain contribution at
   /// angular frequency `omega` into the complex system A(omega) x = b.
   ///
-  /// Contract (the AC analogue of stampStatic/stampDynamic, collapsed into
-  /// one pass because the engine re-stamps values at every frequency):
+  /// Contract (the AC analogue of stampStatic/stampRhs/evalPorts, collapsed
+  /// into one pass because the engine re-stamps values at every frequency):
   ///  - Reactive elements stamp admittance/impedance at s = j*omega
   ///    (capacitor j*omega*C, inductor branch row with -j*omega*L).
-  ///  - Nonlinear devices stamp the Jacobian of their DC linearization
-  ///    about `x_dc` (the operating point from freq::dcOperatingPoint; an
+  ///  - Nonlinear devices stamp the conductance of their port law about
+  ///    `x_dc` (the operating point from freq::dcOperatingPoint; an
   ///    EMPTY vector means "all unknowns zero"). No residual current
   ///    sources: AC analysis is small-signal, only derivatives survive.
   ///  - Time-domain excitations are dark at AC. Sources contribute their
@@ -151,12 +178,12 @@ class Element {
     addAnode(sys, n2, n1, -g);
   }
 
-  /// Adds current `i` flowing out of n1 into n2 to the RHS (i.e. a source
-  /// pushing current from n2 to n1 adds +i at n1).
+  /// Adds current `i` flowing out of n1 into n2 to the RHS b (i.e. a
+  /// source pushing current from n2 to n1 adds +i at n1).
   template <typename Scalar>
-  static void stampCurrentSource(MnaSystem<Scalar>& sys, int n1, int n2, Scalar i) {
-    if (n1 != 0) sys.b[static_cast<std::size_t>(n1 - 1)] -= i;
-    if (n2 != 0) sys.b[static_cast<std::size_t>(n2 - 1)] += i;
+  static void stampCurrentSource(std::vector<Scalar>& b, int n1, int n2, Scalar i) {
+    if (n1 != 0) b[static_cast<std::size_t>(n1 - 1)] -= i;
+    if (n2 != 0) b[static_cast<std::size_t>(n2 - 1)] += i;
   }
 
   /// Matrix entry helpers that ignore the ground node.
@@ -175,6 +202,11 @@ class Element {
     if (col_node != 0) sys.add(row, static_cast<std::size_t>(col_node - 1), v);
   }
 
+  /// Adds conductance g from port q's voltage to port p's current: the
+  /// 4-point stencil between p's nodes (rows) and q's nodes (columns).
+  static void addPortConductance(StampSystem& sys, const TerminalPair& p,
+                                 const TerminalPair& q, double g);
+
   /// Voltage of node n in a DC operating-point vector where an empty
   /// vector means "all zeros" (the stampAc convention for x_dc).
   static double dcNodeV(const Vector& x, int n) {
@@ -182,6 +214,7 @@ class Element {
   }
 
   std::size_t branch_offset_ = 0;
+  std::vector<TerminalPair> ports_;  ///< set by nonlinear constructors
 };
 
 /// Linear resistor between n1 and n2.
@@ -205,7 +238,7 @@ class Capacitor final : public Element {
   Capacitor(int n1, int n2, double c, double v0 = 0.0);
   void begin(double dt) override;
   void stampStatic(StampSystem& sys, double dt) override;
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void stampRhs(Vector& b, double t_new, double dt) override;
   void endStep(const Vector& x, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "C"; }
@@ -221,8 +254,8 @@ class Capacitor final : public Element {
 /// Linear inductor (trapezoidal, one branch unknown), optionally with a
 /// time-varying EMF e(t) in series: v(n1) - v(n2) + e(t) = L di/dt, i.e.
 /// the EMF raises the n2-side potential. The EMF enters only the RHS of
-/// the branch row (stampDynamic), so a field-excited ladder keeps the
-/// one-factorization-per-linear-run guarantee of the transient engine —
+/// the branch row (stampRhs), so a field-excited ladder stays a linear
+/// circuit with one factorization and one substitution per time point —
 /// this is the circuit substrate of the Taylor/Agrawal
 /// distributed-source EMC coupling in src/emc/.
 class Inductor final : public Element {
@@ -235,15 +268,15 @@ class Inductor final : public Element {
   int branchCount() const override { return 1; }
   void begin(double dt) override;
   void stampStatic(StampSystem& sys, double dt) override;
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void stampRhs(Vector& b, double t_new, double dt) override;
   void endStep(const Vector& x, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "L"; }
 
  private:
-  /// emf_(t), evaluated once per time point: every Newton iteration of a
-  /// step and its endStep share one call. Keyed on t, not cached in
-  /// beginStep, because the DC operating point stamps without beginStep.
+  /// emf_(t), evaluated once per time point: the RHS stamp of a step and
+  /// its endStep share one call. Keyed on t, not cached in beginStep,
+  /// because the DC operating point stamps without beginStep.
   double emfAt(double t);
 
   int n1_, n2_;
@@ -269,7 +302,7 @@ class CoupledInductors final : public Element {
   int branchCount() const override { return 2; }
   void begin(double dt) override;
   void stampStatic(StampSystem& sys, double dt) override;
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void stampRhs(Vector& b, double t_new, double dt) override;
   void endStep(const Vector& x, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "K"; }
@@ -289,7 +322,7 @@ class VoltageSource final : public Element {
   VoltageSource(int n1, int n2, TimeFn vs);
   int branchCount() const override { return 1; }
   void stampStatic(StampSystem& sys, double dt) override;
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void stampRhs(Vector& b, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "V"; }
 
@@ -315,7 +348,7 @@ class CurrentSource final : public Element {
  public:
   /// \throws std::invalid_argument if is is empty.
   CurrentSource(int n1, int n2, TimeFn is);
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void stampRhs(Vector& b, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "I"; }
 
@@ -339,10 +372,11 @@ struct DiodeParams {
 
 /// Junction diode from anode to cathode, i = Is (exp(v/nVt) - 1).
 /// Exponential linearly extrapolated above 40 nVt to keep Newton bounded.
+/// One port, (anode, cathode).
 class Diode final : public Element {
  public:
   Diode(int anode, int cathode, const DiodeParams& p = {});
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void evalPorts(const double* v, double t_new, double* i, double* g) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "D"; }
 
@@ -367,11 +401,14 @@ struct MosfetParams {
 /// Level-1 MOSFET (symmetric in drain/source). Captures the square-law
 /// regions (cutoff / triode / saturation) with C1-continuous boundaries;
 /// this is all the macromodeling pipeline requires from the
-/// transistor-level substitute of the paper's IBM device.
+/// transistor-level substitute of the paper's IBM device. Two ports,
+/// (gate, source) and (drain, source): no gate current, and the channel
+/// current flows from drain to source whichever terminal is the effective
+/// source.
 class Mosfet final : public Element {
  public:
   Mosfet(int drain, int gate, int source, const MosfetParams& p = {});
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void evalPorts(const double* v, double t_new, double* i, double* g) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return p_.type == MosfetParams::Type::kNmos ? "NMOS" : "PMOS"; }
 
@@ -397,7 +434,7 @@ class IdealLine final : public Element {
   void begin(double dt) override;
   void beginStep(double t_new, double dt) override;
   void stampStatic(StampSystem& sys, double dt) override;
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void stampRhs(Vector& b, double t_new, double dt) override;
   void endStep(const Vector& x, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
   std::string name() const override { return "TL"; }
@@ -418,18 +455,15 @@ class IdealLine final : public Element {
 };
 
 /// Wraps a PortModel (e.g. an RBF macromodel resampled to the circuit time
-/// step) as a two-terminal nonlinear element. This is engine (ii) of the
-/// paper's Fig. 4: "SPICE with RBF models of the devices".
+/// step) as a two-terminal nonlinear element with one port, (n1, n2). This
+/// is engine (ii) of the paper's Fig. 4: "SPICE with RBF models of the
+/// devices".
 class BehavioralPort final : public Element {
  public:
   /// \throws std::invalid_argument if model is null.
   BehavioralPort(int n1, int n2, PortModelPtr model);
   void begin(double dt) override;
-  /// Reserves the port's 4-point conductance stencil as structural zeros,
-  /// so the per-iteration Jacobian lands inside the static pattern (and
-  /// inside a shared RCM ordering) instead of growing it.
-  void stampStatic(StampSystem& sys, double dt) override;
-  void stampDynamic(StampSystem& sys, const Vector& x, double t_new, double dt) override;
+  void evalPorts(const double* v, double t_new, double* i, double* g) override;
   void endStep(const Vector& x, double t_new, double dt) override;
   std::string name() const override { return "PORT(" + model_->name() + ")"; }
 

@@ -12,8 +12,8 @@
 ///      structure compiles the identical pattern and computes the identical
 ///      ordering. This is the one shareable piece.
 ///   2. per-run numeric state — the stamped values, the factorization of
-///      the static base matrix (AC: of each frequency point), its low-rank
-///      update, the Newton/RHS workspaces and any fallback
+///      the static base matrix (AC: of each frequency point), its port
+///      reduction, the Newton/RHS workspaces and any fallback
 ///      refactorization. Never shared: each run factors its own base once.
 ///
 /// This header defines the immutable shared form of (1) plus the

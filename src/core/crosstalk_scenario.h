@@ -7,11 +7,11 @@
 /// (buildCoupledRlgcLines; the coupling_l axis sweeps Lm/L through the
 /// CoupledInductors element); the victim line is resistively terminated at
 /// both ends. The whole structure runs on the MNA
-/// transient engine, so it inherits the static/dynamic stamp split: the two
+/// transient engine, so it inherits the static/RHS/port-law split: the two
 /// ladders and the four terminations are assembled and LU-factored once,
-/// and only the nonlinear driver port restamps per Newton iteration — one
-/// row, which the engine folds in as a low-rank update of that
-/// factorization, so a corner performs one LU.
+/// and Newton runs on the nonlinear driver's one port voltage against
+/// that factorization's Thevenin view, so a corner performs one LU and
+/// one substitution per time point.
 ///
 /// Waveform mapping (what the generic metric layer sees):
 ///   v_near  — aggressor near end (driver pad voltage),

@@ -5,8 +5,9 @@
 /// series EMFs embedded in its inductors, plus one lumped series voltage
 /// source per end carrying the incident riser voltage, so the terminal
 /// nodes presented to the driver/termination carry the *total* voltage.
-/// All field excitation enters through stampDynamic RHS terms only — a
-/// linear field-coupled run still performs exactly one LU factorization.
+/// All field excitation enters through stampRhs terms only — a linear
+/// field-coupled run performs exactly one LU factorization and one
+/// substitution per time point.
 
 #include <memory>
 

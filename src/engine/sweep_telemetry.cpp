@@ -76,7 +76,6 @@ std::string telemetryBody(const obs::RunTelemetry& t) {
   out += ", \"max_newton_iterations\": " + std::to_string(t.max_newton_iterations);
   out += ", \"steps\": " + std::to_string(t.steps);
   out += ", \"transient_runs\": " + std::to_string(t.transient_runs);
-  out += ", \"pattern_realignments\": " + std::to_string(t.pattern_realignments);
   out += ", \"shared_symbolic_builds\": " + std::to_string(t.shared_symbolic_builds);
   out += ", \"shared_symbolic_reuses\": " + std::to_string(t.shared_symbolic_reuses);
   out += ", \"pattern_compiles\": " + std::to_string(t.pattern_compiles);

@@ -38,7 +38,7 @@
 ///         "lu_factorizations": N, "low_rank_solves": N,
 ///         "newton_iterations": N,
 ///         "max_newton_iterations": N, "steps": N, "transient_runs": N,
-///         "pattern_realignments": N, "shared_symbolic_builds": N,
+///         "shared_symbolic_builds": N,
 ///         "shared_symbolic_reuses": N, "pattern_compiles": N,
 ///         "rcm_orderings": N,
 ///         "structure": { "unknowns": N, "nonzeros": N, "kl": N, "ku": N },

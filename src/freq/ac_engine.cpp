@@ -131,8 +131,9 @@ Vector dcOperatingPoint(Circuit& circuit, int max_iter, double tol) {
   // capacitors are DC-open), inductor companions make inductors stiff
   // near-shorts (branch voltage = i L / theta), and sources sit at their
   // t = 0 transient value. For linear circuits this converges in one
-  // iteration; nonlinear devices stamp their Newton Jacobian + residual
-  // exactly as in the transient loop.
+  // iteration; nonlinear devices stamp their port law linearized about the
+  // iterate (Element::stampLinearized), the law the transient engine's
+  // Newton solves.
   Vector x(n, 0.0), x_new, r, dx;
   SparseMatrix a(n);
   StampSystem sys;
@@ -141,20 +142,20 @@ Vector dcOperatingPoint(Circuit& circuit, int max_iter, double tol) {
     sys.b.assign(n, 0.0);
     for (const auto& e : circuit.elements()) {
       e->stampStatic(sys, 1.0);
-      e->stampDynamic(sys, x, 0.0, 1.0);
+      e->stampLinearized(sys, x, 0.0, 1.0);
     }
   };
-  // The first pass fixes the pattern; every iteration then restamps its
-  // values, so each entry is summed in stamp order, and the LU keeps its
-  // analysis until an out-of-pattern stamp grows the pattern. Each solve
-  // takes one refinement step (refineOnce).
+  // The first pass fixes the pattern — every port linearization writes its
+  // whole stencil, so later passes never leave it — and every iteration
+  // then restamps its values, so each entry is summed in stamp order and
+  // the LU keeps its analysis. Each solve takes one refinement step
+  // (refineOnce).
   stamp();
   a.finalize();
   BandedLu<double> lu;
   for (int it = 0; it < max_iter; ++it) {
     a.clearValues();
     stamp();
-    a.mergeOverflow();
     lu.factor(a);
     lu.solve(sys.b, x_new);
     refineOnce(a, sys.b, lu, x_new, r, dx);

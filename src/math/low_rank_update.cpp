@@ -6,71 +6,53 @@
 
 namespace fdtdmm {
 
-bool LowRankUpdate::setChange(const SparseMatrix& base, const SparseMatrix& updated) {
-  if (base.patternVersion() != updated.patternVersion())
-    throw std::logic_error("LowRankUpdate::setChange: the matrices differ in pattern");
-  k_ = 0;
-  n_cols_ = 0;
-  m_.fill(0.0);
-  const auto& row_ptr = base.rowPtr();
-  const auto& col_idx = base.colIdx();
-  const auto& a0 = base.values();
-  const auto& a = updated.values();
-  for (std::size_t r = 0; r < base.dim(); ++r) {
-    std::size_t i = kMax;  // this row's index in R, once it has a change
-    for (std::size_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-      const double d = a[p] - a0[p];
-      if (d == 0.0) continue;
-      if (i == kMax) {
-        if (k_ == kMax) return false;
-        i = k_;
-        rows_[k_++] = r;
-      }
-      const std::size_t c = col_idx[p];
-      std::size_t j = 0;
-      while (j < n_cols_ && cols_[j] != c) ++j;
-      if (j == n_cols_) {
-        if (n_cols_ == kMax) return false;
-        cols_[n_cols_++] = c;
-      }
-      m_[i * kMax + j] = d;
-    }
+void LowRankUpdate::setPorts(const std::vector<PortUnknowns>& ports) {
+  if (ports.size() > kMax)
+    throw std::invalid_argument("LowRankUpdate::setPorts: more than kMaxUpdateRank ports");
+  const std::size_t n = base_.dim();
+  for (const PortUnknowns& p : ports) {
+    if ((p.pos != kGroundUnknown && p.pos >= n) || (p.neg != kGroundUnknown && p.neg >= n))
+      throw std::invalid_argument("LowRankUpdate::setPorts: unknown index out of range");
   }
-  return true;
+  k_ = ports.size();
+  std::copy(ports.begin(), ports.end(), ports_.begin());
+  Vector unit(n, 0.0);
+  for (std::size_t p = 0; p < k_; ++p) {
+    if (ports_[p].pos != kGroundUnknown) unit[ports_[p].pos] += 1.0;
+    if (ports_[p].neg != kGroundUnknown) unit[ports_[p].neg] -= 1.0;
+    base_.solve(unit, z_[p]);
+    std::fill(unit.begin(), unit.end(), 0.0);
+    z_max_[p] = 0.0;
+    for (double v : z_[p]) z_max_[p] = std::max(z_max_[p], std::abs(v));
+  }
+  for (std::size_t p = 0; p < k_; ++p) {
+    for (std::size_t q = 0; q < k_; ++q) zp_[p * kMax + q] = portVoltage(z_[q], ports_[p]);
+  }
 }
 
-bool LowRankUpdate::solve(const Vector& b, Vector& x) {
-  base_.solve(b, x);  // y
+void LowRankUpdate::openCircuit(const Vector& b, Vector& y, double* v_oc) const {
+  base_.solve(b, y);
+  for (std::size_t p = 0; p < k_; ++p) v_oc[p] = portVoltage(y, ports_[p]);
+}
+
+PortSolve LowRankUpdate::solvePorts(const double* g, double* r) const {
   const std::size_t k = k_;
-  if (k == 0) return true;
-
-  if (k != z_k_ || !std::equal(rows_.begin(), rows_.begin() + k, z_rows_.begin())) {
-    unit_.assign(base_.dim(), 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-      unit_[rows_[i]] = 1.0;
-      base_.solve(unit_, z_[i]);
-      unit_[rows_[i]] = 0.0;
-    }
-    z_rows_ = rows_;
-    z_k_ = k;
-    ++basis_builds_;
-  }
-
-  // S = I + M Z_C and rhs = M y_C, with mag holding the magnitude of the
-  // terms that formed each entry of S. Every test below is written so that
-  // a NaN declines.
+  // S = I + Zp G, with mag holding the magnitude of the terms that formed
+  // each entry. Every test below is written so that a NaN declines.
   std::array<double, kMax * kMax> s{}, mag{};
-  std::array<double, kMax> rhs{}, w{};
+  PortSolve outcome = PortSolve::kSolved;
   for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t c = 0; c < n_cols_; ++c) rhs[i] += m_[i * kMax + c] * x[cols_[c]];
     for (std::size_t j = 0; j < k; ++j) {
       double sum = 0.0, abs_sum = 0.0;
-      for (std::size_t c = 0; c < n_cols_; ++c) {
-        const double t = m_[i * kMax + c] * z_[j][cols_[c]];
+      for (std::size_t c = 0; c < k; ++c) {
+        const double t = zp_[i * kMax + c] * g[c * k + j];
         sum += t;
         abs_sum += std::abs(t);
       }
-      if (!(abs_sum * kMinCancellationRatio <= 1.0)) return false;
+      if (!(abs_sum * kMinCancellationRatio <= 1.0)) {
+        if (!std::isfinite(abs_sum)) return PortSolve::kCancelled;
+        outcome = PortSolve::kRecoveryCancels;
+      }
       s[i * kMax + j] = (i == j ? 1.0 : 0.0) + sum;
       mag[i * kMax + j] = (i == j ? 1.0 : 0.0) + abs_sum;
     }
@@ -88,31 +70,46 @@ bool LowRankUpdate::solve(const Vector& b, Vector& x) {
         std::swap(s[j * kMax + c], s[p * kMax + c]);
         std::swap(mag[j * kMax + c], mag[p * kMax + c]);
       }
-      std::swap(rhs[j], rhs[p]);
+      std::swap(r[j], r[p]);
     }
     const double pivot = s[j * kMax + j];
-    if (!(std::abs(pivot) > kMinCancellationRatio * mag[j * kMax + j])) return false;
+    if (!(std::abs(pivot) > kMinCancellationRatio * mag[j * kMax + j]))
+      return PortSolve::kCancelled;
     for (std::size_t i = j + 1; i < k; ++i) {
       const double l = s[i * kMax + j] / pivot;
       for (std::size_t c = j + 1; c < k; ++c) {
         s[i * kMax + c] -= l * s[j * kMax + c];
         mag[i * kMax + c] += std::abs(l) * mag[j * kMax + c];
       }
-      rhs[i] -= l * rhs[j];
+      r[i] -= l * r[j];
     }
   }
   for (std::size_t j = k; j-- > 0;) {
-    double acc = rhs[j];
-    for (std::size_t c = j + 1; c < k; ++c) acc -= s[j * kMax + c] * w[c];
-    w[j] = acc / s[j * kMax + j];
+    double acc = r[j];
+    for (std::size_t c = j + 1; c < k; ++c) acc -= s[j * kMax + c] * r[c];
+    r[j] = acc / s[j * kMax + j];
   }
+  return outcome;
+}
 
-  for (std::size_t i = 0; i < k; ++i) {
-    const Vector& z = z_[i];
-    const double wi = w[i];
-    for (std::size_t r = 0; r < x.size(); ++r) x[r] -= z[r] * wi;
+void LowRankUpdate::recover(const Vector& y, const double* i, Vector& x) const {
+  x.resize(y.size());
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    double acc = y[r];
+    for (std::size_t p = 0; p < k_; ++p) acc -= z_[p][r] * i[p];
+    x[r] = acc;
   }
-  return true;
+}
+
+double LowRankUpdate::maxResponse(const double* i) const {
+  double m = 0.0;
+  const std::size_t n = k_ == 0 ? 0 : z_[0].size();
+  for (std::size_t r = 0; r < n; ++r) {
+    double acc = 0.0;
+    for (std::size_t p = 0; p < k_; ++p) acc += z_[p][r] * i[p];
+    m = std::max(m, std::abs(acc));
+  }
+  return m;
 }
 
 }  // namespace fdtdmm

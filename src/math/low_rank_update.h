@@ -1,103 +1,132 @@
 #pragma once
 /// \file low_rank_update.h
-/// Solves a system whose matrix differs from an already-factored base in a
-/// few rows, without factoring it: the Woodbury identity on top of the
-/// base's BandedLu<double>.
+/// Solves a factored base A0 plus a few fixed ports, without factoring the
+/// sum: the reduction of the network to its Thevenin view from its ports.
 ///
-/// Let A0 be the base and A = A0 + dA, with dA confined to the row set R
-/// (k = |R|) and the column set C, and M its k x |C| block of values. Then
+/// A port is a pair of unknowns whose difference is the port voltage, and
+/// P (n x k) holds one column per port: +1 at its positive unknown, -1 at
+/// its negative one. A port device with conductance G (k x k) between the
+/// ports makes the matrix A = A0 + P G P^T. With
 ///
-///   y = A0^-1 b,   Z = A0^-1 E_R,   (I + M Z_C) w = M y_C,   x = y - Z w,
+///   y = A0^-1 b,   Z = A0^-1 P,   Zp = P^T Z,
 ///
-/// where E_R holds the unit columns of R and Z_C, y_C are the rows C of Z
-/// and y. Z costs k substitutions and is kept while R stays the same, so a
-/// nonlinear device that dirties the same rows at every Newton iteration
-/// pays for it once per run. Each solve then costs one base substitution,
-/// the O(nnz) value diff that finds R, C and M, and O(n k) for the
-/// correction. The k x k system is solved by Gaussian elimination with
-/// partial pivoting.
+/// the port voltages of the solution obey (I + Zp G) v = P^T y, and the
+/// solution is x = y - Z (G v). More generally a nonlinear port law i(v)
+/// turns A0 x + P i(P^T x) = b into the k port equations
+/// v = P^T y - Zp i(v), which the transient engine solves by Newton on the
+/// k port voltages alone (circuit/transient.h) before recovering x = y - Z i.
 ///
-/// The update declines (and the caller factors A itself) when the change
-/// is wider than kMaxUpdateRank rows or columns, or when the correction
-/// would cancel (kMinCancellationRatio).
+/// Z costs k substitutions and is built once, when the ports are set; each
+/// solve then costs one base substitution for y, an O(k^3) port system and
+/// O(n k) for the recovery. The k x k system is solved by Gaussian
+/// elimination with partial pivoting and flagged when it, or the recovery
+/// of its solution, would cancel (kMinCancellationRatio); the caller then
+/// factors A itself.
 
 #include <array>
 #include <cstddef>
+#include <vector>
 
 #include "math/banded_lu.h"
-#include "math/sparse_matrix.h"
 
 namespace fdtdmm {
 
-/// Most rows or columns a change may span. A two-terminal port dirties at
-/// most two rows (one for a port to ground) and a MOSFET two rows and three
-/// columns, so four covers two floating ports or one transistor. A change
-/// wider than that comes from transistor-level circuits whose devices
-/// dirty many rows and swap which ones from iteration to iteration, so
-/// each new row set would pay k substitutions for Z on top of the
-/// k-wide correction: there one banded refactorization is the cheaper
-/// solve. The cap also keeps M, Z and the k x k system in fixed storage.
+/// Most ports a reduction holds. A two-terminal device is one port and a
+/// MOSFET two, so four covers the RBF driver and receiver ports of a
+/// board, or two transistors. More ports come from transistor-level
+/// circuits, where the k substitutions for Z and the k-wide port system
+/// cost more than one banded refactorization per Newton iteration. The cap
+/// also keeps Zp and the port system in fixed storage.
 constexpr std::size_t kMaxUpdateRank = 4;
 
-/// Smallest accepted ratio of a k x k pivot to the magnitude of the terms
-/// that formed it (1 and |M Z_C|, plus what elimination added). A pivot
-/// below it has cancelled: by the determinant lemma, det(A) = det(A0) *
-/// det(I + M Z_C), so A is near-singular relative to A0. The same bound
-/// caps |M Z_C| at its inverse: beyond that the base carries less than
-/// that share of A in the rows of the change, so y is that much larger
-/// than x and x = y - Z w cancels. Either way the correction would lose
-/// more than seven of the sixteen digits. Seven still leave about 1e-9
-/// relative error, the transient engine's Newton tolerance on volt-scale
-/// unknowns (TransientOptions::v_tolerance); beyond it the caller
-/// refactors instead.
+/// Smallest accepted ratio of a pivot of I + Zp G to the magnitude of the
+/// terms that formed it (1 and |Zp G|, plus what elimination added). A
+/// pivot below it has cancelled: by the determinant lemma, det(A) = det(A0)
+/// * det(I + Zp G), so A is near-singular relative to A0. The same bound
+/// caps |Zp G| at its inverse: beyond that the base carries less than that
+/// share of A at the ports, so y is that much larger than x and
+/// x = y - Z i cancels. Either way the reduction would lose more than seven
+/// of the sixteen digits. Seven still leave about 1e-9 relative error, the
+/// transient engine's Newton tolerance on volt-scale unknowns
+/// (TransientOptions::v_tolerance); beyond it the caller refactors instead.
 constexpr double kMinCancellationRatio = 1e-7;
 
-/// Woodbury solves against one factored base. Single-threaded, like the
-/// BandedLu it wraps; allocation-free once Z has been built at the
-/// largest rank the run needs.
+/// How solvePorts went.
+enum class PortSolve {
+  kSolved,            ///< w is accurate, and so is x = y - Z i from it
+  kRecoveryCancels,   ///< w is accurate, but |Zp G| is beyond the cap
+  kCancelled,         ///< a pivot cancelled: w is unusable
+};
+
+/// Stands for the reference node in PortUnknowns.
+constexpr std::size_t kGroundUnknown = static_cast<std::size_t>(-1);
+
+/// One port: its voltage is x[pos] - x[neg] (kGroundUnknown for a terminal
+/// at ground).
+struct PortUnknowns {
+  std::size_t pos = kGroundUnknown;
+  std::size_t neg = kGroundUnknown;
+};
+
+/// The voltage of port p in x.
+inline double portVoltage(const Vector& x, const PortUnknowns& p) {
+  return (p.pos == kGroundUnknown ? 0.0 : x[p.pos]) - (p.neg == kGroundUnknown ? 0.0 : x[p.neg]);
+}
+
+/// The fixed-port reduction of one factored base. Single-threaded, like
+/// the BandedLu it wraps; allocation-free after setPorts().
 class LowRankUpdate {
  public:
   /// Binds the base factorization. It is held by reference, must be
-  /// factored before the first solve() and must not be refactored while
-  /// this object is in use (the cached Z is A0^-1 E_R of that base).
+  /// factored before setPorts() and must not be refactored while this
+  /// object is in use (Z is A0^-1 P of that base).
   explicit LowRankUpdate(const BandedLu<double>& base) : base_(base) {}
 
-  /// Finds dA = updated - base by a value diff. The two matrices must
-  /// share one pattern (equal patternVersion()). Returns false when dA
-  /// spans more than kMaxUpdateRank rows or columns; the change is then
-  /// unusable for solve().
-  /// \throws std::logic_error on a pattern mismatch.
-  bool setChange(const SparseMatrix& base, const SparseMatrix& updated);
+  /// Fixes the ports and builds Z (one substitution per port), Zp and the
+  /// column maxima of |Z|.
+  /// \throws std::invalid_argument with more than kMaxUpdateRank ports or
+  ///         an unknown index out of range; std::logic_error if the base is
+  ///         not factored (from BandedLu).
+  void setPorts(const std::vector<PortUnknowns>& ports);
 
-  /// Rows the last accepted change spans (0 when updated == base).
+  /// Number of ports k.
   std::size_t rank() const { return k_; }
 
-  /// Solves (A0 + dA) x = b for the change of the last successful
-  /// setChange() into x (resized; must not alias b). Returns false, with
-  /// x unspecified, when the correction would cancel (see
-  /// kMinCancellationRatio).
-  /// \throws std::logic_error if the base is not factored (from BandedLu).
-  bool solve(const Vector& b, Vector& x);
+  /// y = A0^-1 b (one substitution; y resized, may alias b) and the
+  /// open-circuit port voltages v_oc = P^T y (k entries).
+  void openCircuit(const Vector& b, Vector& y, double* v_oc) const;
 
-  /// How many times Z has been built (once per new row set R).
-  std::size_t basisBuilds() const { return basis_builds_; }
+  /// Zp(p, q): the voltage at port p per unit current drawn at port q.
+  double impedance(std::size_t p, std::size_t q) const { return zp_[p * kMax + q]; }
+
+  /// max_r |Z(r, p)|: bounds how far any unknown moves per unit change of
+  /// the current drawn at port p.
+  double columnMax(std::size_t p) const { return z_max_[p]; }
+
+  /// Solves (I + Zp G) w = r for w, in place of r (k entries), G the k x k
+  /// port conductance (row-major). On kCancelled r is unspecified; on
+  /// kRecoveryCancels the elimination itself was sound, so w is a usable
+  /// Newton step, but a solution recovered at this G would cancel (see
+  /// kMinCancellationRatio).
+  PortSolve solvePorts(const double* g, double* r) const;
+
+  /// x = y - Z i for the port currents i (x resized; may alias y).
+  void recover(const Vector& y, const double* i, Vector& x) const;
+
+  /// max_r |(Z i)_r|: the largest move of any unknown when the port
+  /// currents change by i. O(n k), where the column-max bound would be
+  /// loose (several ports).
+  double maxResponse(const double* i) const;
 
  private:
   static constexpr std::size_t kMax = kMaxUpdateRank;
 
   const BandedLu<double>& base_;
-  // The change: rows R, columns C and M (row-major, kMax columns).
   std::size_t k_ = 0;
-  std::size_t n_cols_ = 0;
-  std::array<std::size_t, kMax> rows_{};
-  std::array<std::size_t, kMax> cols_{};
-  std::array<double, kMax * kMax> m_{};
-  // Z = A0^-1 E_R for the rows it was built for.
-  std::size_t z_k_ = 0;
-  std::array<std::size_t, kMax> z_rows_{};
-  std::array<Vector, kMax> z_;
-  Vector unit_;
-  std::size_t basis_builds_ = 0;
+  std::array<PortUnknowns, kMax> ports_{};
+  std::array<Vector, kMax> z_;           ///< Z, one column per port
+  std::array<double, kMax * kMax> zp_{};  ///< Zp, row-major, kMax columns
+  std::array<double, kMax> z_max_{};
 };
 
 }  // namespace fdtdmm

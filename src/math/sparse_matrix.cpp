@@ -101,29 +101,6 @@ void CsrMatrix<Scalar>::mergeOverflow() {
 }
 
 template <typename Scalar>
-void CsrMatrix<Scalar>::adoptPatternOf(const CsrMatrix& other) {
-  if (!finalized_ || !other.finalized_)
-    throw std::logic_error("CsrMatrix::adoptPatternOf: both matrices must be finalized");
-  if (n_ != other.n_)
-    throw std::invalid_argument("CsrMatrix::adoptPatternOf: dimension mismatch");
-  if (version_ == other.version_) return;  // identical pattern already
-  std::vector<Scalar> new_values(other.nonZeros(), Scalar(0.0));
-  for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t j = other.find(r, col_idx_[k]);
-      if (j == kNpos)
-        throw std::invalid_argument(
-            "CsrMatrix::adoptPatternOf: other pattern does not cover this one");
-      new_values[j] = values_[k];
-    }
-  }
-  row_ptr_ = other.row_ptr_;
-  col_idx_ = other.col_idx_;
-  values_ = std::move(new_values);
-  version_ = other.version_;
-}
-
-template <typename Scalar>
 CsrPattern CsrMatrix<Scalar>::pattern() const {
   if (!finalized_) throw std::logic_error("CsrMatrix::pattern: not finalized");
   return {n_, row_ptr_, col_idx_, version_};

@@ -10,13 +10,10 @@
 ///     indices per row, duplicates summed — fixing the *symbolic pattern*.
 ///  2. *Finalized*: add(r, c, v) scatters into the existing pattern by
 ///     binary search, refreshing numeric values in place with no
-///     allocation. An add outside the pattern (a nonlinear stamp touching
-///     a structurally-new entry, e.g. a MOSFET swapping drain/source) is
-///     buffered in an overflow list and flagged via patternGrown(); the
-///     engine then calls mergeOverflow() to extend the pattern once and
-///     re-align the cached base matrix with adoptPatternOf(). Pattern
-///     growth therefore costs one recompile per new position set, after
-///     which every iteration is allocation-free again.
+///     allocation. An add outside the pattern (a stamp a wrong structure
+///     key left out of a shared pattern) is buffered in an overflow list
+///     and flagged via patternGrown(); mergeOverflow() then extends the
+///     pattern once.
 ///
 /// A matrix can also skip the building phase: adoptPattern() starts it
 /// finalized, with zero values, on a pattern another matrix compiled and
@@ -85,14 +82,6 @@ class CsrMatrix {
   /// Folds the buffered overflow entries into the pattern (new version
   /// stamp). No-op when patternGrown() is false.
   void mergeOverflow();
-
-  /// Re-aligns this matrix's pattern with `other` (which must contain every
-  /// entry of the current pattern — the engine grows work/base patterns in
-  /// lockstep). Existing values are preserved; new entries are zero. After
-  /// the call both matrices carry the same version stamp.
-  /// \throws std::invalid_argument on dimension mismatch or if `other` is
-  ///         missing an entry of this pattern.
-  void adoptPatternOf(const CsrMatrix& other);
 
   /// The compiled pattern with its version stamp (finalized only).
   /// \throws std::logic_error while building.

@@ -20,7 +20,6 @@ void RunTelemetry::merge(const RunTelemetry& o) {
   max_newton_iterations = std::max(max_newton_iterations, o.max_newton_iterations);
   steps += o.steps;
   transient_runs += o.transient_runs;
-  pattern_realignments += o.pattern_realignments;
   shared_symbolic_builds += o.shared_symbolic_builds;
   shared_symbolic_reuses += o.shared_symbolic_reuses;
   pattern_compiles += o.pattern_compiles;

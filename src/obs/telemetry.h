@@ -15,17 +15,17 @@
 ///                    corner, the checkout plus every solveAt's value
 ///                    restamp of G + j*omega*B and the RHS
 ///   - factor         LU factorizations: the base, plus the refactors of
-///                    dirtied iterations the low-rank update declined
-///                    (a change wider than kMaxUpdateRank rows, a singular
-///                    base, a cancelling correction)
-///   - rhs_stamp      per-Newton-iteration dynamic stamping: base-matrix
-///                    restore, RHS rebuild, nonlinear Jacobian entries
-///   - solve          forward/back substitutions, including a dirtied
-///                    iteration's low-rank update (the value diff, Z's
-///                    substitutions and the k x k correction)
-///   - newton         the whole Newton loop (contains factor + rhs_stamp +
-///                    solve plus convergence checking; the remainder of
-///                    the run's wall time is probe recording and element
+///                    iterations the port reduction does not solve (more
+///                    than kMaxUpdateRank ports, a singular base, a
+///                    cancelling port system)
+///   - rhs_stamp      the RHS stamp of each time point (stampRhs)
+///   - solve          forward/back substitutions and the port reduction:
+///                    Z's substitutions, the k x k port systems and the
+///                    recoveries x = y - Z i
+///   - newton         the whole solve of every time point (contains
+///                    factor + rhs_stamp + solve plus the port-law
+///                    evaluations and convergence checking; the remainder
+///                    of the run's wall time is probe recording and element
 ///                    begin/end hooks)
 ///
 /// ## RunTelemetry (one JSON object per corner)
@@ -41,18 +41,16 @@
 ///                              exactly 1, with sharing on or off; so does
 ///                              a corner whose nonlinear devices are a few
 ///                              ports, such as a crosstalk corner)
-///   - low_rank_solves          Newton iterations that solved a dirtied
-///                              matrix on the base factorization plus a
-///                              low-rank correction (math/low_rank_update.h)
+///   - low_rank_solves          Newton iterations of a nonlinear circuit
+///                              solved through the port reduction of the
+///                              base factorization (math/low_rank_update.h)
 ///                              instead of refactoring; a crosstalk corner
-///                              reads newton_iterations
-///   - newton_iterations        total Newton iterations
+///                              reads newton_iterations, a linear one 0
+///   - newton_iterations        total Newton iterations (one per time
+///                              point on a linear circuit)
 ///   - max_newton_iterations    worst single step
 ///   - steps                    accepted time steps (t >= 0)
 ///   - transient_runs           how many runTransient calls were merged
-///   - pattern_realignments     sparse-pattern overflow recompiles (a
-///                              dynamic stamp hit a structurally-new
-///                              entry; see circuit/transient.h)
 ///   - shared_symbolic_builds   class patterns and orderings built and
 ///                              published to a SolverStateProvider
 ///                              (circuit/solver_state.h)
@@ -61,14 +59,12 @@
 ///                              and ordered nothing
 ///   - pattern_compiles         CSR pattern compiles the run performed: a
 ///                              finalize (the class's build or a private
-///                              session) or an overflow merge (a wrong-key
-///                              fold or a pattern realignment); 0 for a
-///                              session that checked its class out under
-///                              an honest key
+///                              session) or a wrong-key overflow fold; 0
+///                              for a session that checked its class out
+///                              under an honest key
 ///   - rcm_orderings            RCM orderings the run computed itself (one
-///                              per transient or AC session and per pattern
-///                              growth; 0 for a session that checked its
-///                              class out)
+///                              per transient or AC session; 0 for a
+///                              session that checked its class out)
 ///   - structure                StructureSize below, merged by max
 ///   - wall_seconds             scenario wall clock (set by the engine
 ///                              layer; the deliberately-unexported
@@ -87,7 +83,7 @@
 ///   - nonzeros   CSR entries of the final pattern
 ///   - kl, ku     lower/upper bandwidth of the RCM-permuted matrix of the
 ///                factorization the run solved on last (the base, after a
-///                low-rank solve)
+///                substitution or a port solve)
 ///
 /// Merging keeps the field-wise maximum (a multi-transient corner reports
 /// its largest system).
@@ -141,7 +137,6 @@ struct RunTelemetry {
   int max_newton_iterations = 0;
   long long steps = 0;
   long long transient_runs = 0;
-  long long pattern_realignments = 0;
   long long shared_symbolic_builds = 0;
   long long shared_symbolic_reuses = 0;
   long long pattern_compiles = 0;

@@ -9,10 +9,11 @@
 //    RCM ordering.
 //  - runBandedReference: the same loop on a fresh CSR matrix factored by
 //    its own BandedLu at every Newton iteration — the refactor-every-
-//    iteration banded path that SolverSession's low-rank updates replace.
-//    It sums each entry in the engine's order (static stamps, finalize,
-//    then dynamic stamps on top) and orders the same pattern with the same
-//    RCM, but caches nothing across iterations.
+//    iteration banded path that SolverSession's port reduction replaces.
+//    It sums each entry in the engine's order (static stamps with the port
+//    stencils reserved, finalize, then the port linearizations on top) and
+//    orders the same pattern with the same RCM, but caches nothing across
+//    iterations.
 //  - acDenseReference: one AC point stamped through Element::stampAc in
 //    stamp order, split into dense real/imaginary matrices and solved as a
 //    real system of twice the size (solveComplexDense), with the same dense
@@ -41,10 +42,10 @@ namespace fdtdmm::oracle {
 constexpr double kSparseTol = 1e-8;
 
 // The full linearized stamp of element `e` about iterate x: its static
-// and dynamic parts, in that order.
+// stamp, then its RHS terms and its port law linearized about x.
 inline void stamp(Element& e, StampSystem& sys, const Vector& x, double t, double dt) {
   e.stampStatic(sys, dt);
-  e.stampDynamic(sys, x, t, dt);
+  e.stampLinearized(sys, x, t, dt);
 }
 
 // Assembles `stampAll(sys)` into `a` (reset to n x n) in two passes: the
@@ -183,8 +184,8 @@ inline TransientResult runDenseReference(Circuit& circuit, const TransientOption
       [&](StampSystem& sys, Vector& x_new) { x_new = solveDense(csr, sys.b); });
 }
 
-// The banded reference: static stamps into a fresh CSR matrix, finalize,
-// dynamic stamps on top (folding any out-of-pattern entries in), then a
+// The banded reference: static stamps and port stencils into a fresh CSR
+// matrix, finalize, the RHS terms and port linearizations on top, then a
 // BandedLu with its own RCM ordering.
 inline TransientResult runBandedReference(Circuit& circuit, const TransientOptions& opt,
                                           const std::vector<NodeProbe>& probes) {
@@ -196,10 +197,12 @@ inline TransientResult runBandedReference(Circuit& circuit, const TransientOptio
       [&](StampSystem& sys, const Vector& x, double t) {
         csr.reset(n);
         sys.csr = &csr;
-        for (const auto& e : circuit.elements()) e->stampStatic(sys, opt.dt);
+        for (const auto& e : circuit.elements()) {
+          e->stampStatic(sys, opt.dt);
+          e->reservePortStencil(sys);
+        }
         csr.finalize();
-        for (const auto& e : circuit.elements()) e->stampDynamic(sys, x, t, opt.dt);
-        csr.mergeOverflow();
+        for (const auto& e : circuit.elements()) e->stampLinearized(sys, x, t, opt.dt);
       },
       [&](StampSystem& sys, Vector& x_new) {
         lu.factor(csr);

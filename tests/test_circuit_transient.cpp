@@ -172,8 +172,9 @@ TEST(Transient, DuplicateProbeLabelsThrow) {
 }
 
 TEST(Transient, LinearCircuitFactorsOnce) {
-  // Purely linear circuit: the reuse-factorization engine must perform
-  // exactly one LU factorization for the whole run, settle phase included.
+  // Purely linear circuit: the engine must perform exactly one LU
+  // factorization for the whole run, settle phase included, and one
+  // substitution per time point.
   Circuit c;
   const int src = c.addNode();
   const int out = c.addNode();
@@ -187,6 +188,7 @@ TEST(Transient, LinearCircuitFactorsOnce) {
   const auto res = runTransient(c, opt, {{"v", out, 0}});
   EXPECT_EQ(res.lu_factorizations, 1);
   EXPECT_GT(res.total_newton_iterations, res.lu_factorizations);
+  EXPECT_EQ(res.max_newton_iterations, 1);
 }
 
 TEST(Transient, NonlinearCircuitFactorsBaseOnce) {
@@ -206,14 +208,90 @@ TEST(Transient, NonlinearCircuitFactorsBaseOnce) {
   opt.dt = 1e-12;
   opt.t_stop = 1e-9;
   const auto res = runTransient(c, opt, {{"v", out, 0}});
-  // The diode dirties the matrix at every Newton iteration, but only its
-  // two rows: each iteration is solved on the one base factorization plus
-  // a rank-2 correction, and agrees with the dense refactor-every-iteration
-  // oracle.
+  // The diode is one port: each Newton iteration is a port solve on the
+  // one base factorization, in as many iterations as the dense
+  // refactor-every-iteration oracle takes, and agrees with it.
   EXPECT_EQ(res.lu_factorizations, 1);
   EXPECT_EQ(res.low_rank_solves, res.total_newton_iterations);
   const auto ref = oracle::runDenseReference(oracle_circuit, opt, {{"v", out, 0}});
   EXPECT_EQ(res.total_newton_iterations, ref.total_newton_iterations);
+  EXPECT_LE(oracle::maxAbsDiff(res.at("v"), ref.at("v")), oracle::kSparseTol);
+}
+
+// A 1 V step through a milliohm-scale resistor into 1 nF draws hundreds
+// to a thousand amperes at once. The circuit is linear, so each time
+// point is one substitution: no iteration cap, no clamp on the source's
+// branch current. The dense oracle's own clamp limits every unknown to
+// max_delta_v per iteration, branch currents included, so it runs with
+// the clamp off.
+TEST(Transient, LinearStepIntoCapacitorSolvesOncePerTimePoint) {
+  for (const double r : {0.01, 1e-3}) {
+    const auto build = [r](Circuit& c) {
+      const int src = c.addNode();
+      const int out = c.addNode();
+      c.addVoltageSource(src, Circuit::kGround, [](double t) { return t >= 0.0 ? 1.0 : 0.0; });
+      c.addResistor(src, out, r);
+      c.addCapacitor(out, Circuit::kGround, 1e-9);
+      return out;
+    };
+    Circuit c, oracle_circuit;
+    const int out = build(c);
+    build(oracle_circuit);
+    TransientOptions opt;
+    opt.dt = 1e-12;
+    opt.t_stop = 50e-12;
+    opt.settle_time = 5e-12;
+    const auto res = runTransient(c, opt, {{"v", out, 0}});
+    EXPECT_TRUE(res.converged) << r;
+    EXPECT_EQ(res.max_newton_iterations, 1) << r;
+    EXPECT_EQ(res.lu_factorizations, 1) << r;
+    TransientOptions no_clamp = opt;
+    no_clamp.max_delta_v = 0.0;
+    const auto ref = oracle::runDenseReference(oracle_circuit, no_clamp, {{"v", out, 0}});
+    EXPECT_TRUE(ref.converged) << r;
+    EXPECT_LE(oracle::maxAbsDiff(res.at("v"), ref.at("v")), oracle::kSparseTol) << r;
+  }
+}
+
+// A diode whose port voltage steps by several max_delta_v in one time
+// step: the source jumps to +3 V (forward, the junction settles near
+// 0.8 V) and then to -5 V (reverse, the whole swing lands on the
+// junction). Per-port limiting walks the port voltage max_delta_v per
+// iteration and every step still converges, with no stagnated or diverged
+// step in the health record.
+TEST(Transient, DiodePortStepLargerThanTheLimitConverges) {
+  const auto build = [](Circuit& c) {
+    const int src = c.addNode();
+    const int out = c.addNode();
+    c.addVoltageSource(src, Circuit::kGround, [](double t) {
+      return t < 10e-12 ? 0.0 : (t < 30e-12 ? 3.0 : -5.0);
+    });
+    c.addDiode(src, out);
+    c.addResistor(out, Circuit::kGround, 1000.0);
+    c.addCapacitor(out, Circuit::kGround, 1e-12);
+    return out;
+  };
+  Circuit c, oracle_circuit;
+  const int out = build(c);
+  build(oracle_circuit);
+  obs::RunTelemetry tel;
+  TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 50e-12;
+  opt.telemetry = &tel;
+  opt.health.collect = true;
+  const auto res = runTransient(c, opt, {{"v", out, 0}});
+  EXPECT_TRUE(res.converged);
+  // The -5.8 V swing takes six limited iterations, then two more.
+  EXPECT_GE(res.max_newton_iterations, 7);
+  EXPECT_EQ(res.lu_factorizations, 1);
+  EXPECT_EQ(res.low_rank_solves, res.total_newton_iterations);
+  EXPECT_EQ(tel.health.newton_steps_converged, static_cast<long long>(res.steps));
+  EXPECT_EQ(tel.health.newton_steps_stagnated, 0);
+  EXPECT_EQ(tel.health.newton_steps_diverged, 0);
+  EXPECT_EQ(tel.health.severity, obs::HealthSeverity::kOk);
+  const auto ref = oracle::runBandedReference(oracle_circuit, opt, {{"v", out, 0}});
+  EXPECT_TRUE(ref.converged);
   EXPECT_LE(oracle::maxAbsDiff(res.at("v"), ref.at("v")), oracle::kSparseTol);
 }
 

@@ -125,12 +125,11 @@ Circuit portDrivenLadder(int& far, int clamps = 0) {
 }
 
 // A run that checks a shared RCM ordering out computes none of its own:
-// its base and every refactorization use the shared ordering (the dynamic
-// Jacobian positions are all part of the static pattern, so nothing forces
-// a re-ordering). The port-driven ladder factors only its base and solves
-// every iteration as a low-rank update of it. With five clamp diodes the
-// iterations dirty six rows, more than kMaxUpdateRank, so every one of them
-// refactors — still without an RCM analysis on the reuse run.
+// its base and every refactorization use the shared ordering (every port
+// stencil is part of the static pattern). The port-driven ladder factors
+// only its base and solves every iteration through its one port. With
+// five clamp diodes it has six ports, more than kMaxUpdateRank, so every
+// iteration refactors — still without an RCM analysis on the reuse run.
 TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
   static_assert(5 + 1 > kMaxUpdateRank, "the clamped ladder must be too wide");
   for (const int clamps : {0, 5}) {
@@ -154,7 +153,6 @@ TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
         EXPECT_GT(res.lu_factorizations, 1) << run;
         EXPECT_EQ(res.lu_factorizations, res.total_newton_iterations) << run;
       }
-      EXPECT_EQ(tel.pattern_realignments, 0) << clamps << " " << run;
       if (run == 0) {
         EXPECT_EQ(tel.shared_symbolic_builds, 1);
         EXPECT_EQ(tel.rcm_orderings, 1);
@@ -333,7 +331,6 @@ TEST(FactorizationSharing, ReuseCornersCompileNoPattern) {
     for (const SweepRunRecord& r : result.runs) {
       const obs::RunTelemetry& t = r.telemetry;
       compiles += t.pattern_compiles;
-      EXPECT_EQ(t.pattern_realignments, 0) << r.label;
       EXPECT_EQ(t.pattern_compiles, t.shared_symbolic_builds) << r.label;
       if (t.shared_symbolic_builds == 0) {
         EXPECT_GT(t.shared_symbolic_reuses, 0) << r.label;

@@ -1,7 +1,8 @@
-// Unit tests of the Woodbury low-rank update (math/low_rank_update.h): on
-// seeded random banded bases it must agree with a dense LU of the updated
-// matrix, decline changes that are too wide or whose correction cancels,
-// and rebuild its cached Z = A0^-1 E_R exactly when the row set changes.
+// Unit tests of the fixed-port reduction (math/low_rank_update.h): on
+// seeded random banded bases with k random ports it must agree with a
+// dense LU of A0 + P G P^T, expose the Thevenin view the transient Newton
+// runs on, decline port systems that would cancel, and refuse more ports
+// than kMaxUpdateRank.
 #include "math/low_rank_update.h"
 
 #include <gtest/gtest.h>
@@ -13,22 +14,20 @@
 
 #include "math/linear_solve.h"
 #include "math/rng.h"
+#include "math/sparse_matrix.h"
 
 namespace fdtdmm {
 namespace {
 
 constexpr std::size_t kN = 24;
 
-// A random diagonally dominant base with lower/upper bandwidth 2, whose
-// pattern also holds every entry of `extra` (as structural zeros), so an
-// update there stays inside the pattern.
-SparseMatrix randomBase(Rng& rng, const std::vector<std::pair<std::size_t, std::size_t>>& extra) {
+// A random diagonally dominant base with lower/upper bandwidth 2.
+SparseMatrix randomBase(Rng& rng) {
   SparseMatrix a(kN);
   for (std::size_t r = 0; r < kN; ++r) {
     for (std::size_t c = r >= 2 ? r - 2 : 0; c <= std::min(kN - 1, r + 2); ++c)
       a.add(r, c, r == c ? rng.uniform(4.0, 8.0) : rng.uniform(-1.0, 1.0));
   }
-  for (const auto& [r, c] : extra) a.add(r, c, 0.0);
   a.finalize();
   return a;
 }
@@ -39,9 +38,29 @@ Vector randomVector(Rng& rng) {
   return b;
 }
 
+// Dense A0 + P G P^T for the k x k port conductance g (row-major).
+Matrix withPorts(const SparseMatrix& base, const std::vector<PortUnknowns>& ports,
+                 const std::vector<double>& g) {
+  Matrix a = base.toDense();
+  const std::size_t k = ports.size();
+  const auto add = [&](std::size_t r, std::size_t c, double v) {
+    if (r != kGroundUnknown && c != kGroundUnknown) a(r, c) += v;
+  };
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t q = 0; q < k; ++q) {
+      const double gpq = g[p * k + q];
+      add(ports[p].pos, ports[q].pos, gpq);
+      add(ports[p].pos, ports[q].neg, -gpq);
+      add(ports[p].neg, ports[q].pos, -gpq);
+      add(ports[p].neg, ports[q].neg, gpq);
+    }
+  }
+  return a;
+}
+
 // max |x - ref| / max |ref| against a dense LU of `a`.
-double gapToDense(const SparseMatrix& a, const Vector& b, const Vector& x) {
-  const Vector ref = solveLinear(a.toDense(), b);
+double gapToDense(const Matrix& a, const Vector& b, const Vector& x) {
+  const Vector ref = solveLinear(a, b);
   double gap = 0.0, scale = 0.0;
   for (std::size_t k = 0; k < kN; ++k) {
     gap = std::max(gap, std::abs(x[k] - ref[k]));
@@ -50,152 +69,157 @@ double gapToDense(const SparseMatrix& a, const Vector& b, const Vector& x) {
   return gap / scale;
 }
 
-// `count` distinct indices in [0, kN).
-std::vector<std::size_t> distinct(Rng& rng, std::size_t count) {
-  std::vector<std::size_t> all(kN);
-  for (std::size_t k = 0; k < kN; ++k) all[k] = k;
-  for (std::size_t k = 0; k < count; ++k)
-    std::swap(all[k], all[k + rng.below(kN - k)]);
-  all.resize(count);
-  std::sort(all.begin(), all.end());
-  return all;
+// Solves (A0 + P G P^T) x = b through the reduction, as the transient
+// Newton does for a linear port law: the port voltages from
+// (I + Zp G) v = P^T y, then x = y - Z (G v). False when the port system
+// or the recovery would cancel.
+bool solveWithPorts(const LowRankUpdate& update, const Vector& b, const double* g, Vector& x) {
+  const std::size_t k = update.rank();
+  std::vector<double> v(k), i(k, 0.0);
+  Vector y;
+  update.openCircuit(b, y, v.data());
+  if (update.solvePorts(g, v.data()) != PortSolve::kSolved) return false;
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t q = 0; q < k; ++q) i[p] += g[p * k + q] * v[q];
+  }
+  update.recover(y, i.data(), x);
+  return true;
 }
 
-TEST(LowRankUpdate, RandomRankKUpdatesMatchDenseLu) {
+// k ports on distinct unknowns; about one in three terminals is ground.
+std::vector<PortUnknowns> randomPorts(Rng& rng, std::size_t k) {
+  std::vector<std::size_t> all(kN);
+  for (std::size_t j = 0; j < kN; ++j) all[j] = j;
+  for (std::size_t j = 0; j < 2 * k; ++j) std::swap(all[j], all[j + rng.below(kN - j)]);
+  std::vector<PortUnknowns> ports(k);
+  for (std::size_t p = 0; p < k; ++p) {
+    ports[p].pos = all[2 * p];
+    ports[p].neg = rng.below(3) == 0 ? kGroundUnknown : all[2 * p + 1];
+  }
+  return ports;
+}
+
+TEST(LowRankUpdate, RandomRankKPortsMatchDenseLu) {
   for (std::size_t k = 1; k <= kMaxUpdateRank; ++k) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       Rng rng(splitStream(seed, fnv1a64("low-rank-update"), k).next());
-      const std::vector<std::size_t> rows = distinct(rng, k);
-      const std::vector<std::size_t> cols = distinct(rng, 1 + rng.below(kMaxUpdateRank));
-      std::vector<std::pair<std::size_t, std::size_t>> cells;
-      for (std::size_t r : rows) {
-        for (std::size_t c : cols) cells.emplace_back(r, c);
-      }
-      const SparseMatrix base = randomBase(rng, cells);
-      SparseMatrix updated = base;
-      // Every row of R gets at least its first column changed.
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i % cols.size() == 0 || rng.below(2))
-          updated.add(cells[i].first, cells[i].second, rng.uniform(-3.0, 3.0));
-      }
+      const SparseMatrix base = randomBase(rng);
+      const std::vector<PortUnknowns> ports = randomPorts(rng, k);
+      std::vector<double> g(k * k);
+      for (double& v : g) v = rng.uniform(-3.0, 3.0);
       BandedLu<double> lu;
       lu.factor(base);
       LowRankUpdate update(lu);
-      ASSERT_TRUE(update.setChange(base, updated)) << k << " " << seed;
+      update.setPorts(ports);
       EXPECT_EQ(update.rank(), k);
       const Vector b = randomVector(rng);
       Vector x;
-      ASSERT_TRUE(update.solve(b, x)) << k << " " << seed;
-      EXPECT_LE(gapToDense(updated, b, x), 1e-12) << k << " " << seed;
+      ASSERT_TRUE(solveWithPorts(update, b, g.data(), x)) << k << " " << seed;
+      EXPECT_LE(gapToDense(withPorts(base, ports, g), b, x), 1e-12) << k << " " << seed;
     }
   }
 }
 
-TEST(LowRankUpdate, UnchangedMatrixSolvesOnTheBase) {
+// The pieces the transient Newton uses: the port voltages of y, the port
+// impedance, and the column maxima that bound every unknown's response.
+TEST(LowRankUpdate, PortImpedanceIsTheTheveninViewOfTheBase) {
+  Rng rng(13);
+  const SparseMatrix base = randomBase(rng);
+  BandedLu<double> lu;
+  lu.factor(base);
+  const std::vector<PortUnknowns> ports = {{3, kGroundUnknown}, {11, 7}};
+  LowRankUpdate update(lu);
+  update.setPorts(ports);
+  const Vector b = randomVector(rng);
+  Vector y;
+  double v_oc[2];
+  update.openCircuit(b, y, v_oc);
+  EXPECT_EQ(y, lu.solve(b));
+  EXPECT_DOUBLE_EQ(v_oc[0], y[3]);
+  EXPECT_DOUBLE_EQ(v_oc[1], y[11] - y[7]);
+  for (std::size_t q = 0; q < 2; ++q) {
+    Vector unit(kN, 0.0);
+    unit[ports[q].pos] = 1.0;
+    if (ports[q].neg != kGroundUnknown) unit[ports[q].neg] = -1.0;
+    const Vector z = lu.solve(unit);
+    EXPECT_DOUBLE_EQ(update.impedance(0, q), z[3]);
+    EXPECT_DOUBLE_EQ(update.impedance(1, q), z[11] - z[7]);
+    double z_max = 0.0;
+    for (double v : z) z_max = std::max(z_max, std::abs(v));
+    EXPECT_DOUBLE_EQ(update.columnMax(q), z_max);
+  }
+  // recover: x = y - Z i.
+  const double i[2] = {0.25, -1.5};
+  Vector x;
+  update.recover(y, i, x);
+  const Vector ref = lu.solve([&] {
+    Vector r = b;
+    r[3] -= i[0];
+    r[11] -= i[1];
+    r[7] += i[1];
+    return r;
+  }());
+  for (std::size_t r = 0; r < kN; ++r) EXPECT_NEAR(x[r], ref[r], 1e-14) << r;
+}
+
+TEST(LowRankUpdate, NoPortsSolvesOnTheBase) {
   Rng rng(7);
-  const SparseMatrix base = randomBase(rng, {});
-  const SparseMatrix updated = base;
+  const SparseMatrix base = randomBase(rng);
   BandedLu<double> lu;
   lu.factor(base);
   LowRankUpdate update(lu);
-  ASSERT_TRUE(update.setChange(base, updated));
+  update.setPorts({});
   EXPECT_EQ(update.rank(), 0u);
   const Vector b = randomVector(rng);
   Vector x;
-  ASSERT_TRUE(update.solve(b, x));
+  ASSERT_TRUE(solveWithPorts(update, b, nullptr, x));
   EXPECT_EQ(x, lu.solve(b));
-  EXPECT_EQ(update.basisBuilds(), 0u);
 }
 
-TEST(LowRankUpdate, DeclinesChangesWiderThanTheRankCap) {
+TEST(LowRankUpdate, RejectsMorePortsThanTheRankCap) {
   Rng rng(3);
-  std::vector<std::pair<std::size_t, std::size_t>> far_cols;
-  for (std::size_t j = 0; j < kMaxUpdateRank; ++j) far_cols.emplace_back(0, 10 + j);
-  const SparseMatrix base = randomBase(rng, far_cols);
+  const SparseMatrix base = randomBase(rng);
   BandedLu<double> lu;
   lu.factor(base);
   LowRankUpdate update(lu);
-
-  SparseMatrix rows = base;  // kMaxUpdateRank + 1 diagonal entries
-  for (std::size_t r = 0; r <= kMaxUpdateRank; ++r) rows.add(2 * r, 2 * r, 1.0);
-  EXPECT_FALSE(update.setChange(base, rows));
-
-  SparseMatrix cols = base;  // one row, kMaxUpdateRank columns
-  for (const auto& [r, c] : far_cols) cols.add(r, c, 1.0);
-  EXPECT_TRUE(update.setChange(base, cols));
-  EXPECT_EQ(update.rank(), 1u);
-  SparseMatrix wider = cols;  // one column more
-  wider.add(0, 0, 1.0);
-  EXPECT_FALSE(update.setChange(base, wider));
-
-  SparseMatrix other(kN);
-  for (std::size_t r = 0; r < kN; ++r) other.add(r, r, 1.0);
-  other.finalize();
-  EXPECT_THROW(update.setChange(base, other), std::logic_error);
+  std::vector<PortUnknowns> ports;
+  for (std::size_t p = 0; p <= kMaxUpdateRank; ++p) ports.push_back({2 * p, kGroundUnknown});
+  EXPECT_THROW(update.setPorts(ports), std::invalid_argument);
+  ports.pop_back();
+  EXPECT_NO_THROW(update.setPorts(ports));
+  EXPECT_EQ(update.rank(), kMaxUpdateRank);
+  EXPECT_THROW(update.setPorts({{kN, kGroundUnknown}}), std::invalid_argument);
 }
 
 TEST(LowRankUpdate, DeclinesACancellingRankOneUpdate) {
   Rng rng(11);
   const std::size_t r = 9;
-  const SparseMatrix base = randomBase(rng, {});
+  const SparseMatrix base = randomBase(rng);
   BandedLu<double> lu;
   lu.factor(base);
-  Vector e(kN, 0.0);
-  e[r] = 1.0;
-  const double z = lu.solve(e)[r];  // (A0^-1)_rr
+  LowRankUpdate update(lu);
+  const std::vector<PortUnknowns> ports = {{r, kGroundUnknown}};
+  update.setPorts(ports);
+  const double z = update.impedance(0, 0);  // (A0^-1)_rr
   const Vector b = randomVector(rng);
   Vector x;
 
   // 1 + g z = 1e-14: the updated matrix is singular to working precision
   // relative to the base.
-  SparseMatrix cancelling = base;
-  cancelling.add(r, r, -(1.0 - 1e-14) / z);
-  LowRankUpdate update(lu);
-  ASSERT_TRUE(update.setChange(base, cancelling));
-  EXPECT_EQ(update.rank(), 1u);
-  EXPECT_FALSE(update.solve(b, x));
+  const double cancelling = -(1.0 - 1e-14) / z;
+  EXPECT_FALSE(solveWithPorts(update, b, &cancelling, x));
 
-  // |g z| = 1e8: the base carries 1e-8 of the updated row, so x = y - Z w
+  // |g z| = 1e8: the base carries 1e-8 of the updated row, so x = y - Z i
   // would cancel.
-  SparseMatrix dominating = base;
-  dominating.add(r, r, 1e8 / z);
-  ASSERT_TRUE(update.setChange(base, dominating));
-  EXPECT_FALSE(update.solve(b, x));
+  const double dominating = 1e8 / z;
+  EXPECT_FALSE(solveWithPorts(update, b, &dominating, x));
 
   // Moderate changes either way are accepted and exact.
   for (const double gz : {-0.5, 1e3}) {
-    SparseMatrix moderate = base;
-    moderate.add(r, r, gz / z);
-    ASSERT_TRUE(update.setChange(base, moderate)) << gz;
-    ASSERT_TRUE(update.solve(b, x)) << gz;
-    EXPECT_LE(gapToDense(moderate, b, x), 1e-12) << gz;
+    const std::vector<double> g = {gz / z};
+    ASSERT_TRUE(solveWithPorts(update, b, g.data(), x)) << gz;
+    EXPECT_LE(gapToDense(withPorts(base, ports, g), b, x), 1e-12) << gz;
   }
-}
-
-TEST(LowRankUpdate, RebuildsZWhenTheRowSetChanges) {
-  Rng rng(5);
-  const SparseMatrix base = randomBase(rng, {});
-  BandedLu<double> lu;
-  lu.factor(base);
-  LowRankUpdate update(lu);
-  const Vector b = randomVector(rng);
-  Vector x;
-
-  const auto solveWith = [&](std::size_t row, double g) {
-    SparseMatrix a = base;
-    a.add(row, row, g);
-    ASSERT_TRUE(update.setChange(base, a));
-    ASSERT_TRUE(update.solve(b, x));
-    EXPECT_LE(gapToDense(a, b, x), 1e-12) << row << " " << g;
-  };
-  solveWith(2, 0.5);
-  EXPECT_EQ(update.basisBuilds(), 1u);
-  solveWith(2, 3.0);  // same row, new value: Z is reused
-  EXPECT_EQ(update.basisBuilds(), 1u);
-  solveWith(17, 1.5);  // new row: Z is rebuilt
-  EXPECT_EQ(update.basisBuilds(), 2u);
-  solveWith(2, 0.5);  // and again on the way back
-  EXPECT_EQ(update.basisBuilds(), 3u);
 }
 
 }  // namespace

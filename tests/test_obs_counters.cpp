@@ -130,7 +130,6 @@ TEST(RunTelemetry, MergeIsFieldWise) {
   b.max_newton_iterations = 7;
   b.steps = 50;
   b.transient_runs = 1;
-  b.pattern_realignments = 2;
   b.pattern_compiles = 2;
   b.wall_seconds = 0.25;
 
@@ -142,7 +141,6 @@ TEST(RunTelemetry, MergeIsFieldWise) {
   EXPECT_EQ(a.max_newton_iterations, 7);  // max, not sum
   EXPECT_EQ(a.steps, 150);
   EXPECT_EQ(a.transient_runs, 2);
-  EXPECT_EQ(a.pattern_realignments, 2);
   EXPECT_EQ(a.pattern_compiles, 3);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 0.75);
 }

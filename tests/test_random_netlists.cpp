@@ -3,17 +3,19 @@
 // tests/dense_oracle.h on randomly generated R/L/C/K/V/I netlists — with
 // and without diodes — and on random single and coupled RLGC ladders.
 // Every node voltage must agree to kSparseTol at every step, and every
-// linear netlist — and every diode netlist whose diodes dirty at most
-// kMaxUpdateRank rows — must run on exactly one LU factorization. The linear
-// netlists also go through the AC engine (AcSession) against the dense AC
-// reference, and the linear and diode netlists through dcOperatingPoint
-// against the dense DC reference. Each case is a pure function of its seed
-// (math/rng.h), so a failure names a reproducible netlist.
+// netlist must run on exactly one LU factorization: a linear one in one
+// solve per time point, a diode one through its port reduction. The diode
+// netlists also stay within 1e-9 V of the refactoring reference
+// (oracle::runBandedReference), in as many Newton iterations wherever the
+// reference's clamp never engages. The linear netlists also go through the
+// AC engine (AcSession) against the dense AC reference, and the linear and
+// diode netlists through dcOperatingPoint against the dense DC reference.
+// Each case is a pure function of its seed (math/rng.h), so a failure
+// names a reproducible netlist.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -66,15 +68,22 @@ std::pair<int, int> randomPair(Rng& rng, int n) {
 struct Case {
   TransientOptions opt;
   std::vector<NodeProbe> probes;
-  /// Distinct non-ground diode terminals: the rows the diodes dirty.
-  std::size_t diode_rows = 0;
 };
 
-/// R/L/C/K/V/I netlist (plus diodes when `diodes`). A resistor spanning
-/// tree gives every node a DC path to ground, and voltage sources sit on
-/// distinct nodes to ground, so no source loop or floating node can make
-/// the MNA matrix singular.
-Case buildRandomNetlist(Circuit& c, std::uint64_t seed, bool diodes) {
+/// What buildRandomNetlist adds to its R/L/C/K/V/I netlist.
+enum class Junctions {
+  kNone,
+  kSeries,  ///< one or two diodes, each behind a series resistor
+  kBare,    ///< one diode straight across the first voltage source
+};
+
+/// R/L/C/K/V/I netlist plus `junctions`. A resistor spanning tree gives
+/// every node a DC path to ground, and voltage sources sit on distinct
+/// nodes to ground, so no source loop or floating node can make the MNA
+/// matrix singular. A kBare netlist is the kNone netlist of its seed plus
+/// the junction.
+Case buildRandomNetlist(Circuit& c, std::uint64_t seed, Junctions junctions) {
+  const bool diodes = junctions == Junctions::kSeries;
   Rng rng(splitStream(seed, fnv1a64("random-netlist"), diodes ? 1 : 0).next());
   const int n = 3 + static_cast<int>(rng.below(6));
   for (int k = 0; k < n; ++k) c.addNode();
@@ -116,12 +125,11 @@ Case buildRandomNetlist(Circuit& c, std::uint64_t seed, bool diodes) {
     const auto [a, b] = randomPair(rng, n);
     c.addCurrentSource(a, b, randomSource(rng, 20e-3));
   }
-  std::set<int> diode_nodes;
   if (diodes) {
-    // Each diode sits behind a series resistor: a bare junction across a
-    // 2 V source would conduct kiloamperes, which the engine's global
-    // per-iteration damping clamp (1 unit per iteration, branch currents
-    // included) cannot walk to within any reasonable iteration cap.
+    // Each diode sits behind a series resistor, so these currents stay at
+    // milliamperes and the dense oracle's global clamp (one unit per
+    // iteration, branch currents included) converges on them. A bare
+    // junction across a source (kBare) conducts kiloamperes instead.
     for (int k = 1 + static_cast<int>(rng.below(2)); k > 0; --k) {
       const auto [a, b] = randomPair(rng, n);
       const int junction = c.addNode();
@@ -131,12 +139,17 @@ Case buildRandomNetlist(Circuit& c, std::uint64_t seed, bool diodes) {
         c.addDiode(junction, a);
       }
       c.addResistor(junction, b, logUniform(rng, 10.0, 1e3));
-      diode_nodes.insert({a, junction});  // both > 0
+    }
+  }
+  if (junctions == Junctions::kBare) {
+    if (seed % 2 != 0) {
+      c.addDiode(nodes[0], Circuit::kGround);
+    } else {
+      c.addDiode(Circuit::kGround, nodes[0]);
     }
   }
 
   Case out;
-  out.diode_rows = diode_nodes.size();
   out.opt.dt = rng.uniform(2e-12, 10e-12);
   out.opt.t_stop = 1e-9;
   for (int k = 1; k <= c.nodeCount(); ++k)
@@ -212,13 +225,13 @@ TEST(RandomNetlists, LinearRlcKviMatchesDenseOracleOnOneFactorization) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const std::string what = "linear netlist seed " + std::to_string(seed);
     Circuit a, b;
-    const Case sp_case = buildRandomNetlist(a, seed, false);
-    const Case ref_case = buildRandomNetlist(b, seed, false);
+    const Case sp_case = buildRandomNetlist(a, seed, Junctions::kNone);
+    const Case ref_case = buildRandomNetlist(b, seed, Junctions::kNone);
     const TransientResult sp = runTransient(a, sp_case.opt, sp_case.probes);
     const TransientResult ref = oracle::runDenseReference(b, ref_case.opt, ref_case.probes);
     expectAgreement(sp, ref, what);
     EXPECT_EQ(sp.lu_factorizations, 1) << what;
-    EXPECT_EQ(sp.total_newton_iterations, ref.total_newton_iterations) << what;
+    EXPECT_EQ(sp.max_newton_iterations, 1) << what;
   }
 }
 
@@ -226,7 +239,7 @@ TEST(RandomNetlists, LinearRlcKviAcMatchesDenseOracle) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const std::string what = "linear netlist seed " + std::to_string(seed);
     Circuit c;
-    buildRandomNetlist(c, seed, false);
+    buildRandomNetlist(c, seed, Junctions::kNone);
     // Seeded AC phasors on every source (un-phasored sources are dark).
     Rng rng(splitStream(seed, fnv1a64("random-netlist-ac"), 0).next());
     const auto phasor = [&rng] {
@@ -246,23 +259,67 @@ TEST(RandomNetlists, LinearRlcKviAcMatchesDenseOracle) {
   }
 }
 
+// True when two runs of the same netlist recorded bitwise the same
+// waveforms in the same Newton iterations.
+bool sameRun(const TransientResult& a, const TransientResult& b) {
+  if (a.total_newton_iterations != b.total_newton_iterations) return false;
+  for (const auto& [label, wave] : a.probes) {
+    if (maxAbsDiff(wave, b.at(label)) != 0.0) return false;
+  }
+  return true;
+}
+
 TEST(RandomNetlists, DiodeNetlistsMatchDenseOracle) {
+  int unclamped = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const std::string what = "diode netlist seed " + std::to_string(seed);
-    Circuit a, b;
-    const Case sp_case = buildRandomNetlist(a, seed, true);
-    const Case ref_case = buildRandomNetlist(b, seed, true);
+    Circuit a, b, c, d;
+    const Case sp_case = buildRandomNetlist(a, seed, Junctions::kSeries);
+    const Case ref_case = buildRandomNetlist(b, seed, Junctions::kSeries);
+    buildRandomNetlist(c, seed, Junctions::kSeries);
+    buildRandomNetlist(d, seed, Junctions::kSeries);
     const TransientResult sp = runTransient(a, sp_case.opt, sp_case.probes);
     const TransientResult ref = oracle::runDenseReference(b, ref_case.opt, ref_case.probes);
     expectAgreement(sp, ref, what);
-    // Diodes confined to a few rows are low-rank updates of the one base
-    // factorization; wider ones refactor.
-    if (sp_case.diode_rows <= kMaxUpdateRank) {
-      EXPECT_EQ(sp.lu_factorizations, 1) << what;
-      EXPECT_EQ(sp.low_rank_solves, sp.total_newton_iterations) << what;
-    } else {
-      EXPECT_GT(sp.lu_factorizations, 1) << what;
+    // One or two diodes are one or two ports: every Newton iteration is a
+    // port solve on the one base factorization.
+    static_assert(2 <= kMaxUpdateRank, "the diode netlists fit the port reduction");
+    EXPECT_EQ(sp.lu_factorizations, 1) << what;
+    EXPECT_EQ(sp.low_rank_solves, sp.total_newton_iterations) << what;
+    // Within 1e-9 V of the refactoring path; in as many Newton iterations
+    // where the reference's global clamp never engages (its run with the
+    // clamp off is bitwise the same).
+    const TransientResult banded = oracle::runBandedReference(c, ref_case.opt, ref_case.probes);
+    for (const auto& [label, wave] : banded.probes)
+      EXPECT_LE(maxAbsDiff(sp.at(label), wave), 1e-9) << what << " probe " << label;
+    TransientOptions no_clamp = ref_case.opt;
+    no_clamp.max_delta_v = 0.0;
+    if (sameRun(banded, oracle::runBandedReference(d, no_clamp, ref_case.probes))) {
+      ++unclamped;
+      EXPECT_EQ(sp.total_newton_iterations, banded.total_newton_iterations) << what;
     }
+  }
+  EXPECT_GT(unclamped, 20);
+}
+
+// A junction straight across a voltage source conducts up to about 1e5 A
+// once the source passes its 1 V knee. Limiting acts on port voltages
+// only, so the source's branch current is never walked an ampere at a
+// time: every step converges on the one base factorization. The dense
+// oracle's own clamp limits every unknown, branch currents included, so it
+// runs with the clamp off.
+TEST(RandomNetlists, BareJunctionAcrossASourceConverges) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::string what = "bare junction netlist seed " + std::to_string(seed);
+    Circuit a, b;
+    const Case sp_case = buildRandomNetlist(a, seed, Junctions::kBare);
+    Case ref_case = buildRandomNetlist(b, seed, Junctions::kBare);
+    ref_case.opt.max_delta_v = 0.0;
+    const TransientResult sp = runTransient(a, sp_case.opt, sp_case.probes);
+    const TransientResult ref = oracle::runDenseReference(b, ref_case.opt, ref_case.probes);
+    expectAgreement(sp, ref, what);
+    EXPECT_EQ(sp.lu_factorizations, 1) << what;
+    EXPECT_EQ(sp.low_rank_solves, sp.total_newton_iterations) << what;
   }
 }
 
@@ -275,8 +332,8 @@ int expectDcAgreement(bool diodes) {
     const std::string what =
         std::string(diodes ? "diode" : "linear") + " netlist seed " + std::to_string(seed);
     Circuit a, b;
-    buildRandomNetlist(a, seed, diodes);
-    buildRandomNetlist(b, seed, diodes);
+    buildRandomNetlist(a, seed, diodes ? Junctions::kSeries : Junctions::kNone);
+    buildRandomNetlist(b, seed, diodes ? Junctions::kSeries : Junctions::kNone);
     Vector x, ref;
     bool threw = false, ref_threw = false;
     try {
