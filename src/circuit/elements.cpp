@@ -272,13 +272,14 @@ void VoltageSource::stampRhs(Vector& b, double t_new, double) {
 
 void VoltageSource::stampAc(AcStampSystem& sys, double, const Vector&) const {
   const std::size_t ib = branch_offset_;
-  // Branch row: v(n1) - v(n2) = ac phasor (0 = AC short).
+  // Branch row: v(n1) - v(n2) = the phasor stampAcRhs adds (0 = AC short).
   addArowNode(sys, ib, n1_, {1.0, 0.0});
   addArowNode(sys, ib, n2_, {-1.0, 0.0});
   addA(sys, n1_, ib, {1.0, 0.0});
   addA(sys, n2_, ib, {-1.0, 0.0});
-  sys.b[ib] += ac_;
 }
+
+void VoltageSource::stampAcRhs(ComplexVector& b, double) const { b[branch_offset_] += ac_; }
 
 // ----------------------------------------------------------- CurrentSource
 
@@ -291,8 +292,10 @@ void CurrentSource::stampRhs(Vector& b, double t_new, double) {
   stampCurrentSource(b, n2_, n1_, is_(t_new));
 }
 
-void CurrentSource::stampAc(AcStampSystem& sys, double, const Vector&) const {
-  stampCurrentSource(sys.b, n2_, n1_, ac_);
+void CurrentSource::stampAc(AcStampSystem&, double, const Vector&) const {}
+
+void CurrentSource::stampAcRhs(ComplexVector& b, double) const {
+  stampCurrentSource(b, n2_, n1_, ac_);
 }
 
 // ------------------------------------------------------------------- Diode

@@ -126,10 +126,12 @@ class Element {
   /// Commits the accepted solution of this step.
   virtual void endStep(const Vector& /*x*/, double /*t_new*/, double /*dt*/) {}
 
-  /// Stamps this element's small-signal frequency-domain contribution at
-  /// angular frequency `omega` into the complex system A(omega) x = b.
+  /// Stamps this element's small-signal frequency-domain matrix entries at
+  /// angular frequency `omega` into the complex system A(omega) x = b. The
+  /// right-hand side is stampAcRhs's, so the engine can restamp b alone
+  /// when only an excitation changed at the last factored frequency.
   ///
-  /// Contract (the AC analogue of stampStatic/stampRhs/evalPorts, collapsed
+  /// Contract (the AC analogue of stampStatic and evalPorts, collapsed
   /// into one pass because the engine re-stamps values at every frequency):
   ///  - Reactive elements stamp admittance/impedance at s = j*omega
   ///    (capacitor j*omega*C, inductor branch row with -j*omega*L).
@@ -137,16 +139,10 @@ class Element {
   ///    `x_dc` (the operating point from freq::dcOperatingPoint; an
   ///    EMPTY vector means "all unknowns zero"). No residual current
   ///    sources: AC analysis is small-signal, only derivatives survive.
-  ///  - Time-domain excitations are dark at AC. Sources contribute their
-  ///    complex AC phasor (setAcValue on VoltageSource/CurrentSource;
-  ///    default 0 makes an un-phasored voltage source an AC short and an
-  ///    un-phasored current source an AC open). The inductor's series EMC
-  ///    EMF likewise contributes nothing.
-  ///  - All matrix writes go through AcStampSystem::add (or the stamp
-  ///    helpers, which take either system); RHS writes go to sys.b
-  ///    (complex, sized to the unknown count by the engine). The entry
-  ///    positions written must not depend on omega, so one CSR pattern
-  ///    serves every frequency point.
+  ///  - Matrix only: every write goes through AcStampSystem::add (or the
+  ///    stamp helpers, which take either system); sys.b is not this
+  ///    method's. The entry positions written must not depend on omega,
+  ///    so one CSR pattern serves every frequency point.
   ///  - Branch unknowns reuse the transient branch_offset_ assignment, so
   ///    an AC system has exactly the unknown layout of the transient one.
   ///  - May be called many times per assembly (once per frequency point);
@@ -159,6 +155,18 @@ class Element {
   /// vanishing from the matrix.
   virtual void stampAc(AcStampSystem& /*sys*/, double /*omega*/,
                        const Vector& /*x_dc*/) const;
+
+  /// Adds this element's AC excitation at angular frequency `omega` into
+  /// the complex right-hand side b (sized to the unknown count by the
+  /// engine). Time-domain excitations are dark at AC: only the sources'
+  /// complex phasors (setAcValue on VoltageSource/CurrentSource, the only
+  /// overrides) enter b; default 0 makes an un-phasored voltage source an
+  /// AC short and an un-phasored current source an AC open. The inductor's
+  /// series EMC EMF likewise contributes nothing. Same call rules as
+  /// stampAc (const, state-free), and it must not read the matrix: at an
+  /// unchanged omega the engine keeps the factored values and restamps b
+  /// alone. The default adds nothing.
+  virtual void stampAcRhs(ComplexVector& /*b*/, double /*omega*/) const {}
 
   virtual std::string name() const = 0;
 
@@ -324,6 +332,7 @@ class VoltageSource final : public Element {
   void stampStatic(StampSystem& sys, double dt) override;
   void stampRhs(Vector& b, double t_new, double dt) override;
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
+  void stampAcRhs(ComplexVector& b, double omega) const override;
   std::string name() const override { return "V"; }
 
   /// Index of the branch-current unknown (valid after assembly).
@@ -332,7 +341,7 @@ class VoltageSource final : public Element {
   /// AC phasor of this source: v(n1) - v(n2) = ac at every frequency. The
   /// default 0 makes the source an AC short (its internal impedance),
   /// which is what termination/bias sources want. Mutable between
-  /// AcSession::run calls — the S-parameter extraction re-runs one
+  /// AcSession::solveAt calls — the S-parameter extraction re-runs one
   /// assembled system with forward/reverse port excitations.
   void setAcValue(std::complex<double> ac) { ac_ = ac; }
   std::complex<double> acValue() const { return ac_; }
@@ -349,7 +358,9 @@ class CurrentSource final : public Element {
   /// \throws std::invalid_argument if is is empty.
   CurrentSource(int n1, int n2, TimeFn is);
   void stampRhs(Vector& b, double t_new, double dt) override;
+  /// Matrix-free at AC: its phasor enters only b (stampAcRhs).
   void stampAc(AcStampSystem& sys, double omega, const Vector& x_dc) const override;
+  void stampAcRhs(ComplexVector& b, double omega) const override;
   std::string name() const override { return "I"; }
 
   /// AC phasor injected from n2 into n1 (default 0: an AC open).

@@ -173,7 +173,8 @@ void SolverSession::factorBase(TransientResult& result) {
     base_lu_.factorWithOrder(base_sp_, symbolic_->rcm_order);
   }
   ++result.lu_factorizations;
-  if (health_) health_->recordFactorization(base_lu_.minAbsPivot(), base_lu_.pivotGrowth());
+  if (health_)
+    health_->recordFactorization(base_lu_.minAbsPivot(), base_lu_.pivotGrowth(base_sp_));
 }
 
 void SolverSession::prepareSolve(TransientResult& result) {
@@ -213,7 +214,8 @@ void SolverSession::refactorSolve(TransientResult& result) {
   }
   ++result.lu_factorizations;
   last_lu_ = &work_lu_;
-  if (health_) health_->recordFactorization(work_lu_.minAbsPivot(), work_lu_.pivotGrowth());
+  if (health_)
+    health_->recordFactorization(work_lu_.minAbsPivot(), work_lu_.pivotGrowth(work_sp_));
   obs::ScopedTimer solve_timer(t_solve_);
   work_lu_.solve(sys_.b, x_new_);
 }

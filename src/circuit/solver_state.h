@@ -15,6 +15,10 @@
 ///      the static base matrix (AC: of each frequency point), its port
 ///      reduction, the Newton/RHS workspaces and any fallback
 ///      refactorization. Never shared: each run factors its own base once.
+///      Its storage may be reused sequentially on one thread — an AC
+///      session takes the arrays its thread's previous session kept
+///      (freq/ac_engine.h) — but its values never are: every run zeroes
+///      and restamps them in element order.
 ///
 /// This header defines the immutable shared form of (1) plus the
 /// SolverStateProvider interface through which a session checks it out.

@@ -80,6 +80,7 @@ std::string telemetryBody(const obs::RunTelemetry& t) {
   out += ", \"shared_symbolic_reuses\": " + std::to_string(t.shared_symbolic_reuses);
   out += ", \"pattern_compiles\": " + std::to_string(t.pattern_compiles);
   out += ", \"rcm_orderings\": " + std::to_string(t.rcm_orderings);
+  out += ", \"workspace_reuses\": " + std::to_string(t.workspace_reuses);
   const obs::StructureSize& z = t.structure;
   out += ", \"structure\": {\"unknowns\": " + std::to_string(z.unknowns);
   out += ", \"nonzeros\": " + std::to_string(z.nonzeros);
@@ -107,8 +108,13 @@ obs::Counters sweepCounters(const SweepResult& result) {
   c.add("solver_cache.symbolic_misses", result.solver_cache.symbolic_misses);
   c.add("solver_cache.inserts", result.solver_cache.inserts);
   long long compiles = 0;
-  for (const SweepRunRecord& r : result.runs) compiles += r.telemetry.pattern_compiles;
+  long long reuses = 0;
+  for (const SweepRunRecord& r : result.runs) {
+    compiles += r.telemetry.pattern_compiles;
+    reuses += r.telemetry.workspace_reuses;
+  }
   c.add("solver.pattern_compiles", compiles);
+  c.add("solver.workspace_reuses", reuses);
   c.add("health.warn_corners", static_cast<long long>(hs.warn_corners));
   c.add("health.critical_corners", static_cast<long long>(hs.critical_corners));
   return c;

@@ -40,7 +40,7 @@
 ///         "max_newton_iterations": N, "steps": N, "transient_runs": N,
 ///         "shared_symbolic_builds": N,
 ///         "shared_symbolic_reuses": N, "pattern_compiles": N,
-///         "rcm_orderings": N,
+///         "rcm_orderings": N, "workspace_reuses": N,
 ///         "structure": { "unknowns": N, "nonzeros": N, "kl": N, "ku": N },
 ///         "health": { "collected": bool, "severity": "ok|warn|critical",
 ///                     "factorizations": N, "min_abs_pivot": ...,
@@ -89,6 +89,7 @@ namespace fdtdmm {
 ///   model_cache.hits / .misses / .inserts / .preload (seconds)
 ///   solver_cache.symbolic_hits / .symbolic_misses / .inserts
 ///   solver.pattern_compiles   CSR pattern compiles summed over corners
+///   solver.workspace_reuses   kept AC workspaces taken, summed over corners
 ///   health.warn_corners / health.critical_corners
 ///
 /// Render with obs::countersJson for the one true footer format.

@@ -19,10 +19,22 @@
 ///   - per-frequency numeric state — the complex values G + j*omega*B
 ///     (plus non-polynomial terms like the ideal line's e^{-j omega Td},
 ///     which is why the session re-stamps *values*, in element order, at
-///     every call instead of scaling a fixed B), factored privately per
-///     point by a BandedLu<Complex> (math/banded_lu.h) that lives as long
-///     as the session.
+///     every new frequency instead of scaling a fixed B), factored
+///     privately per point by a BandedLu<Complex> (math/banded_lu.h). At
+///     the last factored frequency a call restamps only the right-hand
+///     side (Element::stampAcRhs): the factored values stay in place.
 ///   - the solution workspace x(omega), valid until the next solveAt().
+///
+/// The storage of the numeric state — the CSR matrix, the LU's band and
+/// ordering arrays, b and x — is a per-thread workspace: a session takes
+/// the one its thread's last finished session kept and keeps its own in
+/// its destructor, so the corners a sweep worker runs one after the other
+/// refactor in the same arrays instead of allocating megabytes per
+/// corner. Only capacity carries over, never values: every session zeroes
+/// and restamps its matrix in element order and factors it itself, so
+/// its results are bitwise those of a session on fresh storage. The
+/// runner's ThreadPool lives for one sweep, so a kept workspace lives as
+/// long as its sweep worker.
 ///
 /// Nonlinear circuits are handled the standard SPICE way: compute the DC
 /// operating point with dcOperatingPoint(), pass it as AcOptions::x_dc,
@@ -57,11 +69,13 @@ struct AcOptions {
 
   /// Optional telemetry sink, the TransientOptions convention: when
   /// non-null every solveAt() accumulates its assembly (the checkout plus
-  /// the value restamp, into stamp_static), factor and solve wall time and
-  /// its factorization count (+=, one sink may aggregate a whole frequency
-  /// grid), the session's symbolic checkout lands in pattern_compiles,
-  /// rcm_orderings and shared_symbolic_builds/_reuses, and structure
-  /// records the factored system's size. Null keeps solveAt clock-free.
+  /// the value and RHS restamps, into stamp_static), factor and solve wall
+  /// time and its factorization count (+=, one sink may aggregate a whole
+  /// frequency grid), the session's symbolic checkout lands in
+  /// pattern_compiles, rcm_orderings and shared_symbolic_builds/_reuses,
+  /// workspace_reuses counts a session that took its thread's kept
+  /// workspace, and structure records the factored system's size. Null
+  /// keeps solveAt clock-free.
   obs::RunTelemetry* telemetry = nullptr;
   /// Numerical-health collection (obs/health.h): with health.collect set
   /// (directly or via sharing.health, which per-option collect overrides)
@@ -75,13 +89,13 @@ struct AcOptions {
 };
 
 /// One frequency-domain analysis of one Circuit. Construction assigns the
-/// unknown layout and validates options; the first solveAt() checks the
-/// complex CSR pattern and its ordering out (compiling them only when the
-/// session builds its structure class or runs unshared), and every call
-/// re-stamps values into that pattern and solves. A call factors only
-/// when its frequency differs from the last factored one: a repeat at the
-/// same frequency (a changed excitation) reuses the factorization, bit for
-/// bit.
+/// unknown layout, validates options and takes the thread's kept workspace
+/// (see the file comment); the first solveAt() checks the complex CSR
+/// pattern and its ordering out (compiling them only when the session
+/// builds its structure class or runs unshared). A call at a new frequency
+/// re-stamps the values into that pattern and factors them; a repeat at
+/// the last factored frequency (a changed excitation) restamps only the
+/// right-hand side and reuses the factorization, bit for bit.
 ///
 /// solveAt() is repeatable at the same or different frequencies, and
 /// element AC excitations (VoltageSource/CurrentSource::setAcValue) may be
@@ -94,6 +108,10 @@ class AcSession {
   /// \throws std::invalid_argument if the circuit has no unknowns or
   ///         x_dc is non-empty with the wrong size.
   AcSession(Circuit& circuit, AcOptions opt);
+  /// Keeps the workspace for the thread's next session.
+  ~AcSession();
+  AcSession(const AcSession&) = delete;
+  AcSession& operator=(const AcSession&) = delete;
 
   /// Solves A(j 2 pi f_hz) x = b and returns the solution phasor vector
   /// (node voltages then branch currents, the transient unknown layout).
@@ -114,13 +132,16 @@ class AcSession {
   /// Resolves sp_'s pattern and symbolic_ (resolveSymbolic), leaving sp_
   /// finalized with zero values.
   void checkOut(double omega, obs::RunTelemetry* tel);
-  /// Stamps A(omega) and b into sp_ and sys_.b, folding any overflow.
+  /// Stamps A(omega) into sp_, folding any overflow.
   void restampValues(double omega, obs::RunTelemetry* tel);
+  /// Stamps b(omega) into sys_.b.
+  void restampRhs(double omega);
 
   Circuit& circuit_;
   AcOptions opt_;
   std::size_t n_ = 0;
 
+  // sys_.b, sp_, lu_ and x_ are the workspace (see the file comment).
   AcStampSystem sys_;
   CsrMatrix<Complex> sp_;  ///< CSR target of sys_
 

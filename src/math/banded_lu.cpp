@@ -113,9 +113,9 @@ double magnitude(const Complex& v) {
 
 template <typename Scalar>
 void BandedLu<Scalar>::analyzeWithOrder(const CsrMatrix<Scalar>& a,
-                                        std::vector<std::size_t> order) {
+                                        const std::vector<std::size_t>& order) {
   n_ = a.dim();
-  order_ = std::move(order);
+  order_ = order;
   pos_.assign(n_, 0);
   for (std::size_t k = 0; k < n_; ++k) pos_[order_[k]] = k;
 
@@ -173,17 +173,9 @@ void BandedLu<Scalar>::factorNumeric(const CsrMatrix<Scalar>& a) {
       at(i, pos_[col_idx[k]]) += values[k];
   }
 
-  // Health probes (minAbsPivot/pivotGrowth): the band holds exactly the
-  // permuted A right after the scatter, so one pass gives max|A|; the
-  // pivot minimum rides the pivot search below and max|U| is scanned from
-  // the upper band afterwards. That is O(n * band) magnitudes against the
-  // O(n kl (kl + ku)) multiply-adds of the elimination: at kl = ku = 2
-  // about as many, which is why a complex magnitude skips hypot
-  // (magnitude()).
-  max_abs_a_ = 0.0;
-  for (const Scalar& v : ab_) max_abs_a_ = std::max(max_abs_a_, magnitude(v));
+  // The pivot minimum (minAbsPivot) rides the pivot search below; the
+  // growth probe is left to pivotGrowth().
   min_abs_pivot_ = 0.0;
-  max_abs_u_ = 0.0;
 
   // Banded LU with partial pivoting (unblocked gbtrf). For column j the
   // pivot search spans rows j..j+kl — by construction of kl every
@@ -215,12 +207,29 @@ void BandedLu<Scalar>::factorNumeric(const CsrMatrix<Scalar>& a) {
       for (std::size_t c = j + 1; c <= c_max; ++c) at(i, c) -= l * atc(j, c);
     }
   }
+  factored_ = true;
+}
+
+template <typename Scalar>
+double BandedLu<Scalar>::pivotGrowth(const CsrMatrix<Scalar>& a) const {
+  if (!factored_) return 0.0;
+  if (a.dim() != n_ || a.patternVersion() != analyzed_version_)
+    throw std::invalid_argument("BandedLu::pivotGrowth: not the factored matrix");
+  // max|A| over the CSR values is max|A| over the scattered band: each
+  // value lands alone in its band slot and the rest of the band is zero.
+  // O(n * band) magnitudes against the O(n kl (kl + ku)) multiply-adds of
+  // the elimination: at kl = ku = 2 about as many, which is why a complex
+  // magnitude skips hypot (magnitude()).
+  double max_abs_a = 0.0;
+  for (const Scalar& v : a.values()) max_abs_a = std::max(max_abs_a, magnitude(v));
+  if (max_abs_a == 0.0) return 0.0;
+  double max_abs_u = 0.0;
   for (std::size_t j = 0; j < n_; ++j) {
     const std::size_t i_min = j > kl_ + ku_ ? j - kl_ - ku_ : 0;
     for (std::size_t i = i_min; i <= j; ++i)
-      max_abs_u_ = std::max(max_abs_u_, magnitude(atc(i, j)));
+      max_abs_u = std::max(max_abs_u, magnitude(atc(i, j)));
   }
-  factored_ = true;
+  return max_abs_u / max_abs_a;
 }
 
 template <typename Scalar>

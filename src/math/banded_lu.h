@@ -17,20 +17,25 @@
 ///
 /// The symbolic stage (ordering + band extents + storage) is cached by the
 /// matrix's pattern-version stamp: refactoring a matrix with an unchanged
-/// pattern reuses it and performs no allocations.
+/// pattern reuses it and performs no allocations, and a new analysis
+/// reuses the storage's capacity (an AC worker's kept workspace,
+/// freq/ac_engine.h, refactors every corner in the same arrays).
 ///
 /// One class template serves both scalars: BandedLu<double> factors the
 /// real CsrMatrix of the transient engine and the DC operating point,
 /// BandedLu<Complex> the complex CsrMatrix of the AC engine (A(omega) =
 /// G + j*omega*B, assembled through circuit/elements.h AcStampSystem).
 /// The ordering, band scatter, elimination, substitutions and health probes
-/// are one code path. Because the symbolic stage is a pure function of the
-/// pattern, an ordering published through the SolverStateCache seeds
-/// factorWithOrder in either engine, and every frequency point of an AC
-/// sweep reuses one symbolic analysis (the AcSession economy,
-/// src/freq/ac_engine.h). A factorization itself is never shared between
-/// runs: each instance is owned by one session, which is why solve() may
-/// use internal scratch.
+/// are one code path. The pivot minimum rides the pivot search; the growth
+/// probe is computed only when asked for (pivotGrowth), because health
+/// collection is off by default and the probe costs about as much as the
+/// elimination on the thin bands of the MNA ladders. Because the symbolic
+/// stage is a pure function of the pattern, an ordering published through
+/// the SolverStateCache seeds factorWithOrder in either engine, and every
+/// frequency point of an AC sweep reuses one symbolic analysis (the
+/// AcSession economy, src/freq/ac_engine.h). A factorization itself is
+/// never shared between runs: each instance is owned by one session, which
+/// is why solve() may use internal scratch.
 
 #include <cstdint>
 #include <vector>
@@ -106,16 +111,24 @@ class BandedLu {
   /// Numerical-health probes of the last successful factorization
   /// (obs/health.h), magnitudes taken as |entry| (std::abs, or for a
   /// complex entry sqrt(re^2 + im^2) wherever that cannot overflow or
-  /// underflow — within about an ulp of std::abs): smallest selected pivot
-  /// magnitude and band element growth max|U| / max|A|. Both 0 before the
-  /// first factor().
+  /// underflow — within about an ulp of std::abs).
+  ///
+  /// minAbsPivot: the smallest selected pivot magnitude, a by-product of
+  /// the pivot search; 0 before the first factor().
   double minAbsPivot() const { return min_abs_pivot_; }
-  double pivotGrowth() const {
-    return max_abs_a_ > 0.0 ? max_abs_u_ / max_abs_a_ : 0.0;
-  }
+
+  /// Band element growth max|U| / max|A|, computed on demand: one pass
+  /// over `a`'s values and one over the U band, about as many magnitudes
+  /// as the elimination has multiply-adds at kl = ku = 2, so only a caller
+  /// that records health pays for them. `a` must be the matrix of the last
+  /// factorization with its values unchanged since. 0 while nothing is
+  /// factored or A is all zeros.
+  /// \throws std::invalid_argument if `a` does not have the factored
+  ///         pattern (dimension and pattern version).
+  double pivotGrowth(const CsrMatrix<Scalar>& a) const;
 
  private:
-  void analyzeWithOrder(const CsrMatrix<Scalar>& a, std::vector<std::size_t> order);
+  void analyzeWithOrder(const CsrMatrix<Scalar>& a, const std::vector<std::size_t>& order);
   void factorNumeric(const CsrMatrix<Scalar>& a);
 
   Scalar& at(std::size_t i, std::size_t j) { return ab_[j * ldab_ + (i + shift_ - j)]; }
@@ -134,8 +147,6 @@ class BandedLu {
   mutable Vec work_;
   bool factored_ = false;
   double min_abs_pivot_ = 0.0;
-  double max_abs_a_ = 0.0;
-  double max_abs_u_ = 0.0;
 };
 
 extern template class BandedLu<double>;

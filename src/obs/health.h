@@ -120,7 +120,8 @@ struct NumericalHealth {
   static constexpr std::size_t kMaxTrajectory = 32;
 
   /// Records one factorization's pivot stats (call with minAbsPivot() /
-  /// pivotGrowth() of any of the four LU classes).
+  /// pivotGrowth() of any of the LU classes; the banded LU computes its
+  /// growth on demand from the factored matrix, pivotGrowth(a)).
   void recordFactorization(double min_pivot, double growth);
 
   /// Records one post-solve relative residual (see relativeResidual).

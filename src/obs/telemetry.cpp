@@ -24,6 +24,7 @@ void RunTelemetry::merge(const RunTelemetry& o) {
   shared_symbolic_reuses += o.shared_symbolic_reuses;
   pattern_compiles += o.pattern_compiles;
   rcm_orderings += o.rcm_orderings;
+  workspace_reuses += o.workspace_reuses;
   structure.mergeMax(o.structure);
   wall_seconds += o.wall_seconds;
   health.merge(o.health);

@@ -12,8 +12,9 @@
 ///                    (the symbolic checkout — pattern compile and RCM
 ///                    ordering unless checked out — plus the element
 ///                    stampStatic walk into the adopted pattern); on an AC
-///                    corner, the checkout plus every solveAt's value
-///                    restamp of G + j*omega*B and the RHS
+///                    corner, the checkout plus every solveAt's restamp:
+///                    G + j*omega*B and the RHS at a new frequency, the
+///                    RHS alone at the last factored one
 ///   - factor         LU factorizations: the base, plus the refactors of
 ///                    iterations the port reduction does not solve (more
 ///                    than kMaxUpdateRank ports, a singular base, a
@@ -65,6 +66,11 @@
 ///   - rcm_orderings            RCM orderings the run computed itself (one
 ///                              per transient or AC session; 0 for a
 ///                              session that checked its class out)
+///   - workspace_reuses         AC sessions that took the numeric storage
+///                              an earlier session of their thread kept
+///                              (freq/ac_engine.h) instead of allocating
+///                              it: an AC corner reads 1 unless it was its
+///                              worker's first, a transient corner 0
 ///   - structure                StructureSize below, merged by max
 ///   - wall_seconds             scenario wall clock (set by the engine
 ///                              layer; the deliberately-unexported
@@ -141,6 +147,7 @@ struct RunTelemetry {
   long long shared_symbolic_reuses = 0;
   long long pattern_compiles = 0;
   long long rcm_orderings = 0;
+  long long workspace_reuses = 0;
   StructureSize structure;
   double wall_seconds = 0.0;
   NumericalHealth health;

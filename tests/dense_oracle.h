@@ -14,10 +14,11 @@
 //    stencils reserved, finalize, then the port linearizations on top) and
 //    orders the same pattern with the same RCM, but caches nothing across
 //    iterations.
-//  - acDenseReference: one AC point stamped through Element::stampAc in
-//    stamp order, split into dense real/imaginary matrices and solved as a
-//    real system of twice the size (solveComplexDense), with the same dense
-//    LuFactorization — no complex LU, no ordering.
+//  - acDenseReference: one AC point stamped through Element::stampAc and
+//    Element::stampAcRhs in stamp order, split into dense real/imaginary
+//    matrices and solved as a real system of twice the size
+//    (solveComplexDense), with the same dense LuFactorization — no complex
+//    LU, no ordering.
 //  - dcDenseReference: dcOperatingPoint's Newton loop, assembled in stamp
 //    order and solved with the dense LuFactorization, each solve refined
 //    once against an extended-precision residual.
@@ -212,14 +213,17 @@ inline TransientResult runBandedReference(Circuit& circuit, const TransientOptio
 
 // The AC solution of `circuit` at f_hz, linearized about x_dc (empty = all
 // unknowns zero), as AcSession::solveAt defines it: every element's
-// stampAc in stamp order, then solveDense.
+// stampAc and stampAcRhs in stamp order, then solveDense.
 inline ComplexVector acDenseReference(Circuit& circuit, double f_hz, const Vector& x_dc = {}) {
   constexpr double kTwoPi = 6.28318530717958647692;
   const std::size_t n = circuit.assignUnknowns();
   AcStampSystem sys;
   CsrMatrix<Complex> csr;
   stampInOrder(n, sys, csr, [&](AcStampSystem& s) {
-    for (const auto& e : circuit.elements()) e->stampAc(s, kTwoPi * f_hz, x_dc);
+    for (const auto& e : circuit.elements()) {
+      e->stampAc(s, kTwoPi * f_hz, x_dc);
+      e->stampAcRhs(s.b, kTwoPi * f_hz);
+    }
   });
   return solveDense(csr, sys.b);
 }

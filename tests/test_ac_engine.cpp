@@ -9,7 +9,9 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "circuit/rlgc_line.h"
 #include "circuit/transient.h"
@@ -115,10 +117,23 @@ TEST(AcEngine, LossySkinLadderMatchesDenseReference) {
   }
 }
 
+// Counts the AC matrix stamps of its session; stamps nothing itself.
+class StampAcCounter final : public Element {
+ public:
+  explicit StampAcCounter(int* calls) : calls_(calls) {}
+  void stampAc(AcStampSystem&, double, const Vector&) const override { ++*calls_; }
+  std::string name() const override { return "stampAc counter"; }
+
+ private:
+  int* calls_;
+};
+
 // The S-parameter extraction's shape: forward then reverse excitation at
 // one frequency on one session. The second solve reuses the first one's
-// factorization (the matrix is unchanged), and both solutions are bitwise
-// those of a fresh session per excitation; a new frequency refactors.
+// factorization and matrix values (the matrix is unchanged): it restamps
+// only the RHS, so no element stamps a matrix value for it. Both solutions
+// are bitwise those of a fresh session per excitation; a new frequency
+// restamps the matrix and refactors.
 TEST(AcEngine, ExcitationsAtOneFrequencyShareOneFactorization) {
   VoltageSource* src1 = nullptr;
   VoltageSource* src2 = nullptr;
@@ -153,26 +168,32 @@ TEST(AcEngine, ExcitationsAtOneFrequencyShareOneFactorization) {
 
   Circuit circuit;
   build(circuit);
+  int stamps = 0;
+  circuit.addElement(std::make_unique<StampAcCounter>(&stamps));
   obs::RunTelemetry tel;
   AcOptions opt;
   opt.telemetry = &tel;
   AcSession session(circuit, opt);
   excite(true);
   const ComplexVector forward = session.solveAt(f);
+  const int forward_stamps = stamps;  // the pattern compile and one value stamp
+  EXPECT_EQ(forward_stamps, 2);
   excite(false);
   const ComplexVector reverse = session.solveAt(f);
+  EXPECT_EQ(stamps, forward_stamps);
   EXPECT_EQ(session.factorizations(), 1u);
   EXPECT_EQ(tel.lu_factorizations, 1);
   EXPECT_EQ(forward, fresh_forward);
   EXPECT_EQ(reverse, fresh_reverse);
 
   session.solveAt(2.0 * f);
+  EXPECT_EQ(stamps, forward_stamps + 1);
   EXPECT_EQ(session.factorizations(), 2u);
   EXPECT_EQ(tel.lu_factorizations, 2);
-  EXPECT_LT(oracle::relativeGap(session.solveAt(2.0 * f),
-                                oracle::acDenseReference(circuit, 2.0 * f)),
-            1e-9);
+  const ComplexVector& again = session.solveAt(2.0 * f);
+  EXPECT_EQ(stamps, forward_stamps + 1);
   EXPECT_EQ(session.factorizations(), 2u);
+  EXPECT_LT(oracle::relativeGap(again, oracle::acDenseReference(circuit, 2.0 * f)), 1e-9);
 }
 
 // H and the S-parameters of one frequency point via the "ac" family.

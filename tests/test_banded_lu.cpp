@@ -322,7 +322,7 @@ TYPED_TEST(BandedLuTest, ExtremeScalesKeepPivotMagnitudes) {
     EXPECT_NEAR(lu.minAbsPivot(), expected,
                 4.0 * std::numeric_limits<double>::epsilon() * expected)
         << scale;
-    EXPECT_TRUE(std::isfinite(lu.pivotGrowth())) << scale;
+    EXPECT_TRUE(std::isfinite(lu.pivotGrowth(a))) << scale;
   }
 }
 

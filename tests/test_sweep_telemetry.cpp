@@ -282,6 +282,34 @@ TEST(SweepTelemetry, ProgressSolverCacheRateCountsSymbolicLookups) {
   EXPECT_DOUBLE_EQ(snaps.back().solver_cache_hit_rate, (n - 1.0) / n);
 }
 
+// A 1-worker AC sweep runs every corner on its one pool thread, so each
+// corner after the first takes the workspace the previous one kept:
+// N corners report N - 1 reuses, per corner, in the totals and in the
+// counter slot.
+TEST(SweepTelemetry, AcSweepReportsWorkspaceReuses) {
+  const std::vector<double> frequencies = {1e6, 1e7, 1e8, 5e8, 1e9};
+  SweepSpec spec;
+  spec.scenario = "ac";
+  spec.axis("frequency", frequencies);
+  SweepRunnerOptions opt;
+  opt.workers = 1;
+  SweepRunner runner(opt);
+  const SweepResult result = runner.run(spec);
+  ASSERT_EQ(result.okCount(), frequencies.size());
+
+  const long long n = static_cast<long long>(frequencies.size());
+  for (const SweepRunRecord& r : result.runs)
+    EXPECT_EQ(r.telemetry.workspace_reuses, r.index == 0 ? 0 : 1) << r.label;
+  EXPECT_EQ(sweepCounters(result).count("solver.workspace_reuses"), n - 1);
+  const std::string json = sweepTelemetryJson(result);
+  std::string err;
+  ASSERT_TRUE(jsonlint::valid(json, &err)) << err;
+  const std::size_t totals = json.find("\"totals\": {");
+  ASSERT_NE(totals, std::string::npos);
+  EXPECT_EQ(json.find("\"workspace_reuses\": ", totals),
+            json.find("\"workspace_reuses\": " + std::to_string(n - 1), totals));
+}
+
 TEST(SweepTelemetry, HealthAndHistogramsFlowIntoTelemetryJson) {
   SweepRunnerOptions opt;
   opt.workers = 2;
