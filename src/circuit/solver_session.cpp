@@ -114,15 +114,10 @@ void SolverSession::assembleStatic(double* t_static, obs::RunTelemetry* tel) {
       e->reservePortStencil(base);
     }
   };
-  symbolic_ = resolveSymbolic<double>(opt_.sharing, n_unknowns_, stamp, base_sp_, tel);
+  symbolic_ = resolveSymbolic<double>(opt_.sharing, circuit_, SolverEngine::kTransientBase,
+                                      n_unknowns_, stamp, base_sp_, tel);
   stamp(base_sp_);
   rejectStaticRhs(base.b);
-  // Only a wrong structure key on the same dimension misses entries: fold
-  // them into a private pattern and keep the checked-out ordering.
-  if (base_sp_.patternGrown()) {
-    base_sp_.mergeOverflow();
-    if (tel) ++tel->pattern_compiles;
-  }
 }
 
 void SolverSession::collectEndOfRunHealth(const obs::HealthOptions& hopt,
@@ -398,16 +393,11 @@ TransientResult SolverSession::run(const std::vector<NodeProbe>& probes,
   // contract of obs/counters.h). The trace span brackets the whole run and
   // is independently gated on an active TraceWriter.
   obs::RunTelemetry* const tel = opt_.telemetry;
-  // Health collection (obs/health.h): the per-run options win when their
-  // collect flag is set; otherwise a sweep-wide block pointed at by
-  // sharing.health applies. The record lives inside the telemetry sink, so
-  // collection additionally requires telemetry — `health_` is null (one
-  // branch per site) in every other case.
-  const obs::HealthOptions* h_opt =
-      opt_.health.collect
-          ? &opt_.health
-          : (opt_.sharing.health && opt_.sharing.health->collect ? opt_.sharing.health
-                                                                 : nullptr);
+  // Health collection (obs/health.h, SolverSharing::healthFor). The record
+  // lives inside the telemetry sink, so collection additionally requires
+  // telemetry — `health_` is null (one branch per site) in every other
+  // case.
+  const obs::HealthOptions* h_opt = opt_.sharing.healthFor(opt_.health);
   health_ = tel && h_opt ? &tel->health : nullptr;
   double* const t_static = tel ? &tel->phases.stamp_static_seconds : nullptr;
   t_factor_ = tel ? &tel->phases.factor_seconds : nullptr;

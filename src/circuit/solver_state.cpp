@@ -1,5 +1,8 @@
 #include "circuit/solver_state.h"
 
+#include <stdexcept>
+
+#include "circuit/circuit.h"
 #include "math/banded_lu.h"
 #include "obs/trace.h"
 
@@ -11,7 +14,8 @@ SolverStateProvider::~SolverStateProvider() = default;
 
 template <typename Scalar>
 std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
-                                                      std::size_t n,
+                                                      const Circuit& circuit,
+                                                      SolverEngine engine, std::size_t n,
                                                       const PatternStamp<Scalar>& stamp,
                                                       CsrMatrix<Scalar>& target,
                                                       obs::RunTelemetry* tel) {
@@ -32,35 +36,38 @@ std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& shari
   // every run of a structure class compiles the identical ones — which is
   // what makes the exactly-once provider contract safe, and the
   // factorizations bit-identical whichever run built them.
+  const std::optional<std::uint64_t> fingerprint = circuit.structureClass();
   std::shared_ptr<const SolverSymbolic> sym;
-  if (sharing.shareSymbolic()) {
+  if (sharing.provider != nullptr && fingerprint) {
     bool built = false;
-    sym = sharing.provider->symbolic(sharing.structure_key, [&] {
+    sym = sharing.provider->symbolic({*fingerprint, engine}, [&] {
       built = true;
       return compile();
     });
-    if (sym && sym->pattern.n == n && sym->rcm_order.size() == n) {
-      if (built) {
-        if (tel) ++tel->shared_symbolic_builds;
-      } else {
-        if (tel) ++tel->shared_symbolic_reuses;
-        obs::traceInstant("shared_symbolic_reuse", "solver");
-      }
+    if (!sym || sym->pattern.n != n || sym->rcm_order.size() != n)
+      throw std::logic_error(
+          "resolveSymbolic: the checked-out structure class has another dimension");
+    if (built) {
+      if (tel) ++tel->shared_symbolic_builds;
     } else {
-      sym = nullptr;
+      if (tel) ++tel->shared_symbolic_reuses;
+      obs::traceInstant("shared_symbolic_reuse", "solver");
     }
+  } else {
+    sym = compile();
   }
-  if (sym == nullptr) sym = compile();
   target.adoptPattern(sym->pattern);
   return sym;
 }
 
 template std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing&,
+                                                               const Circuit&, SolverEngine,
                                                                std::size_t,
                                                                const PatternStamp<double>&,
                                                                CsrMatrix<double>&,
                                                                obs::RunTelemetry*);
 template std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing&,
+                                                               const Circuit&, SolverEngine,
                                                                std::size_t,
                                                                const PatternStamp<Complex>&,
                                                                CsrMatrix<Complex>&,

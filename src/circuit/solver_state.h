@@ -22,11 +22,12 @@
 ///
 /// This header defines the immutable shared form of (1) plus the
 /// SolverStateProvider interface through which a session checks it out.
-/// The provider contract is exactly-once: for a given key, the builder
-/// callback runs in exactly one session and every other session (on any
-/// thread) receives the published object. The engine layer implements it
-/// with a keyed cache (engine/solver_state_cache.h); the circuit layer only
-/// sees this interface, so the dependency arrow keeps pointing upward.
+/// The provider contract is exactly-once: for a given structure class, the
+/// builder callback runs in exactly one session and every other session
+/// (on any thread) receives the published object. The engine layer
+/// implements it with a keyed cache (engine/solver_state_cache.h); the
+/// circuit layer only sees this interface, so the dependency arrow keeps
+/// pointing upward.
 ///
 /// Every session, shared or not, runs the same checkout (resolveSymbolic):
 /// it adopts a compiled pattern into its target matrix and stamps its
@@ -34,27 +35,23 @@
 /// class out therefore builds no coordinate list, sorts nothing and orders
 /// nothing.
 ///
-/// A structure key should only be shared between runs whose patterns are
-/// identical. Scenario families derive it from exactly the parameters that
-/// shape the static pattern (core/scenario.h, structureKey); an empty key
-/// opts out of sharing. Because the pattern and the ordering are built by
-/// an ordinary run from its own stamps, and values are summed in element
+/// The netlist names its structure class: Circuit::structureClass() is a
+/// fingerprint of its node count and of each element's kind and nodes,
+/// which is everything the patterns of both engines depend on. The
+/// provider keys a state by that fingerprint and the engine whose system
+/// it describes. Because the pattern and the ordering are built by an
+/// ordinary run from its own stamps, and values are summed in element
 /// order either way, checking them out never changes results — waveforms
-/// and metrics are byte-identical with sharing on or off. A wrong key can
-/// cost time and band width but never correctness:
-///
-///   - on another dimension the checkout cannot fit, so the run compiles
-///     and orders its own pattern privately, exactly as a sharing-off run;
-///   - on the same dimension the run adopts the wrong pattern. Entries it
-///     lacks overflow on the value stamp and are folded into a private
-///     pattern (CsrMatrix::mergeOverflow), extra entries stay explicit
-///     zeros, and the run keeps the checked-out ordering: any permutation
-///     factors the same system.
+/// and metrics are byte-identical with sharing on or off. Only a
+/// fingerprint collision could hand a run a foreign class, and nothing
+/// folds one: a checkout of another dimension throws std::logic_error, and
+/// so does a stamp outside the adopted pattern (CsrMatrix::add); a wider
+/// pattern would only hold explicit zeros.
 
-#include <cstdio>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <tuple>
 #include <vector>
 
 #include "math/sparse_matrix.h"
@@ -62,6 +59,8 @@
 #include "obs/telemetry.h"
 
 namespace fdtdmm {
+
+class Circuit;
 
 /// Immutable shared symbolic state of one structure class: the compiled
 /// CSR pattern of the static base (AC: of the complex system) and its RCM
@@ -71,11 +70,27 @@ struct SolverSymbolic {
   std::vector<std::size_t> rcm_order;  ///< reverseCuthillMcKee(pattern)
 };
 
-/// Exactly-once provider of shared solver state, keyed by the scenario
-/// layer's structure keys. Implementations must guarantee that for each
-/// key the builder runs exactly once even under concurrent lookups, and
-/// that a builder that throws publishes nothing (the next lookup retries).
-/// Returned objects are immutable and safe to use from any thread.
+/// The engine whose system a symbolic state describes: one netlist stamps
+/// one pattern into the transient (and DC) base and another into the AC
+/// system.
+enum class SolverEngine { kTransientBase, kAc };
+
+/// What a provider keys its states by: a netlist fingerprint
+/// (Circuit::structureClass) and an engine.
+struct StructureClass {
+  std::uint64_t fingerprint = 0;
+  SolverEngine engine = SolverEngine::kTransientBase;
+
+  bool operator<(const StructureClass& o) const {
+    return std::tie(fingerprint, engine) < std::tie(o.fingerprint, o.engine);
+  }
+};
+
+/// Exactly-once provider of shared solver state, keyed by structure class.
+/// Implementations must guarantee that for each class the builder runs
+/// exactly once even under concurrent lookups, and that a builder that
+/// throws publishes nothing (the next lookup retries). Returned objects are
+/// immutable and safe to use from any thread.
 class SolverStateProvider {
  public:
   virtual ~SolverStateProvider();
@@ -83,25 +98,29 @@ class SolverStateProvider {
   using SymbolicBuilder = std::function<std::shared_ptr<const SolverSymbolic>()>;
 
   virtual std::shared_ptr<const SolverSymbolic> symbolic(
-      const std::string& key, const SymbolicBuilder& build) = 0;
+      const StructureClass& key, const SymbolicBuilder& build) = 0;
 };
 
-/// Sharing handles a run carries into the solver (TransientOptions).
-/// Default-constructed = no sharing.
+/// Sharing handles a run carries into the solver (TransientOptions,
+/// AcOptions). Default-constructed = no sharing.
 struct SolverSharing {
   /// Provider the session checks state out of (not owned; must outlive the
   /// run). Null disables sharing entirely.
   SolverStateProvider* provider = nullptr;
-  std::string structure_key;  ///< symbolic-state class; "" = don't share
   /// Optional sweep-wide numerical-health switches (obs/health.h): the
   /// runner points every corner at one HealthOptions so collection is
   /// configured in exactly one place (not owned; must outlive the run).
-  /// A run's own TransientOptions::health wins when its collect flag is
-  /// set. Rides SolverSharing because it is the existing runner-to-solver
+  /// Rides SolverSharing because it is the existing runner-to-solver
   /// configuration channel, although it shares no state itself.
   const obs::HealthOptions* health = nullptr;
 
-  bool shareSymbolic() const { return provider != nullptr && !structure_key.empty(); }
+  /// The health options a run collects under: its own `run` options when
+  /// their collect flag is set, else the sweep-wide block when it collects;
+  /// null when neither does.
+  const obs::HealthOptions* healthFor(const obs::HealthOptions& run) const {
+    if (run.collect) return &run;
+    return health != nullptr && health->collect ? health : nullptr;
+  }
 };
 
 /// Stamps a session's structural entries into a building matrix.
@@ -109,38 +128,28 @@ template <typename Scalar>
 using PatternStamp = std::function<void(CsrMatrix<Scalar>&)>;
 
 /// The symbolic checkout of both MNA engines (SolverSession and the AC
-/// engine's AcSession). With symbolic sharing on, the class state is
-/// checked out of sharing.provider under sharing.structure_key; when this
-/// run is the first of its class, `stamp` runs on a building matrix, which
-/// is compiled, ordered and published. Otherwise, or when the checkout's
-/// dimension is not `n` (the structure key lied or collided), the run
-/// compiles and orders privately, which degrades the sharing but never the
-/// result. Never returns null.
+/// engine's AcSession). With a provider and a circuit that has a structure
+/// class, the state is checked out of sharing.provider under {class,
+/// engine}; when this run is the first of its class, `stamp` runs on a
+/// building matrix, which is compiled, ordered and published. Without
+/// either, the run compiles and orders privately. Never returns null.
 ///
 /// Postcondition, in every case: `target` is finalized on the returned
 /// pattern with zero values. The caller then stamps its values into it in
-/// element order and folds any overflow (only a wrong key on the same
-/// dimension causes one; see the file comment).
+/// element order.
 ///
 /// Bookkeeping goes to `tel` when non-null: pattern_compiles and
 /// rcm_orderings count a compile and ordering performed here (the class's
 /// build or a private one), and shared_symbolic_builds /
 /// shared_symbolic_reuses count the checkout.
+/// \throws std::logic_error when the checked-out state's dimension is not
+///         `n` (a fingerprint collision).
 template <typename Scalar>
 std::shared_ptr<const SolverSymbolic> resolveSymbolic(const SolverSharing& sharing,
-                                                      std::size_t n,
+                                                      const Circuit& circuit,
+                                                      SolverEngine engine, std::size_t n,
                                                       const PatternStamp<Scalar>& stamp,
                                                       CsrMatrix<Scalar>& target,
                                                       obs::RunTelemetry* tel);
-
-/// Round-trip-exact double formatting for the numeric parameters of a
-/// structure key. Two different values must never collapse to one key:
-/// %g's 6 significant digits would merge e.g. 50.0 and 50.0000001 (two
-/// skin fits sharing one pattern); %.17g round-trips every double.
-inline std::string solverKeyNum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 }  // namespace fdtdmm

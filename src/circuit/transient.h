@@ -98,16 +98,14 @@ struct TransientOptions {
   /// default) the solver pays one branch per site and — as with telemetry —
   /// results are bit-identical either way. Sweeps enable collection for
   /// every corner via sharing.health instead; this per-run field wins when
-  /// its collect flag is set.
+  /// its collect flag is set (SolverSharing::healthFor).
   obs::HealthOptions health;
   /// Optional cross-run solver-state sharing (see circuit/solver_state.h).
-  /// Default-constructed (null provider) = no sharing. With a provider and
-  /// a non-empty structure key, the run checks its compiled pattern and
-  /// RCM ordering out of the provider instead of computing them, and
+  /// Default-constructed (null provider) = no sharing. With a provider, a
+  /// run whose circuit has a structure class checks its compiled pattern
+  /// and RCM ordering out of the provider instead of computing them, and
   /// stamps its static values into that pattern; results are bit-identical
-  /// either way when the key is honest (equal keys only for identical
-  /// patterns).
-  /// The run always factors its own base matrix.
+  /// either way. The run always factors its own base matrix.
   SolverSharing sharing;
 };
 

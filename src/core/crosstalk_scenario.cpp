@@ -196,17 +196,4 @@ TaskWaveforms CrosstalkFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return runCrosstalkScenario(cfg_, std::move(driver), sharing);
 }
 
-// pattern/bit_time/t_stop stay out of the key (RHS/run-length only), and so
-// do the element values; the coupling>0 flags are structural because
-// zero-coupling configurations stamp no mutual elements at all
-// (buildCoupledRlgcLines skips them), and so is line_r > 0, which splits
-// each series R around its inductor (two extra nodes per segment and
-// line). line_g only adds shunt resistors on the capacitors' entries.
-std::string CrosstalkFamily::structureKey() const {
-  return "crosstalk|segments=" + std::to_string(cfg_.line.segments) +
-         "|r=" + (cfg_.line.r > 0.0 ? "1" : "0") +
-         "|cm=" + (cfg_.coupling > 0.0 ? "1" : "0") +
-         "|lm=" + (cfg_.coupling_l > 0.0 ? "1" : "0");
-}
-
 }  // namespace fdtdmm

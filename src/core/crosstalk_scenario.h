@@ -54,8 +54,8 @@ void validateCrosstalkScenario(const CrosstalkScenario& cfg);
 /// Runs the coupled-line structure on the MNA transient engine with the
 /// waveform mapping documented above, threading `sharing` into the
 /// TransientOptions (circuit/solver_state.h). Deterministic for fixed
-/// inputs (wall_seconds aside), and bit-identical for any `sharing` under
-/// an honest key. The receiver model is unused (may be null).
+/// inputs (wall_seconds aside), and bit-identical for any `sharing`. The
+/// receiver model is unused (may be null).
 /// \throws std::invalid_argument on a null driver model or invalid options.
 TaskWaveforms runCrosstalkScenario(const CrosstalkScenario& cfg,
                                    std::shared_ptr<const RbfDriverModel> driver,
@@ -79,9 +79,6 @@ class CrosstalkFamily final : public Scenario {
   double bitTime() const override { return cfg_.bit_time; }
   double tStop() const override { return cfg_.t_stop; }
   bool needsReceiver() const override { return false; }
-  /// Sharing key: corners of one ladder structure share the symbolic RCM
-  /// analysis that orders each corner's base factorization.
-  std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,

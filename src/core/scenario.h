@@ -159,26 +159,16 @@ class Scenario {
   virtual bool needsDriver() const { return true; }
   virtual bool needsReceiver() const = 0;
 
-  /// Solver-state sharing key (see circuit/solver_state.h). Two
-  /// configurations of a family should return the same structureKey()
-  /// only if their runs assemble identical sparse patterns (same unknown
-  /// count, same structural stamps): they then share one compiled pattern
-  /// and its RCM ordering. A wrong key costs time and band width, never
-  /// correctness — missing entries are folded into a private pattern, and
-  /// an ordering is only a permutation. The default — an empty key — opts the family out of
-  /// sharing; families opt in per configuration (e.g. only for engines
-  /// that run on the MNA solvers).
-  virtual std::string structureKey() const { return {}; }
-
   /// Deep copy (sweep expansion clones a configured prototype per point).
   virtual std::unique_ptr<Scenario> clone() const = 0;
 
   /// Runs the workload with already-resolved models. `receiver` may be null
-  /// when needsReceiver() is false. A family that returns a structure key
-  /// threads `sharing` into its solver options, so structurally identical
-  /// sweep corners reuse one symbolic analysis; other families ignore it.
-  /// The waveforms are bit-identical for any `sharing` under an honest key
-  /// (a default SolverSharing shares nothing).
+  /// when needsReceiver() is false. A family that runs the MNA solvers
+  /// threads `sharing` into its solver options, so sweep corners whose
+  /// netlists have one structure class (circuit/solver_state.h) reuse one
+  /// symbolic analysis; other families ignore it. The waveforms are
+  /// bit-identical for any `sharing` (a default SolverSharing shares
+  /// nothing).
   /// \throws std::invalid_argument on null required models or invalid
   ///         configuration.
   virtual TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
@@ -252,7 +242,7 @@ const typename ParamTable<Config>::Entry& ParamTable<Config>::find(
 
 /// Thread-safe name -> factory map of scenario families. The process-wide
 /// instance (global()) comes with the built-in families ("tline", "pcb",
-/// "crosstalk", "emc") pre-registered; extensions add factories under new
+/// "crosstalk", "emc", "ac") pre-registered; extensions add factories under new
 /// names at startup and are immediately sweepable.
 class ScenarioRegistry {
  public:

@@ -32,9 +32,8 @@ struct SimulationTask {
 /// `sharing` so the solver can check symbolic state out of a
 /// SolverStateProvider. Deterministic for fixed inputs (wall_seconds
 /// aside): the same task with the same models produces bit-identical
-/// waveforms on every call, and for any `sharing` under an honest key,
-/// which is what lets the sweep engine promise thread-count-independent
-/// results.
+/// waveforms on every call and for any `sharing`, which is what lets the
+/// sweep engine promise thread-count-independent results.
 /// \throws std::invalid_argument on a task without a scenario, null
 ///         required models, or invalid scenario options.
 TaskWaveforms runSimulationTask(const SimulationTask& task,

@@ -160,12 +160,4 @@ TaskWaveforms TlineFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return out;
 }
 
-// pattern/bit_time/t_stop are RHS/run-length only, and zc/td/load values
-// change the static stamps' values but not the pattern: only the far-end
-// load kind shapes the structure.
-std::string TlineFamily::structureKey() const {
-  if (engine_ != TlineEngine::kSpiceRbf) return {};
-  return std::string("tline|engine=spice-rbf|load=") + farEndLoadName(cfg_.load);
-}
-
 }  // namespace fdtdmm

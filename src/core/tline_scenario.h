@@ -73,7 +73,7 @@ inline constexpr double kSpiceRbfDt = 2e-12;
 
 /// Engine (ii): SPICE with RBF macromodels, threading `sharing` into the
 /// TransientOptions (circuit/solver_state.h). Bit-identical waveforms for
-/// any `sharing` under an honest key.
+/// any `sharing`.
 EngineRun runSpiceRbfTline(const TlineScenario& cfg,
                            std::shared_ptr<const RbfDriverModel> driver,
                            std::shared_ptr<const RbfReceiverModel> receiver,

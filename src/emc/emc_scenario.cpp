@@ -260,23 +260,4 @@ TaskWaveforms EmcFamily::run(std::shared_ptr<const RbfDriverModel> driver,
   return runEmcScenario(cfg_, std::move(driver), std::move(receiver), sharing);
 }
 
-// What stays OUT of this key is the point: amplitude, arrival angles,
-// polarization, bandwidth, pulse_t0, ground_reflection, trace geometry,
-// bit pattern, bit_time, and t_stop all reach the transient only through
-// RHS sources or run length, never through the static pattern (the
-// field-coupled ladder uses the same Inductor/Capacitor static stamps as
-// the plain one; RBF ports stamp only structural zeros, and the drive/
-// termination choice is in the key). line_r > 0 is structural: the ladder
-// splits each series R around its inductor, two extra nodes per segment.
-// line_g is not: its shunt resistor lands on the capacitor's entries. The
-// amp>0 flag is still kept — structurally conservative, and it costs one
-// extra class.
-std::string EmcFamily::structureKey() const {
-  return "emc|segments=" + std::to_string(cfg_.line.segments) +
-         "|r=" + (cfg_.line.r > 0.0 ? "1" : "0") +
-         "|drive=" + cfg_.drive + "|term=" + cfg_.termination +
-         "|cfar=" + (cfg_.c_far > 0.0 ? "1" : "0") +
-         "|field=" + (cfg_.amplitude > 0.0 ? "1" : "0");
-}
-
 }  // namespace fdtdmm

@@ -76,9 +76,9 @@ void validateEmcScenario(const EmcScenario& cfg);
 /// Runs the field-coupled line on the MNA transient engine with the
 /// waveform mapping documented above, threading `sharing` into the
 /// TransientOptions (circuit/solver_state.h). Deterministic for fixed
-/// inputs (wall_seconds aside), and bit-identical for any `sharing` under
-/// an honest key. `driver` may be null when drive == "none", `receiver`
-/// when termination == "resistive".
+/// inputs (wall_seconds aside), and bit-identical for any `sharing`.
+/// `driver` may be null when drive == "none", `receiver` when
+/// termination == "resistive".
 /// \throws std::invalid_argument on a missing required model or invalid
 ///         options.
 TaskWaveforms runEmcScenario(const EmcScenario& cfg,
@@ -111,12 +111,6 @@ class EmcFamily final : public Scenario {
   double tStop() const override { return cfg_.t_stop; }
   bool needsDriver() const override { return cfg_.drive == "driver"; }
   bool needsReceiver() const override { return cfg_.termination == "receiver"; }
-  /// Sharing key: the incident field enters the transient purely through
-  /// RHS sources (Agrawal EMF terms), so amplitude/angle/polarization/
-  /// bandwidth/geometry/pattern corners of one link share a single RCM
-  /// ordering — the family's structureKey() deliberately excludes all of
-  /// them.
-  std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,

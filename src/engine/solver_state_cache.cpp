@@ -3,7 +3,7 @@
 namespace fdtdmm {
 
 std::shared_ptr<const SolverSymbolic> SolverStateCache::symbolic(
-    const std::string& key, const SymbolicBuilder& build) {
+    const StructureClass& key, const SymbolicBuilder& build) {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -16,7 +16,7 @@ std::shared_ptr<const SolverSymbolic> SolverStateCache::symbolic(
     }
   }
   // Build outside the cache lock but inside the entry lock: one builder
-  // per key at a time, other keys fully concurrent. Re-check after
+  // per class at a time, other classes fully concurrent. Re-check after
   // acquiring — a concurrent caller may have published while we waited.
   std::lock_guard<std::mutex> build_lock(entry->build_mu);
   {
@@ -43,7 +43,7 @@ SolverStateCacheStats SolverStateCache::stats() const {
 
 std::size_t SolverStateCache::structureClassCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Count only published values: a key whose builder threw (or is still
+  // Count only published values: a class whose builder threw (or is still
   // running) is not a resolved class.
   std::size_t n = 0;
   for (const auto& kv : symbolic_)

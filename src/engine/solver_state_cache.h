@@ -2,16 +2,16 @@
 /// \file solver_state_cache.h
 /// Thread-safe SolverStateProvider shared by all sweep workers: the
 /// ModelCache economics (identify once, simulate everywhere) applied to
-/// the solver itself. Corners whose scenarios report the same
-/// structureKey() share one symbolic analysis (the compiled sparse
-/// pattern and its RCM ordering), regardless of worker count; every corner
-/// stamps its own values into that pattern and factors its own base
-/// matrix.
+/// the solver itself. Corners whose netlists have the same structure class
+/// (Circuit::structureClass, per engine) share one symbolic analysis (the
+/// compiled sparse pattern and its RCM ordering), regardless of worker
+/// count; every corner stamps its own values into that pattern and
+/// factors its own base matrix.
 ///
-/// Exactly-once contract (per key): the first caller runs the builder
-/// under that key's entry mutex; concurrent callers with the same key
+/// Exactly-once contract (per class): the first caller runs the builder
+/// under that class's entry mutex; concurrent callers with the same class
 /// block on the entry mutex — NOT on the whole cache — and receive the
-/// published value. Different keys build concurrently. A builder that
+/// published value. Different classes build concurrently. A builder that
 /// throws publishes nothing; the next caller retries. Values are immutable
 /// (shared_ptr<const ...>), so workers factor with the same ordering
 /// concurrently without copies.
@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "circuit/solver_state.h"
 
@@ -40,7 +39,7 @@ struct SolverStateCacheStats {
 
 class SolverStateCache final : public SolverStateProvider {
  public:
-  std::shared_ptr<const SolverSymbolic> symbolic(const std::string& key,
+  std::shared_ptr<const SolverSymbolic> symbolic(const StructureClass& key,
                                                  const SymbolicBuilder& build) override;
 
   /// Snapshot of the hit/miss/insert counters.
@@ -50,14 +49,14 @@ class SolverStateCache final : public SolverStateProvider {
   std::size_t structureClassCount() const;
 
  private:
-  /// One key's slot: value plus the mutex that serializes its build.
+  /// One class's slot: value plus the mutex that serializes its build.
   struct Entry {
     std::mutex build_mu;
     std::shared_ptr<const SolverSymbolic> value;  // guarded by the outer mu_ for reads
   };
 
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<Entry>> symbolic_;
+  std::map<StructureClass, std::shared_ptr<Entry>> symbolic_;
   SolverStateCacheStats stats_;  // guarded by mu_
 };
 

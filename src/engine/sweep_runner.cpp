@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <future>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -56,39 +55,13 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   result.workers = workers;
   result.runs.resize(tasks.size());
 
-  // Per-task sharing: the scenario's structure key plus the model names the
-  // runner resolved (conservative: model identity can never silently
-  // collide two classes). An empty key leaves the corner unshared.
-  std::vector<SolverSharing> sharing(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const SimulationTask& task = tasks[i];
-    // Health collection rides the sharing struct into every corner's
-    // solver session (independent of whether solver *state* is shared).
-    if (opt_.health.collect) sharing[i].health = &opt_.health;
-    std::string structure = task.scenario->structureKey();
-    if (structure.empty()) continue;
-    if (task.scenario->needsDriver()) structure += "|drv=" + task.driver;
-    if (task.scenario->needsReceiver()) structure += "|rcv=" + task.receiver;
-    sharing[i].provider = &solver_cache_;
-    sharing[i].structure_key = std::move(structure);
-  }
-
-  // Submission order groups structurally identical corners together
-  // (original order otherwise, shareable corners first): the class's
-  // builder then runs while its siblings are near the front of the queue,
-  // so they block briefly on the in-flight build instead of much later.
-  // Collection below is by slot, so this permutation never reaches the
-  // exported order.
-  std::vector<std::size_t> order(tasks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const SolverSharing& sa = sharing[a];
-    const SolverSharing& sb = sharing[b];
-    const bool ea = sa.provider == nullptr;
-    const bool eb = sb.provider == nullptr;
-    if (ea != eb) return eb;  // shareable corners first
-    return sa.structure_key < sb.structure_key;
-  });
+  // One sharing handle for every corner: each MNA session checks its
+  // netlist's structure class out of the runner's cache. Health collection
+  // rides the same struct into every corner's solver session (independent
+  // of whether solver *state* is shared).
+  SolverSharing sharing;
+  sharing.provider = &solver_cache_;
+  if (opt_.health.collect) sharing.health = &opt_.health;
 
   // Live progress surface. The stats hook runs at emission time (under the
   // reporter's throttle) and fills the rates the reporter cannot know
@@ -121,11 +94,9 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   pool_ptr = &pool;
   pool.setQueueWaitRecorder(&hist);
   std::vector<std::future<SweepRunRecord>> futures;
-  futures.reserve(order.size());
-  for (std::size_t slot : order) {
-    const SimulationTask& task = tasks[slot];
-    const SolverSharing& task_sharing = sharing[slot];
-    futures.push_back(pool.submit([this, &task, &task_sharing, &hist,
+  futures.reserve(tasks.size());
+  for (const SimulationTask& task : tasks) {
+    futures.push_back(pool.submit([this, &task, &sharing, &hist,
                                    &progress]() -> SweepRunRecord {
       // One span per corner, on the worker's thread: in the trace viewer
       // the per-thread tracks show exactly how the pool packed the sweep.
@@ -139,7 +110,7 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
         auto receiver = task.scenario->needsReceiver()
                             ? opt_.model_cache->receiver(task.receiver)
                             : nullptr;
-        TaskWaveforms waves = runSimulationTask(task, driver, receiver, task_sharing);
+        TaskWaveforms waves = runSimulationTask(task, driver, receiver, sharing);
         const BitPattern pattern(task.scenario->pattern(),
                                  task.scenario->bitTime());
         rec.metrics = computeRunMetrics(waves, pattern, opt_.eye);
@@ -166,10 +137,8 @@ SweepResult SweepRunner::run(const std::vector<SimulationTask>& tasks) {
   }
 
   // Collect each future into its task's slot: result order is the task
-  // order no matter which worker finished first or how submission was
-  // grouped.
-  for (std::size_t k = 0; k < futures.size(); ++k)
-    result.runs[order[k]] = futures[k].get();
+  // order no matter which worker finished first.
+  for (std::size_t k = 0; k < futures.size(); ++k) result.runs[k] = futures[k].get();
 
   // Every future has been collected, so the pool counters are final for
   // this batch even though the pool itself is still alive.

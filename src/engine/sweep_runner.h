@@ -11,8 +11,8 @@
 ///     in its slot — one bad corner never aborts the sweep;
 ///   - with identical tasks and models, the exported metrics are
 ///     byte-identical for any worker count (see sweep_result.h);
-///   - corners whose scenarios report the same structure key (and resolve
-///     the same model names) share one symbolic analysis through the
+///   - corners whose netlists have the same structure class
+///     (Circuit::structureClass) share one symbolic analysis through the
 ///     runner's SolverStateCache, and their metrics are byte-identical to
 ///     running each task alone with a default SolverSharing.
 
@@ -74,9 +74,9 @@ class SweepRunner {
 
   /// The model cache in use (never null after construction).
   const std::shared_ptr<ModelCache>& cache() const { return opt_.model_cache; }
-  /// The runner's own solver-state cache: every corner whose scenario
-  /// returns a structure key checks its class out of it, across all of
-  /// this runner's sweeps.
+  /// The runner's own solver-state cache: every MNA session of every
+  /// corner checks its structure class out of it, across all of this
+  /// runner's sweeps.
   const SolverStateCache& solverCache() const { return solver_cache_; }
 
  private:

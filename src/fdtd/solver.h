@@ -132,8 +132,10 @@ class FdtdSolver {
   /// see the same wave.
   void setIncidentWave(const PlaneWave& wave);
 
-  /// Adds a lumped one-port at a z-directed edge. The edge must be strictly
-  /// interior and not PEC. Returns a stable pointer owned by the solver.
+  /// Adds a lumped one-port at the edge `spec` names, along any axis
+  /// (LumpedPortSpec::axis). The edge must be strictly interior in the two
+  /// transverse directions and not PEC. Returns a stable pointer owned by
+  /// the solver.
   /// \throws std::invalid_argument on bad placement.
   LumpedPort* addLumpedPort(const LumpedPortSpec& spec, PortModelPtr model);
 

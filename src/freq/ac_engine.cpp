@@ -92,21 +92,13 @@ void AcSession::checkOut(double omega, obs::RunTelemetry* tel) {
     sys_.csr = &target;
     for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
   };
-  symbolic_ = resolveSymbolic(opt_.sharing, n_, stamp, sp_, tel);
+  symbolic_ = resolveSymbolic(opt_.sharing, circuit_, SolverEngine::kAc, n_, stamp, sp_, tel);
   sys_.csr = &sp_;
 }
 
-void AcSession::restampValues(double omega, obs::RunTelemetry* tel) {
+void AcSession::restampValues(double omega) {
   sp_.clearValues();
   for (const auto& e : circuit_.elements()) e->stampAc(sys_, omega, opt_.x_dc);
-  // Only a wrong structure key on the same dimension misses entries: fold
-  // them into a private pattern once (the checked-out ordering stays) and
-  // restamp, so every entry is an element-order sum on every call.
-  if (sp_.patternGrown()) {
-    sp_.mergeOverflow();
-    if (tel) ++tel->pattern_compiles;
-    restampValues(omega, tel);
-  }
 }
 
 void AcSession::restampRhs(double omega) {
@@ -119,11 +111,7 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
     throw std::invalid_argument("AcSession::solveAt: f must be finite and >= 0");
   const double omega = 2.0 * kPi * f_hz;
   obs::RunTelemetry* const tel = opt_.telemetry;
-  const obs::HealthOptions* h_opt =
-      opt_.health.collect
-          ? &opt_.health
-          : (opt_.sharing.health && opt_.sharing.health->collect ? opt_.sharing.health
-                                                                 : nullptr);
+  const obs::HealthOptions* h_opt = opt_.sharing.healthFor(opt_.health);
   obs::NumericalHealth* const health = tel && h_opt ? &tel->health : nullptr;
   double* const t_stamp = tel ? &tel->phases.stamp_static_seconds : nullptr;
   double* const t_factor = tel ? &tel->phases.factor_seconds : nullptr;
@@ -139,7 +127,7 @@ const ComplexVector& AcSession::solveAt(double f_hz) {
     if (symbolic_ == nullptr) checkOut(omega, tel);
     if (refactor) {
       factored_omega_ = std::numeric_limits<double>::quiet_NaN();
-      restampValues(omega, tel);
+      restampValues(omega);
     }
     restampRhs(omega);
   }

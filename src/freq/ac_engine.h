@@ -62,9 +62,9 @@ struct AcOptions {
   /// size must equal the circuit's unknown count.
   Vector x_dc;
 
-  /// Cross-session symbolic sharing (the structure key classes circuits by
-  /// AC matrix pattern). Default: no sharing — the session still performs
-  /// exactly one symbolic analysis of its own.
+  /// Cross-session symbolic sharing (sessions whose circuits have one
+  /// structure class share the AC pattern). Default: no sharing — the
+  /// session still performs exactly one symbolic analysis of its own.
   SolverSharing sharing;
 
   /// Optional telemetry sink, the TransientOptions convention: when
@@ -78,8 +78,8 @@ struct AcOptions {
   /// keeps solveAt clock-free.
   obs::RunTelemetry* telemetry = nullptr;
   /// Numerical-health collection (obs/health.h): with health.collect set
-  /// (directly or via sharing.health, which per-option collect overrides)
-  /// AND telemetry attached, every factorization records its pivot stats
+  /// (directly or via sharing.health; SolverSharing::healthFor) AND
+  /// telemetry attached, every factorization records its pivot stats
   /// and every solveAt one complex relative residual ||Ax-b||inf/||b||inf
   /// into telemetry->health. No condition estimate on this path: the Hager
   /// estimator (obs::estimateInverseNorm1) iterates on real vectors, so a
@@ -132,8 +132,8 @@ class AcSession {
   /// Resolves sp_'s pattern and symbolic_ (resolveSymbolic), leaving sp_
   /// finalized with zero values.
   void checkOut(double omega, obs::RunTelemetry* tel);
-  /// Stamps A(omega) into sp_, folding any overflow.
-  void restampValues(double omega, obs::RunTelemetry* tel);
+  /// Stamps A(omega) into sp_.
+  void restampValues(double omega);
   /// Stamps b(omega) into sys_.b.
   void restampRhs(double omega);
 

@@ -40,8 +40,7 @@ void validateAcScenario(const AcScenario& cfg) {
 
 /// Resolves the ladder actually built: with k_skin > 0 the rational fit's
 /// branches are chained into each segment and the main inductance gives up
-/// the branches' low-frequency contribution. Shared between run and
-/// structureKey so the key always describes the built pattern.
+/// the branches' low-frequency contribution.
 static void resolveSkin(const AcScenario& cfg, RlgcParams& line,
                         std::vector<SeriesRlBranch>& branches) {
   line = cfg.line;
@@ -88,7 +87,7 @@ TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing)
   opt.sharing = sharing;
   // Telemetry/health ride the same channels as the transient families:
   // phase times and factorization counts always land in out.telemetry;
-  // health collection follows the sweep-wide switches (sharing.health).
+  // health collection and grading follow SolverSharing::healthFor.
   opt.telemetry = &out.telemetry;
   AcSession session(circuit, opt);
 
@@ -109,10 +108,8 @@ TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing)
   const Complex s22 = 2.0 * acNodeV(xr, p2) - 1.0;
   const Complex s12 = 2.0 * acNodeV(xr, p1);
 
-  if (out.telemetry.health.collected)
-    obs::gradeHealth(out.telemetry.health,
-                     sharing.health ? sharing.health->thresholds
-                                    : obs::HealthThresholds{});
+  if (const obs::HealthOptions* h_opt = sharing.healthFor(opt.health))
+    obs::gradeHealth(out.telemetry.health, h_opt->thresholds);
 
   out.v_near = scalarWave(1.0);
   out.v_far = scalarWave(std::abs(h));
@@ -208,25 +205,6 @@ std::string AcFamily::label() const {
 
 std::unique_ptr<Scenario> AcFamily::clone() const {
   return std::make_unique<AcFamily>(*this);
-}
-
-// The pattern depends on everything that changes the netlist shape:
-// segment count, presence of the per-segment series-R nodes (r > 0) and
-// shunt-G resistors (g > 0), and the skin-branch chain. The chain's branch
-// count is a function of (r, k_skin, band, n_branches), so
-// those values are folded in exactly rather than re-deriving the fit here.
-// Frequency is deliberately absent: it only changes matrix VALUES.
-std::string AcFamily::structureKey() const {
-  std::string key = "ac|seg=" + solverKeyNum(static_cast<double>(cfg_.line.segments)) +
-                    "|r=" + (cfg_.line.r > 0.0 ? "1" : "0") +
-                    "|g=" + (cfg_.line.g > 0.0 ? "1" : "0");
-  if (cfg_.k_skin > 0.0) {
-    key += "|ks=" + solverKeyNum(cfg_.k_skin) + "|rdc=" + solverKeyNum(cfg_.line.r) +
-           "|sf0=" + solverKeyNum(cfg_.skin_fmin) +
-           "|sf1=" + solverKeyNum(cfg_.skin_fmax) +
-           "|sb=" + solverKeyNum(static_cast<double>(cfg_.skin_branches));
-  }
-  return key;
 }
 
 TaskWaveforms AcFamily::run(std::shared_ptr<const RbfDriverModel>,

@@ -7,8 +7,7 @@
 /// is a standard SweepSpec over the "ac" family and runs through the same
 /// ScenarioRegistry / SweepRunner / ThreadPool / cache machinery as every
 /// transient family — including symbolic sharing, since all frequency
-/// corners of one line share a structure class (frequency is deliberately
-/// NOT in structureKey()).
+/// corners of one line build one netlist and so share a structure class.
 ///
 /// The circuit is the 2-port S-parameter test fixture: the line between
 /// port 1 and port 2, each port driven by a Thevenin source (ideal source
@@ -63,8 +62,7 @@ void validateAcScenario(const AcScenario& cfg);
 /// Runs one frequency point with the waveform mapping documented above,
 /// threading `sharing` into AcOptions so frequency corners of one
 /// structure class reuse a single symbolic analysis. Deterministic for
-/// fixed inputs (wall_seconds aside), and bit-identical for any `sharing`
-/// under an honest key.
+/// fixed inputs (wall_seconds aside), and bit-identical for any `sharing`.
 TaskWaveforms runAcScenario(const AcScenario& cfg, const SolverSharing& sharing = {});
 
 /// Registry adapter ("ac"). Parameters: frequency, z0, line_r, line_l,
@@ -88,11 +86,6 @@ class AcFamily final : public Scenario {
   double tStop() const override { return 1.0; }
   bool needsDriver() const override { return false; }
   bool needsReceiver() const override { return false; }
-  /// Symbolic sharing: the AC matrix pattern depends on the ladder
-  /// structure (segment count, presence of series-R / shunt-G nodes,
-  /// skin-branch chain) but NOT on the frequency — that is the axis the
-  /// sharing economy targets. Every frequency factors its own matrix.
-  std::string structureKey() const override;
   std::unique_ptr<Scenario> clone() const override;
   TaskWaveforms run(std::shared_ptr<const RbfDriverModel> driver,
                     std::shared_ptr<const RbfReceiverModel> receiver,

@@ -23,7 +23,6 @@ void CsrMatrix<Scalar>::reset(std::size_t n) {
   finalized_ = false;
   version_ = 0;
   building_.clear();
-  overflow_.clear();
   row_ptr_.clear();
   col_idx_.clear();
   values_.clear();
@@ -38,11 +37,8 @@ void CsrMatrix<Scalar>::add(std::size_t r, std::size_t c, Scalar v) {
     return;
   }
   const std::size_t k = find(r, c);
-  if (k != kNpos) {
-    values_[k] += v;
-  } else {
-    overflow_.push_back({r, c, v});
-  }
+  if (k == kNpos) throw std::logic_error("CsrMatrix::add: entry outside the finalized pattern");
+  values_[k] += v;
 }
 
 template <typename Scalar>
@@ -55,49 +51,31 @@ std::size_t CsrMatrix<Scalar>::find(std::size_t r, std::size_t c) const {
 }
 
 template <typename Scalar>
-void CsrMatrix<Scalar>::compile(std::vector<Triplet>& entries) {
-  std::sort(entries.begin(), entries.end(), [](const Triplet& a, const Triplet& b) {
+void CsrMatrix<Scalar>::finalize() {
+  if (finalized_) throw std::logic_error("CsrMatrix::finalize: already finalized");
+  std::sort(building_.begin(), building_.end(), [](const Triplet& a, const Triplet& b) {
     return a.r != b.r ? a.r < b.r : a.c < b.c;
   });
   row_ptr_.assign(n_ + 1, 0);
   col_idx_.clear();
   values_.clear();
-  col_idx_.reserve(entries.size());
-  values_.reserve(entries.size());
-  for (std::size_t k = 0; k < entries.size();) {
-    const std::size_t r = entries[k].r;
-    const std::size_t c = entries[k].c;
+  col_idx_.reserve(building_.size());
+  values_.reserve(building_.size());
+  for (std::size_t k = 0; k < building_.size();) {
+    const std::size_t r = building_[k].r;
+    const std::size_t c = building_[k].c;
     Scalar sum = 0.0;
-    for (; k < entries.size() && entries[k].r == r && entries[k].c == c; ++k)
-      sum += entries[k].v;
+    for (; k < building_.size() && building_[k].r == r && building_[k].c == c; ++k)
+      sum += building_[k].v;
     row_ptr_[r + 1] += 1;
     col_idx_.push_back(c);
     values_.push_back(sum);
   }
   for (std::size_t r = 0; r < n_; ++r) row_ptr_[r + 1] += row_ptr_[r];
   version_ = nextVersion();
-}
-
-template <typename Scalar>
-void CsrMatrix<Scalar>::finalize() {
-  if (finalized_) throw std::logic_error("CsrMatrix::finalize: already finalized");
-  compile(building_);
   building_.clear();
   building_.shrink_to_fit();
   finalized_ = true;
-}
-
-template <typename Scalar>
-void CsrMatrix<Scalar>::mergeOverflow() {
-  if (overflow_.empty()) return;
-  std::vector<Triplet> entries;
-  entries.reserve(nonZeros() + overflow_.size());
-  for (std::size_t r = 0; r < n_; ++r)
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      entries.push_back({r, col_idx_[k], values_[k]});
-  entries.insert(entries.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
-  compile(entries);
 }
 
 template <typename Scalar>
@@ -111,7 +89,6 @@ void CsrMatrix<Scalar>::adoptPattern(const CsrPattern& p) {
   if (p.version == 0 || p.row_ptr.size() != p.n + 1 || p.row_ptr.back() != p.col_idx.size())
     throw std::invalid_argument("CsrMatrix::adoptPattern: not a compiled pattern");
   building_.clear();
-  overflow_.clear();
   if (!finalized_ || version_ != p.version) {
     n_ = p.n;
     row_ptr_ = p.row_ptr;
@@ -132,7 +109,6 @@ void CsrMatrix<Scalar>::setValuesFrom(const CsrMatrix& base) {
 template <typename Scalar>
 void CsrMatrix<Scalar>::clearValues() {
   std::fill(values_.begin(), values_.end(), Scalar(0.0));
-  overflow_.clear();
 }
 
 template <typename Scalar>

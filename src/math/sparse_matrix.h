@@ -10,10 +10,7 @@
 ///     indices per row, duplicates summed — fixing the *symbolic pattern*.
 ///  2. *Finalized*: add(r, c, v) scatters into the existing pattern by
 ///     binary search, refreshing numeric values in place with no
-///     allocation. An add outside the pattern (a stamp a wrong structure
-///     key left out of a shared pattern) is buffered in an overflow list
-///     and flagged via patternGrown(); mergeOverflow() then extends the
-///     pattern once.
+///     allocation. The pattern never grows: an add outside it throws.
 ///
 /// A matrix can also skip the building phase: adoptPattern() starts it
 /// finalized, with zero values, on a pattern another matrix compiled and
@@ -68,27 +65,21 @@ class CsrMatrix {
   bool finalized() const { return finalized_; }
 
   /// Building: appends a coordinate triplet. Finalized: adds v to the
-  /// pattern entry (r, c), or buffers it as overflow when (r, c) is not in
-  /// the pattern. \throws std::out_of_range if r or c >= dim().
+  /// pattern entry (r, c).
+  /// \throws std::out_of_range if r or c >= dim(); std::logic_error if the
+  ///         matrix is finalized and (r, c) is not in its pattern.
   void add(std::size_t r, std::size_t c, Scalar v);
 
   /// Compiles the accumulated triplets to CSR and fixes the pattern.
   /// \throws std::logic_error if already finalized.
   void finalize();
 
-  /// True when finalized add()s have been buffered outside the pattern.
-  bool patternGrown() const { return !overflow_.empty(); }
-
-  /// Folds the buffered overflow entries into the pattern (new version
-  /// stamp). No-op when patternGrown() is false.
-  void mergeOverflow();
-
   /// The compiled pattern with its version stamp (finalized only).
   /// \throws std::logic_error while building.
   CsrPattern pattern() const;
 
   /// Discards the current content and starts a finalized matrix on `p`:
-  /// zero values, no overflow, and p's version stamp, so the adopter and
+  /// zero values and p's version stamp, so the adopter and
   /// the exporter still compare equal by patternVersion().
   /// \throws std::invalid_argument if `p` is not a compiled pattern
   ///         (version 0 or array sizes that do not fit n).
@@ -99,8 +90,7 @@ class CsrMatrix {
   /// \throws std::logic_error on a pattern mismatch.
   void setValuesFrom(const CsrMatrix& base);
 
-  /// Zeroes the numeric values (and drops any buffered overflow), keeping
-  /// the pattern.
+  /// Zeroes the numeric values, keeping the pattern.
   void clearValues();
 
   /// Pattern identity stamp (see file comment). 0 while building.
@@ -127,7 +117,6 @@ class CsrMatrix {
     Scalar v;
   };
 
-  void compile(std::vector<Triplet>& entries);
   /// Index into values_ for (r, c), or npos when absent.
   std::size_t find(std::size_t r, std::size_t c) const;
 
@@ -135,7 +124,6 @@ class CsrMatrix {
   bool finalized_ = false;
   std::uint64_t version_ = 0;
   std::vector<Triplet> building_;  ///< COO accumulator (building phase)
-  std::vector<Triplet> overflow_;  ///< out-of-pattern adds (finalized phase)
   std::vector<std::size_t> row_ptr_;
   std::vector<std::size_t> col_idx_;
   std::vector<Scalar> values_;

@@ -58,11 +58,10 @@
 ///   - shared_symbolic_reuses   class patterns and orderings checked out
 ///                              instead of built: such a session compiled
 ///                              and ordered nothing
-///   - pattern_compiles         CSR pattern compiles the run performed: a
-///                              finalize (the class's build or a private
-///                              session) or a wrong-key overflow fold; 0
-///                              for a session that checked its class out
-///                              under an honest key
+///   - pattern_compiles         CSR pattern compiles the run performed:
+///                              one finalize per session that builds its
+///                              class or runs unshared; 0 for a session
+///                              that checked its class out
 ///   - rcm_orderings            RCM orderings the run computed itself (one
 ///                              per transient or AC session; 0 for a
 ///                              session that checked its class out)

@@ -7,7 +7,8 @@
 //    structure class out allocates no large block: it refactors in the
 //    arrays of the session before it;
 //  - only capacity carries over: sessions that alternate classes, with a
-//    wrong-key session between them, solve bitwise as on fresh threads;
+//    second netlist of the same dimension between them, solve bitwise as
+//    on fresh threads;
 //  - a pooled AC sweep (4 workers, the concurrent case the per-thread
 //    workspaces exist for) exports the same metrics at 1 and 4 workers and
 //    reports a kept workspace taken by every corner but each worker's first.
@@ -17,7 +18,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -158,7 +158,6 @@ TEST(AcWorkspace, SecondSessionOfAClassAllocatesNoLargeBlock) {
     SolverStateCache cache;
     AcOptions opt;
     opt.sharing.provider = &cache;
-    opt.sharing.structure_key = "skin-ladder-1200";
     opt.telemetry = &first_tel;
     {
       TwoPort first(1200);
@@ -186,12 +185,10 @@ TEST(AcWorkspace, SecondSessionOfAClassAllocatesNoLargeBlock) {
   EXPECT_EQ(blocks, 0) << bytes << " bytes";
 }
 
-// One step of the sequence below: a ladder, its structure key and a
-// frequency.
+// One step of the sequence below: a ladder and a frequency.
 struct Step {
   std::size_t segments;
   bool bridge;
-  std::string key;
   double f_hz;
 };
 
@@ -208,7 +205,6 @@ std::vector<Solutions> runSteps(const std::vector<Step>& steps, RunOn run_on,
       TwoPort fx(s.segments, s.bridge);
       AcOptions opt;
       opt.sharing.provider = &cache;
-      opt.sharing.structure_key = s.key;
       opt.telemetry = &tel;
       out[k] = solveBothWays(fx, opt, s.f_hz);
     });
@@ -218,16 +214,14 @@ std::vector<Solutions> runSteps(const std::vector<Step>& steps, RunOn run_on,
 
 // Sessions that alternate two structure classes (different segment
 // counts, so different dimensions and patterns) on one thread, with a
-// wrong-key session between them (the bridged ladder under the 40-segment
-// key: same dimension, folded pattern), take one another's workspaces.
-// Their solutions are bitwise those of the same sessions each run on a
-// fresh thread, i.e. on fresh storage.
+// third class between them (the bridged 40-segment ladder: the same
+// dimension on a wider pattern), take one another's workspaces. Their
+// solutions are bitwise those of the same sessions each run on a fresh
+// thread, i.e. on fresh storage.
 TEST(AcWorkspace, AlternatingClassesOnOneThreadMatchFreshThreadsBitwise) {
   const std::vector<Step> steps = {
-      {40, false, "ladder-40", 1e8},  {24, false, "ladder-24", 2e8},
-      {40, false, "ladder-40", 3e8},  {40, true, "ladder-40", 3e8},
-      {24, false, "ladder-24", 1e9},  {40, false, "ladder-40", 1e8},
-      {24, false, "ladder-24", 2e8},
+      {40, false, 1e8}, {24, false, 2e8}, {40, false, 3e8}, {40, true, 3e8},
+      {24, false, 1e9}, {40, false, 1e8}, {24, false, 2e8},
   };
   obs::RunTelemetry shared_tel, fresh_tel;
   std::vector<Solutions> one_thread;
@@ -244,10 +238,10 @@ TEST(AcWorkspace, AlternatingClassesOnOneThreadMatchFreshThreadsBitwise) {
   }
   EXPECT_EQ(shared_tel.workspace_reuses, static_cast<long long>(steps.size()) - 1);
   EXPECT_EQ(fresh_tel.workspace_reuses, 0);
-  // The bridged session folded the overflow into a private pattern: one
-  // compile per class plus that fold, on either storage.
+  // One compile per class, on either storage.
   EXPECT_EQ(shared_tel.pattern_compiles, 3);
   EXPECT_EQ(fresh_tel.pattern_compiles, 3);
+  EXPECT_EQ(shared_tel.shared_symbolic_reuses, 4);
 }
 
 // A pooled AC sweep: every worker keeps its own workspace, so the

@@ -239,8 +239,7 @@ TYPED_TEST(BandedLuTest, FactorWithOrderMatchesPrivateAnalysis) {
 
 TYPED_TEST(BandedLuTest, PatternChangeTriggersReanalysis) {
   // The symbolic cache is keyed on the pattern version: the same entries
-  // compiled again (a fresh version) re-run RCM once, and so does a pattern
-  // grown by an out-of-pattern add.
+  // compiled again (a fresh version) re-run RCM once.
   using S = TypeParam;
   const std::size_t n = 20;
   CsrMatrix<S> s = tridiagonal<S>(n);
@@ -259,12 +258,6 @@ TYPED_TEST(BandedLuTest, PatternChangeTriggersReanalysis) {
   lu.factor(s);
   EXPECT_EQ(lu.orderingsComputed(), 2u);
   const std::vector<S> b(n, val<S>(1.0, 0.0));
-  EXPECT_LT(residual(s, lu.solve(b), b), 1e-12);
-
-  s.add(0, n - 1, val<S>(0.25, -0.5));  // outside the tridiagonal pattern
-  s.mergeOverflow();
-  lu.factor(s);
-  EXPECT_EQ(lu.orderingsComputed(), 3u);
   EXPECT_LT(residual(s, lu.solve(b), b), 1e-12);
 }
 

@@ -61,7 +61,7 @@ TEST(EngineCaches, SolverStateCacheBuildsSymbolicExactlyOnce) {
   std::vector<std::shared_ptr<const SolverSymbolic>> seen(kThreads);
   hammer(kThreads, [&](int t) {
     for (int i = 0; i < kLookupsPerThread; ++i) {
-      seen[static_cast<std::size_t>(t)] = cache.symbolic("class-a", [&] {
+      seen[static_cast<std::size_t>(t)] = cache.symbolic({0xa, SolverEngine::kTransientBase}, [&] {
         ++builds;
         // Stretch the build window so every other thread is parked on the
         // entry mutex while the builder runs.
@@ -87,7 +87,9 @@ TEST(EngineCaches, SolverStateCacheDistinctKeysBuildConcurrently) {
   SolverStateCache cache;
   std::atomic<int> builds{0};
   hammer(kThreads, [&](int t) {
-    const std::string key = "class-" + std::to_string(t % 4);
+    // Two fingerprints, each on both engines: four classes.
+    const StructureClass key{static_cast<std::uint64_t>(t % 2),
+                             t % 4 < 2 ? SolverEngine::kTransientBase : SolverEngine::kAc};
     for (int i = 0; i < kLookupsPerThread; ++i) {
       auto sym = cache.symbolic(key, [&] {
         ++builds;
@@ -110,14 +112,15 @@ TEST(EngineCaches, SolverStateCacheDistinctKeysBuildConcurrently) {
 
 TEST(EngineCaches, SolverStateCacheThrowingBuilderPublishesNothing) {
   SolverStateCache cache;
-  EXPECT_THROW(cache.symbolic("bad",
+  const StructureClass bad{0xbad, SolverEngine::kAc};
+  EXPECT_THROW(cache.symbolic(bad,
                               []() -> std::shared_ptr<const SolverSymbolic> {
                                 throw std::runtime_error("singular");
                               }),
                std::runtime_error);
   EXPECT_EQ(cache.structureClassCount(), 0u);
   // The next caller retries the build and can succeed.
-  auto sym = cache.symbolic("bad", [] { return std::make_shared<SolverSymbolic>(); });
+  auto sym = cache.symbolic(bad, [] { return std::make_shared<SolverSymbolic>(); });
   EXPECT_NE(sym, nullptr);
   const SolverStateCacheStats stats = cache.stats();
   EXPECT_EQ(stats.symbolic_misses, 2);  // the failed attempt counts as a miss

@@ -1,17 +1,19 @@
 // Tests for cross-corner solver-state sharing: a linear RHS-only sweep
 // factors once per corner on one shared RCM ordering, a checked-out
-// ordering serves every factorization of a run, a wrong structure key
-// never changes a result (transient or AC), a corner that checks its class
-// out compiles no pattern, the byte-identical-exports contract between a
-// sharing runner and tasks run alone, a repeated sweep recomputing every
-// corner, the honesty of the family structure keys, and the valid-name
-// lists in the *FromName error messages.
+// ordering serves every factorization of a run, the netlist names its
+// structure class (one class per distinct netlist in mixed sweeps of every
+// MNA family, none for a custom element), a foreign class fails loudly
+// instead of folding, a corner that checks its class out compiles no
+// pattern, the byte-identical-exports contract between a sharing runner
+// and tasks run alone, a repeated sweep recomputing every corner, and the
+// valid-name lists in the *FromName error messages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,7 +22,6 @@
 #include "circuit/transient.h"
 #include "core/scenario.h"
 #include "core/tline_family.h"
-#include "dense_oracle.h"
 #include "engine/sweep_runner.h"
 #include "freq/ac_engine.h"
 #include "math/low_rank_update.h"
@@ -144,7 +145,6 @@ TEST(FactorizationSharing, SharedSymbolicReuseRunsNoRcmOfItsOwn) {
       opt.t_stop = 2e-9;
       opt.telemetry = &tel;
       opt.sharing.provider = &cache;
-      opt.sharing.structure_key = "port-driven-ladder";
       const TransientResult res = runTransient(c, opt, {{"far", far, 0}});
       if (clamps == 0) {
         EXPECT_EQ(res.lu_factorizations, 1) << run;
@@ -194,108 +194,157 @@ Circuit sourceDrivenLadder(std::size_t segments, bool bridge, int& far) {
   return c;
 }
 
-TransientOptions ladderOptions(SolverStateCache* cache, obs::RunTelemetry* tel) {
+TransientOptions ladderOptions(SolverStateProvider* provider) {
   TransientOptions opt;
   opt.dt = 5e-12;
   opt.t_stop = 2e-9;
-  opt.telemetry = tel;
-  if (cache != nullptr) {
-    opt.sharing.provider = cache;
-    opt.sharing.structure_key = "one-key-for-every-ladder";
-  }
+  opt.sharing.provider = provider;
   return opt;
 }
 
-// A wrong structure key on a different unknown count: the checked-out
-// ordering does not fit, so the run orders privately and matches the
-// sharing-off run bit for bit.
-TEST(FactorizationSharing, WrongKeyOnOtherDimensionOrdersPrivately) {
-  SolverStateCache cache;
-  obs::RunTelemetry first, second;
+// The netlist is the class: rebuilding a circuit repeats its fingerprint,
+// values stay out of it, and every structural difference — one more
+// element, another node, the same nodes under another element kind —
+// moves it.
+TEST(FactorizationSharing, TheNetlistNamesItsStructureClass) {
   int far = 0;
-  Circuit a = sourceDrivenLadder(10, false, far);
-  runTransient(a, ladderOptions(&cache, &first), {{"far", far, 0}});
-  EXPECT_EQ(first.shared_symbolic_builds, 1);
+  const auto ladder = [&far](std::size_t segments, bool bridge) {
+    return sourceDrivenLadder(segments, bridge, far).structureClass();
+  };
+  ASSERT_TRUE(ladder(10, false).has_value());
+  EXPECT_EQ(ladder(10, false), ladder(10, false));
+  EXPECT_NE(ladder(10, true), ladder(10, false));
+  EXPECT_NE(ladder(12, false), ladder(10, false));
 
-  Circuit b = sourceDrivenLadder(12, false, far);
-  const TransientResult shared =
-      runTransient(b, ladderOptions(&cache, &second), {{"far", far, 0}});
-  EXPECT_NE(second.structure.unknowns, first.structure.unknowns);
-  EXPECT_EQ(second.rcm_orderings, 1);
-  EXPECT_EQ(second.shared_symbolic_reuses, 0);
-
-  Circuit c = sourceDrivenLadder(12, false, far);
-  const TransientResult alone =
-      runTransient(c, ladderOptions(nullptr, nullptr), {{"far", far, 0}});
-  const Waveform& x = shared.at("far");
-  const Waveform& y = alone.at("far");
-  ASSERT_EQ(x.size(), y.size());
-  for (std::size_t k = 0; k < x.size(); ++k) EXPECT_EQ(x[k], y[k]) << k;
+  const auto pair = [](double r, bool capacitor, bool extra_node) {
+    Circuit c;
+    const int a = c.addNode();
+    if (extra_node) c.addNode();
+    if (capacitor) {
+      c.addCapacitor(a, Circuit::kGround, r * 1e-12);
+    } else {
+      c.addResistor(a, Circuit::kGround, r);
+    }
+    return c.structureClass();
+  };
+  EXPECT_EQ(pair(50.0, false, false), pair(75.0, false, false));
+  EXPECT_NE(pair(50.0, true, false), pair(50.0, false, false));
+  EXPECT_NE(pair(50.0, false, true), pair(50.0, false, false));
 }
 
-// A wrong structure key on the same unknown count: the run checks out an
-// ordering computed for another pattern. That is still a permutation, so
-// the result still agrees with the dense oracle.
-TEST(FactorizationSharing, WrongKeyOnSameDimensionStillMatchesTheOracle) {
-  SolverStateCache cache;
-  obs::RunTelemetry first, second;
-  int far = 0;
-  Circuit a = sourceDrivenLadder(10, false, far);
-  runTransient(a, ladderOptions(&cache, &first), {{"far", far, 0}});
-
-  Circuit b = sourceDrivenLadder(10, true, far);
-  const TransientResult res =
-      runTransient(b, ladderOptions(&cache, &second), {{"far", far, 0}});
-  EXPECT_EQ(second.structure.unknowns, first.structure.unknowns);
-  EXPECT_GT(second.structure.nonzeros, first.structure.nonzeros);
-  EXPECT_EQ(second.shared_symbolic_reuses, 1);
-  EXPECT_EQ(second.rcm_orderings, 0);
-  EXPECT_EQ(res.lu_factorizations, 1);
-
-  Circuit ref_circuit = sourceDrivenLadder(10, true, far);
-  const TransientResult ref = oracle::runDenseReference(
-      ref_circuit, ladderOptions(nullptr, nullptr), {{"far", far, 0}});
-  EXPECT_LE(oracle::maxAbsDiff(res.at("far"), ref.at("far")), oracle::kSparseTol);
-}
-
-// The AC engine's wrong key on the same unknown count: the session adopts
-// the other ladder's pattern, the bridge's entries overflow on the first
-// value stamp and fold into a private pattern once, and the checked-out
-// ordering factors the folded system — still the dense oracle's solution.
-// (Both are frequencies where a private session meets 1e-9 too: on this
-// lossless ladder it sits 1.5e-9 to 2.1e-9 from the oracle at 1e6, 1e7
-// and 7e8 Hz, and the wrong-key session exactly as far.)
-TEST(FactorizationSharing, AcWrongKeyOnSameDimensionFoldsTheOverflow) {
-  SolverStateCache cache;
-  AcOptions opt;
-  opt.sharing.provider = &cache;
-  opt.sharing.structure_key = "one-key-for-every-ladder";
-  obs::RunTelemetry first, second;
-  int far = 0;
-  Circuit a = sourceDrivenLadder(10, false, far);
-  opt.telemetry = &first;
-  AcSession(a, opt).solveAt(1e8);
-  EXPECT_EQ(first.shared_symbolic_builds, 1);
-  EXPECT_EQ(first.pattern_compiles, 1);
-
-  Circuit b = sourceDrivenLadder(10, true, far);
-  opt.telemetry = &second;
-  AcSession session(b, opt);
-  for (const double f : {1e8, 3e8}) {
-    const ComplexVector& x = session.solveAt(f);
-    EXPECT_LT(oracle::relativeGap(x, oracle::acDenseReference(b, f)), 1e-9) << f;
+// A conductance between two nodes, added through Circuit::addElement: the
+// fingerprint cannot see its stamps.
+class CustomConductance final : public Element {
+ public:
+  CustomConductance(int n1, int n2, double g) : n1_(n1), n2_(n2), g_(g) {}
+  void stampStatic(StampSystem& sys, double) override { stampConductance(sys, n1_, n2_, g_); }
+  void stampAc(AcStampSystem& sys, double, const Vector&) const override {
+    stampConductance(sys, n1_, n2_, Complex(g_, 0.0));
   }
-  EXPECT_EQ(second.structure.unknowns, first.structure.unknowns);
-  EXPECT_GT(second.structure.nonzeros, first.structure.nonzeros);
-  EXPECT_EQ(second.shared_symbolic_reuses, 1);
-  EXPECT_EQ(second.rcm_orderings, 0);
-  EXPECT_EQ(second.pattern_compiles, 1);  // the one fold, not one per call
-  EXPECT_EQ(second.lu_factorizations, 2);
+  std::string name() const override { return "G"; }
+
+ private:
+  int n1_, n2_;
+  double g_;
+};
+
+// A circuit with a custom element has no structure class: under a provider
+// each of its sessions, transient and AC, compiles and orders privately,
+// publishes nothing, and matches an unshared run bit for bit.
+TEST(FactorizationSharing, CustomElementCompilesPrivatelyUnderAProvider) {
+  int far = 0;
+  const auto build = [&far] {
+    Circuit c = sourceDrivenLadder(10, false, far);
+    c.addElement(std::make_unique<CustomConductance>(far, Circuit::kGround, 1e-3));
+    return c;
+  };
+  EXPECT_FALSE(build().structureClass().has_value());
+
+  SolverStateCache cache;
+  for (int run = 0; run < 2; ++run) {
+    Circuit shared = build();
+    obs::RunTelemetry tel;
+    TransientOptions topt = ladderOptions(&cache);
+    topt.telemetry = &tel;
+    const TransientResult res = runTransient(shared, topt, {{"far", far, 0}});
+    Circuit alone = build();
+    const TransientResult ref = runTransient(alone, ladderOptions(nullptr), {{"far", far, 0}});
+    EXPECT_EQ(res.at("far").samples(), ref.at("far").samples()) << run;
+
+    Circuit ac_shared = build();
+    Circuit ac_alone = build();
+    AcOptions aopt;
+    aopt.sharing.provider = &cache;
+    aopt.telemetry = &tel;
+    const ComplexVector x = AcSession(ac_shared, aopt).solveAt(1e8);
+    EXPECT_EQ(x, AcSession(ac_alone, AcOptions{}).solveAt(1e8)) << run;
+
+    EXPECT_EQ(tel.pattern_compiles, 2) << run;
+    EXPECT_EQ(tel.rcm_orderings, 2) << run;
+    EXPECT_EQ(tel.shared_symbolic_builds, 0) << run;
+    EXPECT_EQ(tel.shared_symbolic_reuses, 0) << run;
+  }
+  EXPECT_EQ(cache.structureClassCount(), 0u);
+  EXPECT_EQ(cache.stats().symbolic_misses + cache.stats().symbolic_hits, 0);
 }
 
-// Under honest keys a corner that checks its structure class out compiles
-// no pattern: it adopts the class pattern and stamps its values into it.
-// Value-only sweeps of every MNA family: each class compiles once.
+// A provider that answers every lookup with one fixed state: what a
+// fingerprint collision would hand a run.
+class FixedProvider final : public SolverStateProvider {
+ public:
+  explicit FixedProvider(std::shared_ptr<const SolverSymbolic> state)
+      : state_(std::move(state)) {}
+  std::shared_ptr<const SolverSymbolic> symbolic(const StructureClass&,
+                                                 const SymbolicBuilder&) override {
+    return state_;
+  }
+
+ private:
+  std::shared_ptr<const SolverSymbolic> state_;
+};
+
+// Nothing folds a foreign class: handed the state of another netlist, a
+// session of either engine throws std::logic_error — at the checkout when
+// the dimension differs, at the first stamp outside the adopted pattern
+// when it does not.
+TEST(FactorizationSharing, ForeignClassFailsLoudly) {
+  int far = 0;
+  Circuit plain = sourceDrivenLadder(10, false, far);
+  SolverStateCache cache;
+  runTransient(plain, ladderOptions(&cache), {{"far", far, 0}});
+  AcOptions publish;
+  publish.sharing.provider = &cache;
+  AcSession(plain, publish).solveAt(1e8);
+  ASSERT_EQ(cache.structureClassCount(), 2u);
+  const auto published = [&](SolverEngine engine) {
+    return cache.symbolic({*plain.structureClass(), engine},
+                          []() -> std::shared_ptr<const SolverSymbolic> {
+                            throw std::logic_error("published above");
+                          });
+  };
+
+  for (const SolverEngine engine : {SolverEngine::kTransientBase, SolverEngine::kAc}) {
+    FixedProvider foreign(published(engine));
+    for (const bool other_dimension : {true, false}) {
+      Circuit c = other_dimension ? sourceDrivenLadder(12, false, far)
+                                  : sourceDrivenLadder(10, true, far);
+      if (engine == SolverEngine::kTransientBase) {
+        EXPECT_THROW(runTransient(c, ladderOptions(&foreign), {{"far", far, 0}}),
+                     std::logic_error)
+            << other_dimension;
+      } else {
+        AcOptions opt;
+        opt.sharing.provider = &foreign;
+        AcSession session(c, opt);
+        EXPECT_THROW(session.solveAt(1e8), std::logic_error) << other_dimension;
+      }
+    }
+  }
+}
+
+// A corner that checks its structure class out compiles no pattern: it
+// adopts the class pattern and stamps its values into it. Value-only
+// sweeps of every MNA family: each class compiles once.
 TEST(FactorizationSharing, ReuseCornersCompileNoPattern) {
   SweepSpec crosstalk;
   crosstalk.scenario = "crosstalk";
@@ -420,123 +469,73 @@ TEST(FactorizationSharing, RepeatedSweepRecomputesEveryCorner) {
   EXPECT_EQ(a.json, b.json);
 }
 
-// line_r > 0 adds two ladder nodes per segment (the R/2 split around each
-// inductor), so a sweep over line_r {0, 5, 5} is two structure classes:
-// no corner compiles a private pattern, and the second r = 5 corner checks
-// its class out.
-TEST(FactorizationSharing, LineResistanceSplitsTheStructureClass) {
-  SweepSpec emc;
-  emc.scenario = "emc";
-  emc.set("drive", std::string("none"));
-  emc.set("t_stop", 3e-9);
-  emc.set("segments", 16.0);
-  emc.set("pulse_t0", 1e-9);
-  emc.axis("line_r", {0.0, 5.0, 5.0});
-
-  SweepSpec crosstalk;
-  crosstalk.scenario = "crosstalk";
-  crosstalk.set("pattern", std::string("010"));
-  crosstalk.set("bit_time", 1e-9);
-  crosstalk.set("t_stop", 3e-9);
-  crosstalk.set("segments", 8.0);
-  crosstalk.axis("line_r", {0.0, 5.0, 5.0});
-  crosstalk.driver = "tinydrv";
-  crosstalk.receiver = "tinyrcv";
-
-  for (const SweepSpec& spec : {emc, crosstalk}) {
+// A mixed sweep — value axes crossed with axes that change the netlist —
+// builds exactly one structure class per distinct netlist at 1 and 4
+// workers, every compile is its class's shared build, and the exports
+// equal those of running each task alone with a default SolverSharing.
+void expectOneClassPerNetlist(const SweepSpec& spec, std::size_t netlists) {
+  const std::shared_ptr<ModelCache> models = testmodels::tinyCache();
+  const Exports alone = exportMetrics(testmodels::sharingFreeSweep(spec.expand(), *models));
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     SweepRunnerOptions opt;
-    opt.workers = 1;  // corners 1 and 2 run in index order
-    opt.model_cache = testmodels::tinyCache();
+    opt.workers = workers;
+    opt.model_cache = models;
     SweepRunner runner(opt);
     const SweepResult result = runner.run(spec);
-    ASSERT_EQ(result.okCount(), 3u) << spec.scenario;
-    EXPECT_EQ(result.solver_cache.symbolic_misses, 2) << spec.scenario;
-    EXPECT_EQ(runner.solverCache().structureClassCount(), 2u) << spec.scenario;
+    ASSERT_EQ(result.okCount(), result.runs.size()) << spec.scenario;
+    EXPECT_EQ(runner.solverCache().structureClassCount(), netlists)
+        << spec.scenario << " workers=" << workers;
     for (const SweepRunRecord& r : result.runs)
       EXPECT_EQ(r.telemetry.pattern_compiles, r.telemetry.shared_symbolic_builds)
-          << r.label;
-    const obs::RunTelemetry& lossless = result.runs[0].telemetry;
-    const obs::RunTelemetry& reuse = result.runs[2].telemetry;
-    EXPECT_LT(lossless.structure.unknowns, reuse.structure.unknowns) << spec.scenario;
-    EXPECT_EQ(reuse.shared_symbolic_reuses, 1) << spec.scenario;
-    EXPECT_EQ(reuse.pattern_compiles, 0) << spec.scenario;
+          << r.label << " workers=" << workers;
+    const Exports shared = exportMetrics(result);
+    EXPECT_EQ(shared.csv, alone.csv) << spec.scenario << " workers=" << workers;
+    const std::size_t runs = shared.json.find("\"runs\"");
+    ASSERT_NE(runs, std::string::npos);
+    EXPECT_EQ(shared.json.substr(runs), alone.json.substr(alone.json.find("\"runs\"")))
+        << spec.scenario << " workers=" << workers;
   }
 }
 
-// Key honesty: RHS-only parameters and element values must stay out of
-// the structure key; parameters that change the pattern must change it.
-TEST(FactorizationSharing, EmcKeyTracksStructureOnly) {
-  auto scenario = ScenarioRegistry::global().create("emc");
-  const std::string structure = scenario->structureKey();
-  ASSERT_FALSE(structure.empty());
-
-  // RHS-only knobs: field excitation and geometry never touch the key.
-  scenario->set("amplitude", 750.0);
-  scenario->set("theta", 45.0);
-  scenario->set("phi", 30.0);
-  scenario->set("pulse_t0", 2e-9);
-  scenario->set("route_deg", 15.0);
-  EXPECT_EQ(scenario->structureKey(), structure);
-
-  // Static-stamp values: same pattern, same key.
-  scenario->set("line_c", 1.1e-10);
-  scenario->set("dt", 1.3e-11);
-  EXPECT_EQ(scenario->structureKey(), structure);
-
-  // Structural knobs: different pattern.
-  scenario->set("segments", 16.0);
-  EXPECT_NE(scenario->structureKey(), structure);
-
-  // amplitude=0 drops the field sources entirely — a structural change.
-  auto quiet = ScenarioRegistry::global().create("emc");
-  quiet->set("amplitude", 0.0);
-  EXPECT_NE(quiet->structureKey(), structure);
-
-  // line_r > 0 splits each series R around its inductor: structural.
-  // line_g's shunt resistors land on the capacitors' entries: not.
-  auto lossy = ScenarioRegistry::global().create("emc");
-  lossy->set("line_g", 1e-3);
-  EXPECT_EQ(lossy->structureKey(), structure);
-  lossy->set("line_r", 5.0);
-  EXPECT_NE(lossy->structureKey(), structure);
+// coupling = 0 stamps no mutual capacitors and line_r > 0 splits each
+// series R around its inductor: four netlists.
+TEST(FactorizationSharing, CrosstalkMixedSweepBuildsOneClassPerNetlist) {
+  SweepSpec spec;
+  spec.scenario = "crosstalk";
+  spec.set("pattern", std::string("010"));
+  spec.set("bit_time", 1e-9);
+  spec.set("t_stop", 3e-9);
+  spec.set("segments", 8.0);
+  spec.axis("coupling", {0.0, 0.2});
+  spec.axis("line_r", {0.0, 5.0});
+  spec.driver = "tinydrv";
+  expectOneClassPerNetlist(spec, 4);
 }
 
-TEST(FactorizationSharing, TlineKeysOnlyForTheMnaEngine) {
-  auto scenario = ScenarioRegistry::global().create("tline");
-  scenario->set("engine", std::string("spice-rbf"));
-  const std::string structure = scenario->structureKey();
-  EXPECT_FALSE(structure.empty());
-  scenario->set("zc", 120.0);  // reaches the lumped model's values only
-  EXPECT_EQ(scenario->structureKey(), structure);
-
-  // The FDTD engines never run the MNA solver: no key, no sharing.
-  for (const char* engine : {"fdtd1d", "fdtd3d"}) {
-    scenario->set("engine", std::string(engine));
-    EXPECT_EQ(scenario->structureKey(), "") << engine;
-  }
+// amplitude > 0 adds the Agrawal terminal sources and c_far > 0 a far-end
+// capacitor: four netlists.
+TEST(FactorizationSharing, EmcMixedSweepBuildsOneClassPerNetlist) {
+  SweepSpec spec;
+  spec.scenario = "emc";
+  spec.set("drive", std::string("none"));
+  spec.set("t_stop", 3e-9);
+  spec.set("segments", 8.0);
+  spec.set("pulse_t0", 1e-9);
+  spec.axis("amplitude", {0.0, 1000.0});
+  spec.axis("c_far", {0.0, 1e-12});
+  expectOneClassPerNetlist(spec, 4);
 }
 
-TEST(FactorizationSharing, CrosstalkKeyTracksCouplingPresence) {
-  auto scenario = ScenarioRegistry::global().create("crosstalk");
-  const std::string structure = scenario->structureKey();
-  ASSERT_FALSE(structure.empty());
-  // Coupling stamps mutual elements: same structure while both nonzero.
-  scenario->set("coupling", 0.25);
-  EXPECT_EQ(scenario->structureKey(), structure);
-  // Victim terminations are resistor values in an unchanged pattern.
-  scenario->set("victim_r_far", 75.0);
-  EXPECT_EQ(scenario->structureKey(), structure);
-  // coupling=0 skips the mutual stamps entirely — structural.
-  scenario->set("coupling", 0.0);
-  EXPECT_NE(scenario->structureKey(), structure);
-
-  // line_r > 0 splits each series R around its inductor: structural.
-  // line_g's shunt resistors land on the capacitors' entries: not.
-  auto lossy = ScenarioRegistry::global().create("crosstalk");
-  lossy->set("line_g", 1e-3);
-  EXPECT_EQ(lossy->structureKey(), structure);
-  lossy->set("line_r", 5.0);
-  EXPECT_NE(lossy->structureKey(), structure);
+// k_skin > 0 chains the skin branches into every segment; the frequency
+// changes only values: two netlists.
+TEST(FactorizationSharing, AcMixedSweepBuildsOneClassPerNetlist) {
+  SweepSpec spec;
+  spec.scenario = "ac";
+  spec.set("segments", 16.0);
+  spec.set("line_r", 5.0);
+  spec.axis("k_skin", {0.0, 2e-4});
+  spec.axis("frequency", {1e7, 1e9});
+  expectOneClassPerNetlist(spec, 2);
 }
 
 template <typename Fn>

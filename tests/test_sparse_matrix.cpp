@@ -75,8 +75,23 @@ TYPED_TEST(CsrMatrixTest, FinalizedAddScattersInPlace) {
   const auto v = m.patternVersion();
   m.add(0, 0, val<S>(2.5, 0.5));
   EXPECT_EQ(m.at(0, 0), val<S>(3.5, -0.5));
-  EXPECT_FALSE(m.patternGrown());
   EXPECT_EQ(m.patternVersion(), v);
+}
+
+// A finalized pattern never grows: an add outside it throws and leaves
+// the matrix as it was.
+TYPED_TEST(CsrMatrixTest, FinalizedAddOutsideThePatternThrows) {
+  using S = TypeParam;
+  CsrMatrix<S> m(2);
+  m.add(0, 0, val<S>(1.0, -1.0));
+  m.add(1, 1, val<S>(1.0, 0.0));
+  m.finalize();
+  const auto v = m.patternVersion();
+  EXPECT_THROW(m.add(0, 1, val<S>(4.0, 0.0)), std::logic_error);
+  EXPECT_EQ(m.nonZeros(), 2u);
+  EXPECT_EQ(m.patternVersion(), v);
+  EXPECT_EQ(m.at(0, 0), val<S>(1.0, -1.0));
+  EXPECT_EQ(m.at(0, 1), val<S>(0.0, 0.0));
 }
 
 TYPED_TEST(CsrMatrixTest, ClearValuesKeepsPattern) {
@@ -86,11 +101,9 @@ TYPED_TEST(CsrMatrixTest, ClearValuesKeepsPattern) {
   m.add(1, 0, val<S>(2.0, -1.0));
   m.finalize();
   const auto v = m.patternVersion();
-  m.add(0, 1, val<S>(1.0, 0.0));  // buffered overflow, dropped by the clear
   m.clearValues();
   EXPECT_EQ(m.nonZeros(), 2u);
   EXPECT_EQ(m.patternVersion(), v);
-  EXPECT_FALSE(m.patternGrown());
   EXPECT_EQ(m.at(1, 0), val<S>(0.0, 0.0));
 }
 
@@ -123,7 +136,6 @@ TYPED_TEST(CsrMatrixTest, AdoptedPatternStartsFinalizedWithZeroValues) {
   // In-pattern adds scatter; equal versions allow the value copy.
   m.add(0, 2, val<S>(1.5, -0.5));
   EXPECT_EQ(m.at(0, 2), val<S>(1.5, -0.5));
-  EXPECT_FALSE(m.patternGrown());
   m.setValuesFrom(src);
   EXPECT_EQ(m.at(1, 1), val<S>(3.0, -1.0));
 
@@ -134,19 +146,9 @@ TYPED_TEST(CsrMatrixTest, AdoptedPatternStartsFinalizedWithZeroValues) {
   EXPECT_EQ(same.nonZeros(), 4u);
   EXPECT_EQ(same.at(0, 0), val<S>(0.0, 0.0));
 
-  // An out-of-pattern add overflows; the merge takes a fresh version and
-  // leaves the exporter untouched.
-  m.add(2, 2, val<S>(4.0, 0.0));
-  EXPECT_TRUE(m.patternGrown());
+  // The adopted pattern is as closed as a compiled one.
+  EXPECT_THROW(m.add(2, 2, val<S>(4.0, 0.0)), std::logic_error);
   EXPECT_EQ(m.patternVersion(), p.version);
-  m.mergeOverflow();
-  EXPECT_FALSE(m.patternGrown());
-  EXPECT_NE(m.patternVersion(), p.version);
-  EXPECT_EQ(m.nonZeros(), 5u);
-  EXPECT_EQ(m.at(2, 2), val<S>(4.0, 0.0));
-  EXPECT_EQ(m.at(1, 1), val<S>(3.0, -1.0));
-  EXPECT_EQ(src.nonZeros(), 4u);
-  EXPECT_EQ(src.patternVersion(), p.version);
 
   CsrMatrix<S> building(2);
   EXPECT_THROW(building.pattern(), std::logic_error);
@@ -212,25 +214,6 @@ TYPED_TEST(CsrMatrixTest, RelativeResidualMatchesDenseArithmetic) {
   EXPECT_THROW(obs::relativeResidual(building, x, b), std::invalid_argument);
 }
 
-TEST(SparseMatrix, OverflowAndMergeGrowPattern) {
-  SparseMatrix m(3);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 1.0);
-  m.add(2, 2, 1.0);
-  m.finalize();
-  const auto v0 = m.patternVersion();
-  m.add(0, 1, 4.0);  // outside the pattern
-  m.add(0, 1, 0.5);
-  EXPECT_TRUE(m.patternGrown());
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 0.0);  // buffered, not yet merged
-  m.mergeOverflow();
-  EXPECT_FALSE(m.patternGrown());
-  EXPECT_EQ(m.nonZeros(), 4u);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 4.5);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 1.0);  // old values preserved
-  EXPECT_NE(m.patternVersion(), v0);  // pattern change took a fresh stamp
-}
-
 TEST(SparseMatrix, SetValuesFromRequiresTheSamePattern) {
   SparseMatrix base(3);
   base.add(0, 0, 1.0);
@@ -244,10 +227,13 @@ TEST(SparseMatrix, SetValuesFromRequiresTheSamePattern) {
   work.setValuesFrom(base);  // memcpy path restores base values
   EXPECT_DOUBLE_EQ(work.at(1, 1), 2.0);
 
-  // Pattern growth on work gives it a fresh version.
-  work.add(2, 0, -5.0);
-  work.mergeOverflow();
-  EXPECT_THROW(work.setValuesFrom(base), std::logic_error);  // versions differ
+  // The same entries compiled again take a fresh version.
+  SparseMatrix other(3);
+  other.add(0, 0, 1.0);
+  other.add(1, 1, 2.0);
+  other.add(2, 2, 3.0);
+  other.finalize();
+  EXPECT_THROW(other.setValuesFrom(base), std::logic_error);  // versions differ
 }
 
 TEST(SparseMatrix, ToDenseCopiesEveryEntry) {
